@@ -31,7 +31,6 @@ var Analyzer = &analysis.Analyzer{
 // matches the package itself and everything below it).
 var simPackages = []string{
 	"mediasmt/internal/core",
-	"mediasmt/internal/engine",
 	"mediasmt/internal/mem",
 	"mediasmt/internal/isa",
 	"mediasmt/internal/sim",

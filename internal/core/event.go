@@ -42,24 +42,13 @@ func (p *Processor) AdvanceTo(t int64) {
 	// commits, issues or frees a register, so each thread's stall class
 	// is frozen: charge it once per skipped cycle, mirroring
 	// dispatchOne's check order exactly.
-	for _, th := range p.threads {
-		if th.fqCount == 0 {
-			continue
-		}
-		if th.robFull() {
-			p.st.ROBStalls += skipped
-			continue
-		}
-		e := th.fqFront()
-		q, qCap, _ := p.dispatchQueue(e.in.Op.Info())
-		if len(*q) >= qCap {
-			p.st.QueueStalls += skipped
-			continue
-		}
-		// A free destination register would mean dispatch could
-		// progress, and NextWakeup never skips such a cycle.
-		if d := e.in.Dst; d != isa.RegNone && len(p.rf.file(d.File()).free) == 0 {
-			p.st.RenameStalls += skipped
+	// dispatchStall is never nil here: a thread that could dispatch
+	// would make NextWakeup return the current cycle.
+	for i := range p.threads {
+		if th := &p.threads[i]; th.fqCount > 0 {
+			if c := p.dispatchStall(th); c != nil {
+				*c += skipped
+			}
 		}
 	}
 	// fetch rotates the round-robin pointer once per cycle whether or
@@ -96,19 +85,15 @@ func (p *Processor) NextWakeup() int64 {
 	// Commit: a completed graduation-window head retries every cycle
 	// (a store head may spend several cycles draining its elements
 	// into the write buffer, mutating memory stats on each retry).
-	for _, th := range p.threads {
-		if u := th.robPeek(); u != nil && u.completed {
-			return now
-		}
+	if p.headDone != 0 {
+		return now
 	}
 
 	// Writeback wakes when the earliest scheduled operation completes.
-	for _, u := range p.inflight {
-		if u.doneAt <= now {
-			return now
-		}
-		min(u.doneAt)
+	if p.nextDone <= now {
+		return now
 	}
+	min(p.nextDone)
 
 	// Loads still streaming element accesses retry every cycle once
 	// their address is ready (ports re-arbitrate per cycle).
@@ -131,7 +116,8 @@ func (p *Processor) NextWakeup() int64 {
 	// blocked cases (mispredict, I-miss, full fetch queue) wake through
 	// the event that unblocks them: branch completion, I-cache fill,
 	// dispatch progress.
-	for _, th := range p.threads {
+	for i := range p.threads {
+		th := &p.threads[i]
 		if th.idle || !th.hasPend || th.fetchBlocked ||
 			th.fqCount >= p.cfg.FetchQCap || !p.memsys.FetchReady(th.id) {
 			continue
@@ -163,8 +149,8 @@ func (p *Processor) nextIssueWakeup(now int64) int64 {
 	}
 	t := NoWakeup
 	if p.readyCount[qidFP] > 0 {
-		for _, u := range p.qFP {
-			if !p.ready(u) {
+		for _, u := range p.q[qidFP] {
+			if u.waitCount != 0 {
 				continue
 			}
 			if u.info.Unit != isa.UnitFPDiv {
@@ -210,20 +196,10 @@ func earliestFree(busyUntil []int64, now int64) int64 {
 // instruction could rename and dispatch this cycle: graduation-window
 // room, issue-queue room, and a free destination register.
 func (p *Processor) canDispatchAny() bool {
-	for _, th := range p.threads {
-		if th.fqCount == 0 || th.robFull() {
-			continue
+	for i := range p.threads {
+		if th := &p.threads[i]; th.fqCount > 0 && p.dispatchStall(th) == nil {
+			return true
 		}
-		e := th.fqFront()
-		inf := e.in.Op.Info()
-		q, qCap, _ := p.dispatchQueue(inf)
-		if len(*q) >= qCap {
-			continue
-		}
-		if d := e.in.Dst; d != isa.RegNone && len(p.rf.file(d.File()).free) == 0 {
-			continue
-		}
-		return true
 	}
 	return false
 }

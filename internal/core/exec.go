@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"mediasmt/internal/isa"
 	"mediasmt/internal/mem"
 )
@@ -32,30 +34,33 @@ func (p *Processor) onLoadCompletion(c mem.Completion) {
 }
 
 // writeback completes scheduled operations whose results are ready.
+// nextDone says whether any is, so most cycles return at once.
 func (p *Processor) writeback(now int64) {
-	// Find the first completion before rewriting anything: on most
-	// cycles nothing completes, and the no-op rewrite of a pointer
-	// slice is all GC write-barrier traffic.
-	i := 0
-	for ; i < len(p.inflight); i++ {
-		if p.inflight[i].doneAt <= now {
-			break
-		}
-	}
-	if i == len(p.inflight) {
+	if p.nextDone > now {
 		return
 	}
-	w := i
-	for ; i < len(p.inflight); i++ {
-		u := p.inflight[i]
+	next, w := NoWakeup, 0
+	for i, u := range p.inflight {
 		if u.doneAt <= now {
 			p.complete(u, now)
-		} else {
-			p.inflight[w] = u
-			w++
+			continue
 		}
+		// Rewriting an unchanged pointer costs a GC write barrier.
+		if w < i {
+			p.inflight[w] = u
+		}
+		w++
+		next = min(next, u.doneAt)
 	}
 	p.inflight = p.inflight[:w]
+	p.nextDone = next
+}
+
+// schedule puts an issued operation in flight until doneAt.
+func (p *Processor) schedule(u *uop, doneAt int64) {
+	u.doneAt = doneAt
+	p.inflight = append(p.inflight, u)
+	p.nextDone = min(p.nextDone, doneAt)
 }
 
 // complete retires an operation from the execution core: its result
@@ -63,6 +68,10 @@ func (p *Processor) writeback(now int64) {
 // its thread's fetch after the redirect penalty.
 func (p *Processor) complete(u *uop, now int64) {
 	u.completed = true
+	th := &p.threads[u.thread]
+	if th.rob[th.robHead] == u {
+		p.headDone |= 1 << u.thread
+	}
 	if u.dstPhys >= 0 {
 		p.wakeReg(u.dstFile, u.dstPhys)
 	}
@@ -70,7 +79,6 @@ func (p *Processor) complete(u *uop, now int64) {
 		p.simdInFlight--
 	}
 	if u.mispred {
-		th := p.threads[u.thread]
 		th.fetchBlocked = false
 		th.stallUntil = now + int64(p.cfg.BranchPenalty)
 	}
@@ -96,11 +104,6 @@ func (p *Processor) wakeReg(f isa.RegFile, r int32) {
 	pf.waiters[r] = ws[:0]
 }
 
-// ready reports whether all of a uop's source registers are available.
-func (p *Processor) ready(u *uop) bool {
-	return u.waitCount == 0
-}
-
 // issue scans the four queues oldest-first and starts every ready
 // operation the functional units can accept this cycle. A queue with
 // no ready entry (by its scoreboard counter) is skipped outright.
@@ -120,40 +123,49 @@ func (p *Processor) issue(now int64) {
 }
 
 func (p *Processor) noteIssued(u *uop) {
-	th := p.threads[u.thread]
+	th := &p.threads[u.thread]
 	th.frontCount--
 	th.opCount -= int(u.equiv())
 	u.issued = true
 	p.readyCount[u.qid]--
 }
 
-// compactQueue removes issued entries from q. first is the index of
-// the oldest issued entry (-1 if none issued): the issue loop already
-// knows it, and starting there skips rescanning the unissued prefix —
-// rewriting unchanged pointers would also cost a GC write barrier each.
-func compactQueue(q []*uop, first int) []*uop {
-	if first < 0 {
-		return q
+// compactQueue removes the n entries issued this cycle from queue qid.
+// first is the index of the oldest: the issue loop already knows it,
+// and starting there skips rescanning the unissued prefix — rewriting
+// unchanged pointers would also cost a GC write barrier each. Past the
+// last issued entry the tail moves down by copy, without reading a
+// uop.
+func (p *Processor) compactQueue(qid uint8, first, n int) {
+	if n == 0 {
+		return
 	}
+	q := p.q[qid]
 	w := first
-	for i := first; i < len(q); i++ {
+	for i := first; ; i++ {
 		if !q[i].issued {
 			q[w] = q[i]
 			w++
+		} else if n--; n == 0 {
+			w += copy(q[w:], q[i+1:])
+			break
 		}
 	}
-	return q[:w]
+	p.q[qid] = q[:w]
+	p.fullQ &^= 1 << qid
 }
 
 func (p *Processor) issueInt(now int64) {
 	alus, muls, issued, first := 0, 0, 0, -1
-	for qi, u := range p.qInt {
-		if issued >= p.cfg.IssueInt {
+	ready := p.readyCount[qidInt] // once all are seen, the rest wait
+	for qi, u := range p.q[qidInt] {
+		if issued >= p.cfg.IssueInt || ready == 0 {
 			break
 		}
-		if !p.ready(u) {
+		if u.waitCount != 0 {
 			continue
 		}
+		ready--
 		switch u.info.Unit {
 		case isa.UnitIMul:
 			if muls >= p.cfg.IntMuls {
@@ -167,26 +179,27 @@ func (p *Processor) issueInt(now int64) {
 			alus++
 		}
 		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat)
-		p.inflight = append(p.inflight, u)
+		p.schedule(u, now+int64(u.info.Lat))
 		issued++
 		p.intIssuedNow++
 		if first < 0 {
 			first = qi
 		}
 	}
-	p.qInt = compactQueue(p.qInt, first)
+	p.compactQueue(qidInt, first, issued)
 }
 
 func (p *Processor) issueFP(now int64) {
 	adds, mulsUsed, issued, first := 0, 0, 0, -1
-	for qi, u := range p.qFP {
-		if issued >= p.cfg.IssueFP {
+	ready := p.readyCount[qidFP] // once all are seen, the rest wait
+	for qi, u := range p.q[qidFP] {
+		if issued >= p.cfg.IssueFP || ready == 0 {
 			break
 		}
-		if !p.ready(u) {
+		if u.waitCount != 0 {
 			continue
 		}
+		ready--
 		switch u.info.Unit {
 		case isa.UnitFPDiv:
 			// Unpipelined divide/sqrt: find a free unit.
@@ -213,14 +226,13 @@ func (p *Processor) issueFP(now int64) {
 			adds++
 		}
 		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat)
-		p.inflight = append(p.inflight, u)
+		p.schedule(u, now+int64(u.info.Lat))
 		issued++
 		if first < 0 {
 			first = qi
 		}
 	}
-	p.qFP = compactQueue(p.qFP, first)
+	p.compactQueue(qidFP, first, issued)
 }
 
 // issueSIMD starts media operations. With the MMX configuration two
@@ -231,13 +243,15 @@ func (p *Processor) issueFP(now int64) {
 // last sub-operation result after that occupancy plus the op latency.
 func (p *Processor) issueSIMD(now int64) {
 	issued, first := 0, -1
-	for qi, u := range p.qSIMD {
-		if issued >= p.cfg.IssueSIMD {
+	ready := p.readyCount[qidSIMD] // once all are seen, the rest wait
+	for qi, u := range p.q[qidSIMD] {
+		if issued >= p.cfg.IssueSIMD || ready == 0 {
 			break
 		}
-		if !p.ready(u) {
+		if u.waitCount != 0 {
 			continue
 		}
+		ready--
 		unit := -1
 		for i, b := range p.mediaBusyUntil {
 			if b <= now {
@@ -255,8 +269,7 @@ func (p *Processor) issueSIMD(now int64) {
 		}
 		p.mediaBusyUntil[unit] = now + occ
 		p.noteIssued(u)
-		u.doneAt = now + int64(u.info.Lat) + occ - 1
-		p.inflight = append(p.inflight, u)
+		p.schedule(u, now+int64(u.info.Lat)+occ-1)
 		p.simdInFlight++
 		issued++
 		p.simdIssuedNow++
@@ -264,7 +277,7 @@ func (p *Processor) issueSIMD(now int64) {
 			first = qi
 		}
 	}
-	p.qSIMD = compactQueue(p.qSIMD, first)
+	p.compactQueue(qidSIMD, first, issued)
 }
 
 // issueMem starts memory operations: one cycle of address generation,
@@ -274,13 +287,15 @@ func (p *Processor) issueSIMD(now int64) {
 // same thread forwards from the store queue.
 func (p *Processor) issueMem(now int64) {
 	issued, first := 0, -1
-	for qi, u := range p.qMem {
-		if issued >= p.cfg.IssueMem {
+	ready := p.readyCount[qidMem] // once all are seen, the rest wait
+	for qi, u := range p.q[qidMem] {
+		if issued >= p.cfg.IssueMem || ready == 0 {
 			break
 		}
-		if !p.ready(u) {
+		if u.waitCount != 0 {
 			continue
 		}
+		ready--
 		p.noteIssued(u)
 		issued++
 		if first < 0 {
@@ -288,8 +303,7 @@ func (p *Processor) issueMem(now int64) {
 		}
 		u.addrReadyAt = now + 1
 		if u.isStore {
-			u.doneAt = now + 1
-			p.inflight = append(p.inflight, u)
+			p.schedule(u, now+1)
 			continue
 		}
 		// Load: try store-to-load forwarding (scalar loads only; vector
@@ -299,12 +313,7 @@ func (p *Processor) issueMem(now int64) {
 			if st := p.forwardingStore(u); st != nil {
 				u.forwarded = true
 				p.st.LoadsForwarded++
-				d := st.addrReadyAt + 1
-				if d < now+2 {
-					d = now + 2
-				}
-				u.doneAt = d
-				p.inflight = append(p.inflight, u)
+				p.schedule(u, max(st.addrReadyAt+1, now+2))
 				continue
 			}
 		}
@@ -322,14 +331,14 @@ func (p *Processor) issueMem(now int64) {
 		p.loadSlots[slot] = u
 		p.activeLoads = append(p.activeLoads, u)
 	}
-	p.qMem = compactQueue(p.qMem, first)
+	p.compactQueue(qidMem, first, issued)
 }
 
 // forwardingStore returns the youngest older issued store of the same
 // thread whose line matches the load, if any.
 func (p *Processor) forwardingStore(ld *uop) *uop {
 	const lineMask = ^uint64(31)
-	th := p.threads[ld.thread]
+	th := &p.threads[ld.thread]
 	var best *uop
 	for _, st := range th.pendingStores {
 		if st.seq >= ld.seq || !st.issued {
@@ -387,29 +396,17 @@ func (p *Processor) sendLoadElements(now int64) {
 // drain their elements into the write buffer here (write-through at
 // retirement); a store blocks its thread's commit until all elements
 // are accepted.
+//
+// A round visits the threads whose head has completed, from headDone
+// at the start of the round: only a thread's own retirement changes
+// its head, and a thread is visited once per round.
 func (p *Processor) commit(now int64) {
-	// Cheap pre-scan: most cycles no head is completed, and the
-	// budgeted round-robin loop below costs several times this.
-	anyDone := false
-	for _, th := range p.threads {
-		if u := th.robPeek(); u != nil && u.completed {
-			anyDone = true
-			break
-		}
-	}
-	if !anyDone {
-		return
-	}
 	budget := p.cfg.CommitWidth
-	n := p.cfg.Threads
-	for round := 0; budget > 0; round++ {
+	for p.headDone != 0 && budget > 0 {
 		progress := false
-		for i := 0; i < n && budget > 0; i++ {
-			th := p.threads[(p.rr+i)%n]
-			u := th.robPeek()
-			if u == nil || !u.completed {
-				continue
-			}
+		for set := p.rotated(p.headDone); set != 0 && budget > 0; set &= set - 1 {
+			th := &p.threads[p.threadAt(bits.TrailingZeros64(set))]
+			u := th.rob[th.robHead]
 			if u.isStore && !p.drainStore(now, u) {
 				continue
 			}
@@ -448,6 +445,11 @@ func (p *Processor) drainStore(now int64, u *uop) bool {
 // previous mapping of its destination and accumulates statistics.
 func (p *Processor) retire(th *threadState, u *uop) {
 	th.robPop()
+	if h := th.robPeek(); h != nil && h.completed {
+		p.headDone |= 1 << th.id
+	} else {
+		p.headDone &^= 1 << th.id
+	}
 	if u.oldDst >= 0 {
 		p.rf.file(u.dstFile).release(u.oldDst)
 	}

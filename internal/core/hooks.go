@@ -67,7 +67,7 @@ func (p *Processor) sampleHooks() {
 	p.hookCountdown = max(p.hooks.Every, 1)
 	s := PipelineSample{
 		Cycle:        p.now,
-		QueueOcc:     [4]int{len(p.qInt), len(p.qMem), len(p.qFP), len(p.qSIMD)},
+		QueueOcc:     [4]int{len(p.q[qidInt]), len(p.q[qidMem]), len(p.q[qidFP]), len(p.q[qidSIMD])},
 		QueueReady:   p.readyCount,
 		Inflight:     len(p.inflight),
 		ActiveLoads:  len(p.activeLoads),
@@ -76,9 +76,9 @@ func (p *Processor) sampleHooks() {
 		RenameStalls: p.st.RenameStalls,
 		QueueStalls:  p.st.QueueStalls,
 	}
-	for _, th := range p.threads {
-		s.ROBOcc += th.robCount
-		s.FetchQOcc += th.fqCount
+	for i := range p.threads {
+		s.ROBOcc += p.threads[i].robCount
+		s.FetchQOcc += p.threads[i].fqCount
 	}
 	p.hooks.Sample(s)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mediasmt/internal/isa"
 	"mediasmt/internal/mem"
@@ -61,6 +62,7 @@ func (u *uop) equiv() int32 {
 type fqEntry struct {
 	in      trace.Inst
 	mispred bool
+	qid     uint8 // the issue queue it dispatches into, decided at fetch
 }
 
 // threadState is one hardware context.
@@ -99,18 +101,33 @@ func (t *threadState) robFull() bool { return t.robCount == len(t.rob) }
 
 func (t *threadState) fqFront() *fqEntry { return &t.fq[t.fqHead] }
 
-func (t *threadState) fqPush(e fqEntry) {
-	t.fq[(t.fqHead+t.fqCount)%len(t.fq)] = e
+// The rings wrap by compare, not %: the ROB has 48 entries at eight
+// threads, so a modulus there is a hardware divide every cycle.
+
+// fqPush appends an entry to the fetch queue and returns it for the
+// caller to fill in.
+func (t *threadState) fqPush() *fqEntry {
+	i := t.fqHead + t.fqCount
+	if i >= len(t.fq) {
+		i -= len(t.fq)
+	}
 	t.fqCount++
+	return &t.fq[i]
 }
 
 func (t *threadState) fqPop() {
-	t.fqHead = (t.fqHead + 1) % len(t.fq)
+	if t.fqHead++; t.fqHead == len(t.fq) {
+		t.fqHead = 0
+	}
 	t.fqCount--
 }
 
 func (t *threadState) robPush(u *uop) {
-	t.rob[(t.robHead+t.robCount)%len(t.rob)] = u
+	i := t.robHead + t.robCount
+	if i >= len(t.rob) {
+		i -= len(t.rob)
+	}
+	t.rob[i] = u
 	t.robCount++
 }
 
@@ -123,7 +140,9 @@ func (t *threadState) robPeek() *uop {
 
 func (t *threadState) robPop() {
 	t.rob[t.robHead] = nil
-	t.robHead = (t.robHead + 1) % len(t.rob)
+	if t.robHead++; t.robHead == len(t.rob) {
+		t.robHead = 0
+	}
 	t.robCount--
 }
 
@@ -148,18 +167,27 @@ type Processor struct {
 	memsys  mem.System
 	pred    *Predictor
 	rf      *regFiles
-	threads []*threadState
+	threads []threadState
 
-	qInt  []*uop
-	qMem  []*uop
-	qFP   []*uop
-	qSIMD []*uop
+	// q holds the issue queues indexed by qid, qCap their capacities.
+	q    [4][]*uop
+	qCap [4]int
 
+	// The summaries below are updated where the fact they record
+	// changes, so the per-cycle stages test a word instead of
+	// rescanning the structures underneath.
+	//
 	// readyCount[qid] is the number of un-issued entries in that queue
 	// whose sources are all available. Issue scans (and the issue part
 	// of NextWakeup) skip a queue whose count is zero, which is most
-	// queues on most cycles.
+	// queues on most cycles. fullQ has bit qid set while that queue is
+	// at capacity. headDone has bit t set while thread t's graduation
+	// window head has completed. nextDone is the earliest doneAt in
+	// inflight (NoWakeup when it is empty).
 	readyCount [4]int
+	fullQ      uint8
+	headDone   uint64
+	nextDone   int64
 
 	inflight    []*uop
 	activeLoads []*uop
@@ -225,18 +253,24 @@ func New(cfg Config, m mem.System) (*Processor, error) {
 		rf:             newRegFiles(&cfg),
 		mediaBusyUntil: make([]int64, cfg.MediaUnits),
 		fpDivBusyUntil: make([]int64, cfg.FPDivs),
+		threads:        make([]threadState, cfg.Threads),
+		qCap:           [4]int{qidInt: cfg.IQSize, qidMem: cfg.MQSize, qidFP: cfg.FQSize, qidSIMD: cfg.SQSize},
+		nextDone:       NoWakeup,
 		ordBuf:         make([]int, cfg.Threads),
 		keysBuf:        make([]int, cfg.Threads),
 	}
 	p.drainFn = p.onLoadCompletion
-	p.qInt = make([]*uop, 0, cfg.IQSize)
-	p.qMem = make([]*uop, 0, cfg.MQSize)
-	p.qFP = make([]*uop, 0, cfg.FQSize)
-	p.qSIMD = make([]*uop, 0, cfg.SQSize)
+	for qid, c := range p.qCap {
+		p.q[qid] = make([]*uop, 0, c)
+		if c <= 0 {
+			p.fullQ |= 1 << qid
+		}
+	}
 	p.st.PerThreadCommitted = make([]int64, cfg.Threads)
 
-	for i := 0; i < cfg.Threads; i++ {
-		th := &threadState{
+	for i := range p.threads {
+		th := &p.threads[i]
+		*th = threadState{
 			id:   i,
 			idle: true,
 			rob:  make([]*uop, cfg.ROBPerThread),
@@ -254,13 +288,9 @@ func New(cfg Config, m mem.System) (*Processor, error) {
 				th.rmap[f][l] = r
 			}
 		}
-		p.threads = append(p.threads, th)
 	}
 	return p, nil
 }
-
-// Config returns the processor's configuration.
-func (p *Processor) Config() Config { return p.cfg }
 
 // Stats returns the accumulated statistics.
 func (p *Processor) Stats() *Stats { return &p.st }
@@ -273,7 +303,7 @@ func (p *Processor) Now() int64 { return p.now }
 // program (the per-benchmark MMX/MOM instruction-count ratio; 1 for
 // MMX runs). The context must be drained.
 func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
-	th := p.threads[ctx]
+	th := &p.threads[ctx]
 	if !p.ContextDrained(ctx) {
 		panic(fmt.Sprintf("core: SetProgram on busy context %d", ctx))
 	}
@@ -296,7 +326,7 @@ func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
 // its program stream is exhausted (or absent) and the pipeline holds
 // none of its instructions.
 func (p *Processor) ContextDrained(ctx int) bool {
-	th := p.threads[ctx]
+	th := &p.threads[ctx]
 	if th.idle {
 		return true
 	}
@@ -324,7 +354,7 @@ func (p *Processor) Cycle() {
 	p.commit(now)
 	p.sendLoadElements(now)
 	p.issue(now)
-	p.dispatch(now)
+	p.dispatch()
 	p.fetch(now)
 	p.memsys.Tick(now)
 
@@ -353,16 +383,12 @@ func (p *Processor) Cycle() {
 // fetch until the branch resolves (the simulator never fetches a wrong
 // path; the misprediction cost is the stall plus the redirect penalty).
 func (p *Processor) fetch(now int64) {
-	order := p.fetchOrder(now)
 	groups := 0
-	for _, ti := range order {
+	for _, ti := range p.fetchOrder(now) {
 		if groups >= p.cfg.FetchGroups {
 			break
 		}
-		th := p.threads[ti]
-		if !p.canFetch(th, now) {
-			continue
-		}
+		th := &p.threads[ti]
 		switch p.memsys.FetchLine(now, ti, th.pending.PC) {
 		case mem.FetchBusy:
 			p.st.FetchConflict++
@@ -375,26 +401,28 @@ func (p *Processor) fetch(now int64) {
 		groups++
 		anyVec := false
 		for n := 0; n < p.cfg.GroupSize && th.hasPend && th.fqCount < p.cfg.FetchQCap; n++ {
-			in := th.pending
+			e := th.fqPush()
+			e.in = th.pending
+			in := &e.in
 			inf := in.Op.Info()
-			mispred := false
+			e.mispred = false
 			if inf.Branch && inf.Cond {
 				p.st.CondBranches++
 				if p.pred.PredictAndTrain(ti, in.PC, in.Taken) != in.Taken {
-					mispred = true
+					e.mispred = true
 					p.st.Mispredicts++
 				}
 			}
-			th.fqPush(fqEntry{in: in, mispred: mispred})
+			e.qid = queueOf(inf)
 			th.frontCount++
-			th.opCount += instEquiv(&in)
-			if in.Op.IsMMX() || in.Op.IsMOM() {
+			th.opCount += in.Equiv()
+			if !in.Op.IsScalar() {
 				anyVec = true
 			}
 			th.advance()
 			p.st.Fetched++
-			if inf.Branch && (mispred || in.Taken) {
-				if mispred {
+			if inf.Branch && (e.mispred || in.Taken) {
+				if e.mispred {
 					th.fetchBlocked = true
 				}
 				break
@@ -402,26 +430,24 @@ func (p *Processor) fetch(now int64) {
 		}
 		th.fetchedVec = anyVec
 	}
-	p.rr = (p.rr + 1) % p.cfg.Threads
-}
-
-func instEquiv(in *trace.Inst) int {
-	if in.Op.Info().Stream && in.SLen > 1 {
-		return int(in.SLen)
+	if p.rr++; p.rr == p.cfg.Threads {
+		p.rr = 0
 	}
-	return 1
 }
 
+// canFetch reports whether a context may fetch this cycle. Another
+// context's fetch never changes the answer (an I-cache miss blocks only
+// the missing thread), so fetchOrder asks once per cycle.
 func (p *Processor) canFetch(th *threadState, now int64) bool {
 	return !th.idle && th.hasPend && !th.fetchBlocked &&
-		now >= th.stallUntil && p.memsys.FetchReady(th.id) &&
-		th.fqCount < p.cfg.FetchQCap
+		now >= th.stallUntil && th.fqCount < p.cfg.FetchQCap &&
+		p.memsys.FetchReady(th.id)
 }
 
 // vecPipeEmpty reports whether the vector pipeline has no work (used
 // by the BALANCE policy).
 func (p *Processor) vecPipeEmpty(now int64) bool {
-	if len(p.qSIMD) > 0 || p.simdInFlight > 0 {
+	if len(p.q[qidSIMD]) > 0 || p.simdInFlight > 0 {
 		return false
 	}
 	for _, b := range p.mediaBusyUntil {
@@ -432,37 +458,33 @@ func (p *Processor) vecPipeEmpty(now int64) bool {
 	return true
 }
 
-// fetchOrder ranks the hardware contexts for this cycle's fetch
-// according to the configured policy.
+// fetchOrder ranks the contexts that can fetch this cycle according
+// to the configured policy.
 func (p *Processor) fetchOrder(now int64) []int {
 	n := p.cfg.Threads
-	order := p.ordBuf[:n]
-	for i := 0; i < n; i++ {
-		order[i] = (p.rr + i) % n
-	}
-	var key func(t int) int
-	switch p.cfg.Policy {
-	case PolicyRR:
-		return order
-	case PolicyICOUNT:
-		key = func(t int) int { return p.threads[t].frontCount }
-	case PolicyOCOUNT:
-		key = func(t int) int { return p.threads[t].opCount }
-	case PolicyBALANCE:
-		empty := p.vecPipeEmpty(now)
-		key = func(t int) int {
-			if p.threads[t].fetchedVec == empty {
-				return 0
+	order, keys := p.ordBuf[:0], p.keysBuf[:0]
+	empty := p.cfg.Policy == PolicyBALANCE && p.vecPipeEmpty(now)
+	for i, t := 0, p.rr; i < n; i++ {
+		if th := &p.threads[t]; p.canFetch(th, now) {
+			k := 0
+			switch p.cfg.Policy {
+			case PolicyICOUNT:
+				k = th.frontCount
+			case PolicyOCOUNT:
+				k = th.opCount
+			case PolicyBALANCE:
+				if th.fetchedVec != empty {
+					k = 1
+				}
 			}
-			return 1
+			order, keys = append(order, t), append(keys, k)
+		}
+		if t++; t == n {
+			t = 0
 		}
 	}
-	keys := p.keysBuf[:n]
-	for i, t := range order {
-		keys[i] = key(t)
-	}
 	// Stable insertion sort: ties keep round-robin rotation order.
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(order); i++ {
 		t, k := order[i], keys[i]
 		j := i - 1
 		for j >= 0 && keys[j] > k {
@@ -474,30 +496,45 @@ func (p *Processor) fetchOrder(now int64) []int {
 	return order
 }
 
+// rotated returns a thread mask rotated right by rr, so that bit i
+// names thread threadAt(i): walking the set bits lowest first visits
+// threads in round-robin order.
+func (p *Processor) rotated(m uint64) uint64 {
+	n, r := uint(p.cfg.Threads), uint(p.rr)
+	return (m>>r | m<<(n-r)) & (1<<n - 1)
+}
+
+func (p *Processor) threadAt(i int) int {
+	if t := p.rr + i; t < p.cfg.Threads {
+		return t
+	}
+	return p.rr + i - p.cfg.Threads
+}
+
 // dispatch renames and inserts fetched instructions into the
 // graduation window and issue queues, in order within each thread,
-// round-robin across threads, up to DecodeWidth per cycle.
-func (p *Processor) dispatch(now int64) {
-	budget := p.cfg.DecodeWidth
-	n := p.cfg.Threads
-	var blocked [MaxHWContexts]bool
-	for budget > 0 {
-		progress := false
-		for i := 0; i < n && budget > 0; i++ {
-			ti := (p.rr + i) % n
-			th := p.threads[ti]
-			if blocked[ti] || th.fqCount == 0 {
-				continue
-			}
-			if !p.dispatchOne(th, now) {
-				blocked[ti] = true // in-order within a thread: stop on stall
+// round-robin across threads, up to DecodeWidth per cycle. live holds
+// the threads with fetched instructions that have not stalled this
+// cycle; a round that dispatches nothing empties it.
+func (p *Processor) dispatch() {
+	var live uint64
+	for i := range p.threads {
+		if p.threads[i].fqCount > 0 {
+			live |= 1 << i
+		}
+	}
+	for budget := p.cfg.DecodeWidth; live != 0 && budget > 0; {
+		for set := p.rotated(live); set != 0 && budget > 0; set &= set - 1 {
+			ti := p.threadAt(bits.TrailingZeros64(set))
+			th := &p.threads[ti]
+			if !p.dispatchOne(th) {
+				live &^= 1 << ti // in-order within a thread: stop on stall
 				continue
 			}
 			budget--
-			progress = true
-		}
-		if !progress {
-			break
+			if th.fqCount == 0 {
+				live &^= 1 << ti
+			}
 		}
 	}
 }
@@ -510,53 +547,62 @@ const (
 	qidSIMD
 )
 
-// dispatchQueue returns the issue queue an instruction dispatches
-// into, with its capacity and identifier.
-func (p *Processor) dispatchQueue(inf *isa.OpInfo) (*[]*uop, int, uint8) {
+// queueOf returns the issue queue an instruction dispatches into.
+func queueOf(inf *isa.OpInfo) uint8 {
 	switch {
 	case inf.Mem != isa.MemNone:
-		return &p.qMem, p.cfg.MQSize, qidMem
+		return qidMem
 	case inf.Unit == isa.UnitMedia:
-		return &p.qSIMD, p.cfg.SQSize, qidSIMD
+		return qidSIMD
 	case inf.Class == isa.ClassFP:
-		return &p.qFP, p.cfg.FQSize, qidFP
-	default:
-		return &p.qInt, p.cfg.IQSize, qidInt
+		return qidFP
 	}
+	return qidInt
+}
+
+// dispatchStall returns the counter charged when the thread's oldest
+// fetched instruction cannot dispatch — no graduation-window room, a
+// full issue queue, or no free destination register, tested in that
+// order — or nil when it can. dispatchOne charges it once per blocked
+// attempt, AdvanceTo once per skipped cycle, and canDispatchAny asks
+// whether it is nil.
+func (p *Processor) dispatchStall(th *threadState) *int64 {
+	e := th.fqFront()
+	switch {
+	case th.robFull():
+		return &p.st.ROBStalls
+	case p.fullQ&(1<<e.qid) != 0:
+		return &p.st.QueueStalls
+	case e.in.Dst != isa.RegNone && len(p.rf.file(e.in.Dst.File()).free) == 0:
+		return &p.st.RenameStalls
+	}
+	return nil
 }
 
 // dispatchOne renames the thread's oldest fetched instruction. It
 // reports false on a structural stall (window, queue or rename pool).
-func (p *Processor) dispatchOne(th *threadState, now int64) bool {
-	if th.robFull() {
-		p.st.ROBStalls++
+func (p *Processor) dispatchOne(th *threadState) bool {
+	if c := p.dispatchStall(th); c != nil {
+		*c++
 		return false
 	}
 	e := th.fqFront()
-	inf := e.in.Op.Info()
-
-	q, qCap, qid := p.dispatchQueue(inf)
-	if len(*q) >= qCap {
-		p.st.QueueStalls++
-		return false
-	}
 
 	var u *uop
 	if n := len(p.uopPool); n > 0 {
 		u = p.uopPool[n-1]
 		p.uopPool[n-1] = nil
 		p.uopPool = p.uopPool[:n-1]
+		*u = uop{}
 	} else {
 		u = new(uop)
 	}
-	*u = uop{
-		in:      e.in,
-		info:    inf,
-		thread:  int32(th.id),
-		mispred: e.mispred,
-		dstPhys: -1,
-		oldDst:  -1,
-	}
+	inf := e.in.Op.Info()
+	u.in = e.in
+	u.info = inf
+	u.thread = int32(th.id)
+	u.mispred = e.mispred
+	u.dstPhys, u.oldDst = -1, -1
 	u.srcPhys[0], u.srcPhys[1], u.srcPhys[2] = -1, -1, -1
 
 	// Rename sources against the current map.
@@ -569,18 +615,10 @@ func (p *Processor) dispatchOne(th *threadState, now int64) bool {
 		u.nsrc = i + 1
 	}
 
-	// Allocate the destination.
+	// Allocate the destination (dispatchStall saw a free register).
 	if d := e.in.Dst; d != isa.RegNone {
 		f := d.File()
-		phys, ok := p.rf.file(f).alloc()
-		if !ok {
-			p.st.RenameStalls++
-			// The uop taken from the pool above never entered the
-			// pipeline; hand it back instead of leaking it to the GC
-			// (rename stalls repeat every cycle until a register frees).
-			p.uopPool = append(p.uopPool, u)
-			return false
-		}
+		phys, _ := p.rf.file(f).alloc()
 		u.dstFile = f
 		u.dstPhys = phys
 		u.oldDst = th.rmap[f][d.Idx()]
@@ -593,7 +631,7 @@ func (p *Processor) dispatchOne(th *threadState, now int64) bool {
 	if inf.Mem != isa.MemNone {
 		u.isLoad = inf.Mem == isa.MemLoad
 		u.isStore = inf.Mem == isa.MemStore
-		u.isVector = e.in.Op.IsMMX() || e.in.Op.IsMOM()
+		u.isVector = !e.in.Op.IsScalar()
 		u.elemsTotal = int32(e.in.ElemCount())
 	}
 
@@ -609,6 +647,7 @@ func (p *Processor) dispatchOne(th *threadState, now int64) bool {
 	// never reallocated while a consumer still waits on it (in-order
 	// retire frees the previous mapping only after all its readers have
 	// retired), so readiness memoized here stays valid.
+	qid := e.qid
 	u.qid = qid
 	for i := 0; i < u.nsrc; i++ {
 		if u.srcPhys[i] < 0 {
@@ -623,6 +662,8 @@ func (p *Processor) dispatchOne(th *threadState, now int64) bool {
 	if u.waitCount == 0 {
 		p.readyCount[qid]++
 	}
-	*q = append(*q, u)
+	if p.q[qid] = append(p.q[qid], u); len(p.q[qid]) >= p.qCap[qid] {
+		p.fullQ |= 1 << qid
+	}
 	return true
 }

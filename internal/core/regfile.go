@@ -68,8 +68,3 @@ func (rf *regFiles) file(f isa.RegFile) *physFile { return rf.byFile[f] }
 func (rf *regFiles) setReady(f isa.RegFile, r int32) {
 	rf.byFile[f].ready[r] = true
 }
-
-// isReady reports whether a physical register's value is available.
-func (rf *regFiles) isReady(f isa.RegFile, r int32) bool {
-	return rf.byFile[f].ready[r]
-}

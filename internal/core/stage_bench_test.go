@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"mediasmt/internal/mem"
@@ -36,8 +37,8 @@ func benchCPU(b *testing.B, threads int) *Processor {
 func fillFetchQueues(p *Processor) {
 	for {
 		satisfied := true
-		for _, th := range p.threads {
-			if th.fqCount < p.cfg.FetchQCap && !th.fetchBlocked {
+		for i := range p.threads {
+			if th := &p.threads[i]; th.fqCount < p.cfg.FetchQCap && !th.fetchBlocked {
 				satisfied = false
 				break
 			}
@@ -53,24 +54,28 @@ func fillFetchQueues(p *Processor) {
 	}
 }
 
+// windowOcc is the number of uops in the issue queues and the
+// graduation windows.
+func windowOcc(p *Processor) int {
+	n := 0
+	for _, q := range p.q {
+		n += len(q)
+	}
+	for i := range p.threads {
+		n += p.threads[i].robCount
+	}
+	return n
+}
+
 // fillIssueQueues dispatches from full fetch queues until dispatch
 // makes no more progress (window or queue structural stall), leaving
 // the issue queues populated with renamed, mostly-ready uops.
 func fillIssueQueues(p *Processor) {
 	for {
-		before := len(p.qInt) + len(p.qMem) + len(p.qFP) + len(p.qSIMD)
-		beforeROB := 0
-		for _, th := range p.threads {
-			beforeROB += th.robCount
-		}
+		before := windowOcc(p)
 		fillFetchQueues(p)
-		p.dispatch(p.now)
-		after := len(p.qInt) + len(p.qMem) + len(p.qFP) + len(p.qSIMD)
-		afterROB := 0
-		for _, th := range p.threads {
-			afterROB += th.robCount
-		}
-		if after == before && afterROB == beforeROB {
+		p.dispatch()
+		if windowOcc(p) == before {
 			return
 		}
 	}
@@ -81,11 +86,8 @@ func fillIssueQueues(p *Processor) {
 func drainWindow(p *Processor) {
 	for {
 		busy := false
-		for _, th := range p.threads {
-			if th.robCount > 0 {
-				busy = true
-				break
-			}
+		for i := range p.threads {
+			busy = busy || p.threads[i].robCount > 0
 		}
 		if !busy {
 			return
@@ -106,7 +108,8 @@ func drainWindow(p *Processor) {
 func completeWindow(p *Processor) {
 	for {
 		allDone := true
-		for _, th := range p.threads {
+		for i := range p.threads {
+			th := &p.threads[i]
 			for j := 0; j < th.robCount; j++ {
 				if !th.rob[(th.robHead+j)%len(th.rob)].completed {
 					allDone = false
@@ -127,34 +130,47 @@ func completeWindow(p *Processor) {
 	}
 }
 
-func BenchmarkStageFetch(b *testing.B) {
-	p := benchCPU(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.fetch(p.now)
-		// Reset the fetch queues in place (4 writes per thread) so the
-		// next iteration fetches full groups again; leaving the reset
-		// timed keeps the loop free of timer toggles.
-		for _, th := range p.threads {
-			th.fqHead, th.fqCount = 0, 0
-			th.frontCount, th.opCount = 0, 0
-			th.fetchBlocked = false
-		}
+// perThreadCount runs a stage benchmark at four and at eight
+// contexts: the per-thread loops only show at eight.
+func perThreadCount(b *testing.B, bench func(b *testing.B, threads int)) {
+	for _, n := range []int{4, 8} {
+		b.Run(fmt.Sprintf("%dT", n), func(b *testing.B) { bench(b, n) })
 	}
 }
 
+func BenchmarkStageFetch(b *testing.B) {
+	perThreadCount(b, func(b *testing.B, threads int) {
+		p := benchCPU(b, threads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.fetch(p.now)
+			// Reset the fetch queues in place (5 writes per thread) so
+			// the next iteration fetches full groups again; leaving the
+			// reset timed keeps the loop free of timer toggles.
+			for t := range p.threads {
+				th := &p.threads[t]
+				th.fqHead, th.fqCount = 0, 0
+				th.frontCount, th.opCount = 0, 0
+				th.fetchBlocked = false
+			}
+		}
+	})
+}
+
 func BenchmarkStageDispatchRename(b *testing.B) {
-	p := benchCPU(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		drainWindow(p)
-		fillFetchQueues(p)
-		b.StartTimer()
-		p.dispatch(p.now)
-	}
+	perThreadCount(b, func(b *testing.B, threads int) {
+		p := benchCPU(b, threads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			drainWindow(p)
+			fillFetchQueues(p)
+			b.StartTimer()
+			p.dispatch()
+		}
+	})
 }
 
 func BenchmarkStageIssue(b *testing.B) {
@@ -186,27 +202,31 @@ func BenchmarkStageWriteback(b *testing.B) {
 }
 
 func BenchmarkStageCommit(b *testing.B) {
-	p := benchCPU(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		drainWindow(p)
-		fillIssueQueues(p)
-		completeWindow(p)
-		b.StartTimer()
-		p.commit(p.now)
-	}
+	perThreadCount(b, func(b *testing.B, threads int) {
+		p := benchCPU(b, threads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			drainWindow(p)
+			fillIssueQueues(p)
+			completeWindow(p)
+			b.StartTimer()
+			p.commit(p.now)
+		}
+	})
 }
 
 // BenchmarkStageCycle is the whole-pipeline reference point: one
-// executed cycle of a busy 4-thread core, the unit the per-stage
-// numbers above decompose.
+// executed cycle of a busy core, the unit the per-stage numbers above
+// decompose.
 func BenchmarkStageCycle(b *testing.B) {
-	p := benchCPU(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Cycle()
-	}
+	perThreadCount(b, func(b *testing.B, threads int) {
+		p := benchCPU(b, threads)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Cycle()
+		}
+	})
 }

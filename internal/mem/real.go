@@ -109,13 +109,18 @@ type Real struct {
 	l2Bank []int64
 	vecm   []vecMSHR
 
-	// Maintained occupancy counts, so the per-tick retry loops and
-	// NextEvent can skip their scans on the (common) cycles where the
-	// structures are empty: wbValid counts valid write-buffer entries,
+	// Maintained summaries, so the per-tick retry loops, Drain and
+	// NextEvent can skip their scans on the (common) cycles where
+	// nothing is due: wbValid counts valid write-buffer entries,
 	// l2mUnsent counts valid L2 MSHRs that have not reached the DRAM
-	// controller queue yet.
+	// controller queue yet, l2qNext is the earliest cycle at which an
+	// l2q request can start (its bank's free time) or resolve (its
+	// readyAt), and doneNext is the earliest readyAt in done. Both
+	// horizons are NoEvent when their queue is empty.
 	wbValid   int
 	l2mUnsent int
+	l2qNext   int64
+	doneNext  int64
 
 	dram *dram
 
@@ -141,6 +146,8 @@ func NewReal(cfg Config) *Real {
 		l2m:         make([]l2MSHR, cfg.L2MSHRs),
 		l2Bank:      make([]int64, cfg.L2Banks),
 		vecm:        make([]vecMSHR, cfg.L2MSHRs),
+		l2qNext:     NoEvent,
+		doneNext:    NoEvent,
 	}
 	m.dram = newDRAM(cfg.DRAM, &m.st, cfg.L2Line)
 	return m
@@ -461,39 +468,38 @@ func (m *Real) freeVecMSHR() int {
 func (m *Real) noteLoadDone(tag uint64, now int64, lat int32) {
 	m.st.L1LoadLatSum += int64(lat)
 	m.st.L1LoadCount++
-	m.done = append(m.done, donePair{c: Completion{Tag: tag, Lat: lat}, readyAt: now + int64(lat)})
+	m.pushDone(tag, now, lat)
 }
 
 func (m *Real) noteVecLoadDone(tag uint64, now int64, lat int32) {
 	m.st.VecLoadLatSum += int64(lat)
 	m.st.VecLoadCount++
-	m.done = append(m.done, donePair{c: Completion{Tag: tag, Lat: lat}, readyAt: now + int64(lat)})
+	m.pushDone(tag, now, lat)
+}
+
+func (m *Real) pushDone(tag uint64, now int64, lat int32) {
+	readyAt := now + int64(lat)
+	m.done = append(m.done, donePair{c: Completion{Tag: tag, Lat: lat}, readyAt: readyAt})
+	m.doneNext = min(m.doneNext, readyAt)
 }
 
 // Drain implements System.
 func (m *Real) Drain(now int64, fn func(Completion)) {
-	// Read-only scan first: most cycles deliver nothing, and the no-op
-	// rewrite is pure overhead.
-	i := 0
-	for ; i < len(m.done); i++ {
-		if m.done[i].readyAt <= now {
-			break
-		}
+	if m.doneNext > now {
+		return // most cycles deliver nothing
 	}
-	if i == len(m.done) {
-		return
-	}
-	w := i
-	for ; i < len(m.done); i++ {
-		p := m.done[i]
+	next, w := NoEvent, 0
+	for _, p := range m.done {
 		if p.readyAt <= now {
 			fn(p.c)
-		} else {
-			m.done[w] = p
-			w++
+			continue
 		}
+		m.done[w] = p
+		w++
+		next = min(next, p.readyAt)
 	}
 	m.done = m.done[:w]
+	m.doneNext = next
 }
 
 // FetchLine implements System.
@@ -545,37 +551,12 @@ func (m *Real) Tick(now int64) {
 	// L2 pipeline: drain the inbox, then start waiting requests on
 	// free banks and resolve finished ones. New requests generated
 	// while processing (prefetch chains, fills) land in the inbox and
-	// are picked up next cycle.
-	m.l2q = append(m.l2q, m.l2qIn...)
-	m.l2qIn = m.l2qIn[:0]
-	w := 0
-	for i := range m.l2q {
-		rq := m.l2q[i]
-		if !rq.started {
-			bank := int((rq.addr >> m.l2LineShift) & uint64(m.cfg.L2Banks-1))
-			if m.l2Bank[bank] <= now {
-				m.l2Bank[bank] = now + int64(m.cfg.L2BankOcc)
-				rq.started = true
-				rq.readyAt = now + int64(m.cfg.L2HitLat)
-				m.st.L2QWaitSum += now - rq.acceptedAt
-				m.st.L2QWaitCount++
-			}
-			m.l2q[w] = rq
-			w++
-			continue
-		}
-		if rq.readyAt > now {
-			m.l2q[w] = rq
-			w++
-			continue
-		}
-		if !m.resolveL2(now, rq) {
-			// Could not resolve (L2 MSHRs exhausted); retry next cycle.
-			m.l2q[w] = rq
-			w++
-		}
+	// are picked up next cycle. With an empty inbox and nothing able
+	// to start or resolve before l2qNext, the pass would change
+	// nothing.
+	if len(m.l2qIn) > 0 || m.l2qNext <= now {
+		m.tickL2Queue(now)
 	}
-	m.l2q = m.l2q[:w]
 
 	// Drain one write-buffer entry per cycle into L2.
 	if m.wbValid > 0 && m.l2qLen() < l2QueueCap {
@@ -594,51 +575,62 @@ func (m *Real) Tick(now int64) {
 	// idle (skipped) cycle needs no Tick at all.
 }
 
+// tickL2Queue is one pass of the L2 pipeline over the inbox and l2q,
+// recomputing l2qNext. A request left unstarted saw its bank busy, and
+// a later request cannot start on a busy bank, so its bank's free time
+// is final when the request is passed.
+func (m *Real) tickL2Queue(now int64) {
+	m.l2q = append(m.l2q, m.l2qIn...)
+	m.l2qIn = m.l2qIn[:0]
+	next, w := NoEvent, 0
+	for _, rq := range m.l2q {
+		at := rq.readyAt
+		if !rq.started {
+			bank := int((rq.addr >> m.l2LineShift) & uint64(m.cfg.L2Banks-1))
+			if m.l2Bank[bank] <= now {
+				m.l2Bank[bank] = now + int64(m.cfg.L2BankOcc)
+				rq.started = true
+				rq.readyAt = now + int64(m.cfg.L2HitLat)
+				m.st.L2QWaitSum += now - rq.acceptedAt
+				m.st.L2QWaitCount++
+			}
+			at = m.l2Bank[bank]
+			if rq.started {
+				at = rq.readyAt
+			}
+		} else if rq.readyAt <= now && m.resolveL2(now, rq) {
+			continue
+		}
+		// Otherwise the request waits; one that could not resolve (L2
+		// MSHRs exhausted) retries next cycle.
+		m.l2q[w] = rq
+		w++
+		next = min(next, at)
+	}
+	m.l2q = m.l2q[:w]
+	m.l2qNext = next
+}
+
 // NextEvent implements System. Per-cycle-rate activities — draining the
 // inbox or the write buffer, retrying an unsent L2 MSHR — pin the next
 // event to now; purely latency-bound activities (a started L2 access, a
 // DRAM transfer in flight, a pending completion) report their ready
 // time, which is what lets the core jump over memory-bound stalls.
 func (m *Real) NextEvent(now int64) int64 {
-	t := NoEvent
-	min := func(v int64) {
-		if v < t {
-			t = v
-		}
-	}
-	for i := range m.done {
-		if m.done[i].readyAt <= now {
-			return now
-		}
-		min(m.done[i].readyAt)
-	}
-	if len(m.l2qIn) > 0 {
+	// A pending completion, and an l2q request starting as soon as its
+	// bank frees or resolving (or retrying resolution) at readyAt.
+	t := min(m.doneNext, m.l2qNext)
+	switch {
+	case t <= now:
+		return now
+	case len(m.l2qIn) > 0:
 		return now // the inbox drains on the next tick
-	}
-	for i := range m.l2q {
-		rq := &m.l2q[i]
-		if !rq.started {
-			// Starts as soon as its bank frees.
-			bank := int((rq.addr >> m.l2LineShift) & uint64(m.cfg.L2Banks-1))
-			if m.l2Bank[bank] <= now {
-				return now
-			}
-			min(m.l2Bank[bank])
-			continue
-		}
-		if rq.readyAt <= now {
-			return now // resolves (or retries resolution) next tick
-		}
-		min(rq.readyAt)
-	}
-	if m.l2mUnsent > 0 {
+	case m.l2mUnsent > 0:
 		return now // retries the DRAM controller queue every tick
-	}
-	if m.wbValid > 0 {
+	case m.wbValid > 0:
 		return now // the write buffer drains one entry per tick
 	}
-	min(m.dram.nextEvent(now))
-	return t
+	return min(t, m.dram.nextEvent(now))
 }
 
 // resolveL2 completes one L2 access: on hit it performs the request's

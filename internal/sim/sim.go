@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"mediasmt/internal/core"
-	"mediasmt/internal/engine"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/workload"
 )
@@ -179,7 +178,7 @@ func RunReference(cfg Config) (*Result, error) { return run(cfg, engineTick, nil
 type engineKind uint8
 
 const (
-	// engineEvent jumps between processor wakeups on an event queue.
+	// engineEvent jumps from one processor wakeup to the next.
 	engineEvent engineKind = iota
 	// engineTick executes every cycle explicitly (the reference).
 	engineTick
@@ -295,26 +294,22 @@ func run(cfg Config, kind engineKind, obs *Observer) (*Result, error) {
 			relaunchDrained()
 		}
 	case engineEvent:
-		eng := engine.New()
 		scanPending := false
-		var step engine.Event
-		step = func(now int64) {
+		for now := int64(0); now < cfg.MaxCycles; {
 			p.AdvanceTo(now)
 			p.Cycle()
 			if p.TakeDrainSignal() || scanPending {
 				scanPending = relaunchDrained()
 			}
 			if completedPrimary >= primaries {
-				return // run complete: let the queue drain
+				break
 			}
-			wake := p.NextWakeup()
-			if scanPending && now+1 < wake {
-				wake = now + 1 // a drained context relaunches per cycle
+			if scanPending {
+				now = p.Now() // a drained context relaunches per cycle
+			} else {
+				now = p.NextWakeup()
 			}
-			eng.Schedule(wake, step)
 		}
-		eng.Schedule(0, step)
-		eng.Run(cfg.MaxCycles)
 		if completedPrimary < primaries {
 			// The tick loop burns idle cycles up to the cap before
 			// giving up; account them so both engines report the same
