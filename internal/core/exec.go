@@ -125,7 +125,7 @@ func (p *Processor) issue(now int64) {
 func (p *Processor) noteIssued(u *uop) {
 	th := &p.threads[u.thread]
 	th.frontCount--
-	th.opCount -= int(u.equiv())
+	th.opCount -= int(u.equiv)
 	u.issued = true
 	p.readyCount[u.qid]--
 }
@@ -263,9 +263,9 @@ func (p *Processor) issueSIMD(now int64) {
 			break
 		}
 		occ := int64(1)
-		if u.info.Stream && u.in.SLen > 1 {
+		if u.equiv > 1 {
 			pipes := int64(p.cfg.MediaPipes)
-			occ = (int64(u.in.SLen) + pipes - 1) / pipes
+			occ = (int64(u.equiv) + pipes - 1) / pipes
 		}
 		p.mediaBusyUntil[unit] = now + occ
 		p.noteIssued(u)
@@ -344,7 +344,7 @@ func (p *Processor) forwardingStore(ld *uop) *uop {
 		if st.seq >= ld.seq || !st.issued {
 			continue
 		}
-		if st.in.Addr&lineMask == ld.in.Addr&lineMask {
+		if st.addr&lineMask == ld.addr&lineMask {
 			if best == nil || st.seq > best.seq {
 				best = st
 			}
@@ -360,7 +360,7 @@ func (p *Processor) sendLoadElements(now int64) {
 	for _, u := range p.activeLoads {
 		if now >= u.addrReadyAt {
 			for u.elemsSent < u.elemsTotal {
-				addr := u.in.Addr + uint64(u.elemsSent)*uint64(u.in.Stride)
+				addr := u.addr + uint64(u.elemsSent)*uint64(u.stride)
 				ok := p.memsys.Access(now, mem.Request{
 					Tag:    uint64(u.memTag),
 					Addr:   addr,
@@ -424,7 +424,7 @@ func (p *Processor) commit(now int64) {
 // whether the store fully drained.
 func (p *Processor) drainStore(now int64, u *uop) bool {
 	for u.elemsSent < u.elemsTotal {
-		addr := u.in.Addr + uint64(u.elemsSent)*uint64(u.in.Stride)
+		addr := u.addr + uint64(u.elemsSent)*uint64(u.stride)
 		ok := p.memsys.Access(now, mem.Request{
 			Tag:    u.seq,
 			Addr:   addr,
@@ -454,14 +454,10 @@ func (p *Processor) retire(th *threadState, u *uop) {
 		p.rf.file(u.dstFile).release(u.oldDst)
 	}
 	if u.isStore {
-		for i, st := range th.pendingStores {
-			if st == u {
-				th.pendingStores = append(th.pendingStores[:i], th.pendingStores[i+1:]...)
-				break
-			}
-		}
+		// Stores retire in program order: u is the oldest pending one.
+		th.pendingStores = append(th.pendingStores[:0], th.pendingStores[1:]...)
 	}
-	eq := int64(u.equiv())
+	eq := int64(u.equiv)
 	p.st.Committed++
 	p.st.CommittedEquiv += eq
 	p.st.Weighted += th.factor

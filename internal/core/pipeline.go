@@ -9,54 +9,51 @@ import (
 	"mediasmt/internal/trace"
 )
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction. It keeps only what the stages
+// after rename read, packed so it spans fewer cache lines.
 type uop struct {
-	in     trace.Inst
-	info   *isa.OpInfo
-	thread int32
-	seq    uint64
+	info        *isa.OpInfo
+	seq         uint64
+	doneAt      int64
+	addrReadyAt int64
+	addr        uint64 // first element address (memory operations)
+	stride      int32
+	equiv       int32 // stream-expanded instruction count
+	thread      int32
 
-	dstFile isa.RegFile
 	dstPhys int32
 	oldDst  int32
-	srcFile [3]isa.RegFile
 	srcPhys [3]int32
-	nsrc    int
-
-	mispred   bool
-	issued    bool
-	completed bool
-	doneAt    int64
 
 	// Scoreboard wakeup: waitCount is the number of source registers
 	// still outstanding (the uop is ready to issue when it reaches 0);
 	// qid names the issue queue holding the uop, for the per-queue
 	// ready counters.
 	waitCount int32
-	qid       uint8
 
 	// Memory state.
-	isLoad      bool
-	isStore     bool
-	isVector    bool
-	elemsTotal  int32
-	elemsSent   int32
-	elemsDone   int32
-	addrReadyAt int64
-	forwarded   bool
+	elemsTotal int32
+	elemsSent  int32
+	elemsDone  int32
 
 	// memTag is the load's slot in Processor.loadSlots while its element
 	// accesses are outstanding in the memory system; -1 otherwise. The
 	// memory system echoes it back on each Completion, making completion
 	// routing an array index instead of a map lookup.
 	memTag int32
-}
 
-func (u *uop) equiv() int32 {
-	if u.info.Stream && u.in.SLen > 1 {
-		return int32(u.in.SLen)
-	}
-	return 1
+	dstFile isa.RegFile
+	srcFile [3]isa.RegFile
+	nsrc    uint8
+	qid     uint8
+
+	mispred   bool
+	issued    bool
+	completed bool
+	isLoad    bool
+	isStore   bool
+	isVector  bool
+	forwarded bool
 }
 
 type fqEntry struct {
@@ -65,26 +62,28 @@ type fqEntry struct {
 	qid     uint8 // the issue queue it dispatches into, decided at fetch
 }
 
-// threadState is one hardware context.
+// threadState is one hardware context. The fields every stage reads
+// each cycle come first, so a thread's per-cycle checks touch as few
+// cache lines as possible.
 type threadState struct {
-	id      int
-	prog    trace.Program
-	factor  float64
-	pending trace.Inst
-	hasPend bool
-	progEnd bool
-	idle    bool
+	id           int
+	idle         bool
+	hasPend      bool
+	progEnd      bool
+	fetchBlocked bool
+	fetchedVec   bool
+	stallUntil   int64
 
 	// fq is the fetch queue, a fixed-capacity ring (popping the head
 	// must not shift the body: dispatch pops up to DecodeWidth entries
-	// per cycle).
-	fq           []fqEntry
-	fqHead       int
-	fqCount      int
-	fetchBlocked bool
-	stallUntil   int64
-
-	rmap [6][]int32
+	// per cycle). headQid and headDst copy the head entry's queue and
+	// destination while fqCount > 0, so the per-cycle dispatch stall
+	// test reads no queue entry.
+	fq      []fqEntry
+	fqHead  int
+	fqCount int
+	headQid uint8
+	headDst isa.Reg
 
 	rob      []*uop
 	robHead  int
@@ -92,7 +91,12 @@ type threadState struct {
 
 	frontCount int // ICOUNT: fetched but not yet issued
 	opCount    int // OCOUNT: same, weighted by stream length
-	fetchedVec bool
+
+	prog    trace.Program
+	factor  float64
+	pending trace.Inst
+
+	rmap [6][]int32
 
 	pendingStores []*uop
 }
@@ -119,7 +123,9 @@ func (t *threadState) fqPop() {
 	if t.fqHead++; t.fqHead == len(t.fq) {
 		t.fqHead = 0
 	}
-	t.fqCount--
+	if t.fqCount--; t.fqCount > 0 {
+		t.headQid, t.headDst = t.fq[t.fqHead].qid, t.fq[t.fqHead].in.Dst
+	}
 }
 
 func (t *threadState) robPush(u *uop) {
@@ -166,7 +172,7 @@ type Processor struct {
 	cfg     Config
 	memsys  mem.System
 	pred    *Predictor
-	rf      *regFiles
+	rf      regFiles
 	threads []threadState
 
 	// q holds the issue queues indexed by qid, qCap their capacities.
@@ -414,6 +420,9 @@ func (p *Processor) fetch(now int64) {
 				}
 			}
 			e.qid = queueOf(inf)
+			if th.fqCount == 1 {
+				th.headQid, th.headDst = e.qid, in.Dst
+			}
 			th.frontCount++
 			th.opCount += in.Equiv()
 			if !in.Op.IsScalar() {
@@ -567,13 +576,12 @@ func queueOf(inf *isa.OpInfo) uint8 {
 // attempt, AdvanceTo once per skipped cycle, and canDispatchAny asks
 // whether it is nil.
 func (p *Processor) dispatchStall(th *threadState) *int64 {
-	e := th.fqFront()
 	switch {
 	case th.robFull():
 		return &p.st.ROBStalls
-	case p.fullQ&(1<<e.qid) != 0:
+	case p.fullQ&(1<<th.headQid) != 0:
 		return &p.st.QueueStalls
-	case e.in.Dst != isa.RegNone && len(p.rf.file(e.in.Dst.File()).free) == 0:
+	case th.headDst != isa.RegNone && len(p.rf.file(th.headDst.File()).free) == 0:
 		return &p.st.RenameStalls
 	}
 	return nil
@@ -598,8 +606,8 @@ func (p *Processor) dispatchOne(th *threadState) bool {
 		u = new(uop)
 	}
 	inf := e.in.Op.Info()
-	u.in = e.in
 	u.info = inf
+	u.addr, u.stride, u.equiv = e.in.Addr, e.in.Stride, int32(e.in.Equiv())
 	u.thread = int32(th.id)
 	u.mispred = e.mispred
 	u.dstPhys, u.oldDst = -1, -1
@@ -612,7 +620,7 @@ func (p *Processor) dispatchOne(th *threadState) bool {
 		}
 		u.srcFile[i] = r.File()
 		u.srcPhys[i] = th.rmap[r.File()][r.Idx()]
-		u.nsrc = i + 1
+		u.nsrc = uint8(i + 1)
 	}
 
 	// Allocate the destination (dispatchStall saw a free register).
@@ -649,7 +657,7 @@ func (p *Processor) dispatchOne(th *threadState) bool {
 	// retired), so readiness memoized here stays valid.
 	qid := e.qid
 	u.qid = qid
-	for i := 0; i < u.nsrc; i++ {
+	for i := range int(u.nsrc) {
 		if u.srcPhys[i] < 0 {
 			continue
 		}

@@ -14,8 +14,8 @@ type physFile struct {
 	waiters [][]*uop
 }
 
-func newPhysFile(n int) *physFile {
-	f := &physFile{
+func newPhysFile(n int) physFile {
+	f := physFile{
 		free:    make([]int32, 0, n),
 		ready:   make([]bool, n),
 		waiters: make([][]*uop, n),
@@ -46,13 +46,15 @@ func (f *physFile) release(r int32) {
 	f.free = append(f.free, r)
 }
 
-// regFiles groups the pools by architectural namespace.
+// regFiles groups the pools by architectural namespace. The processor
+// holds it by value, so a free-list length is a load from the
+// processor itself.
 type regFiles struct {
-	byFile [6]*physFile // indexed by isa.RegFile (RFInt..RFAcc)
+	byFile [6]physFile // indexed by isa.RegFile (RFInt..RFAcc)
 }
 
-func newRegFiles(cfg *Config) *regFiles {
-	rf := &regFiles{}
+func newRegFiles(cfg *Config) regFiles {
+	var rf regFiles
 	rf.byFile[isa.RFInt] = newPhysFile(cfg.PhysInt)
 	rf.byFile[isa.RFFP] = newPhysFile(cfg.PhysFP)
 	rf.byFile[isa.RFMMX] = newPhysFile(cfg.PhysMMX)
@@ -61,7 +63,7 @@ func newRegFiles(cfg *Config) *regFiles {
 	return rf
 }
 
-func (rf *regFiles) file(f isa.RegFile) *physFile { return rf.byFile[f] }
+func (rf *regFiles) file(f isa.RegFile) *physFile { return &rf.byFile[f] }
 
 // setReady marks a physical register's value available, waking any
 // queue entry that sources it.

@@ -14,8 +14,13 @@ import (
 func (p *Processor) checkSummaries() error {
 	var headDone uint64
 	for i := range p.threads {
-		if h := p.threads[i].robPeek(); h != nil && h.completed {
+		th := &p.threads[i]
+		if h := th.robPeek(); h != nil && h.completed {
 			headDone |= 1 << i
+		}
+		if e := th.fqFront(); th.fqCount > 0 && (e.qid != th.headQid || e.in.Dst != th.headDst) {
+			return fmt.Errorf("thread %d fetch-queue head copy (queue %d, dst %v), head entry says (%d, %v)",
+				i, th.headQid, th.headDst, e.qid, e.in.Dst)
 		}
 	}
 	if headDone != p.headDone {
