@@ -13,18 +13,19 @@
 //	go run ./cmd/exps -run all -j 8 -json
 //	go run ./cmd/expsd -addr :8344 -j 8
 //
-// The simulator is event-driven (sim.Version "mediasmt-sim-v2"): the
-// run loop schedules pipeline work on internal/engine's monotonic
-// event queue, the processor computes its next wakeup after each
-// executed cycle (earliest completion, stall horizon, unit-free time,
-// or the memory system's NextEvent), and provably idle spans are
-// jumped and accounted in one step. The original per-cycle tick loop
-// is retained as sim.RunReference, the behavioural oracle: a
-// cross-engine test matrix asserts both engines produce identical
-// Results, down to the per-cycle issue-census counters. Any change
-// that could alter what a simulation produces — including engine
-// restructurings proven result-identical — must bump sim.Version so
-// the result cache sidelines stale entries.
+// The simulator is event-driven (sim.Version "mediasmt-sim-v3"): the
+// run loop is a plain loop from one wakeup to the next — after each
+// executed cycle the processor computes its next wakeup (earliest
+// completion, stall horizon, unit-free time, or the memory system's
+// NextEvent), and provably idle spans are jumped and accounted in one
+// step. The original per-cycle tick loop is retained as
+// sim.RunReference, the behavioural oracle: a cross-engine test matrix
+// asserts both loops produce identical Results, down to the per-cycle
+// issue-census counters, and a golden digest test pins the encoded
+// Results of a fixed config matrix. Any change that could alter what a
+// simulation produces — including engine restructurings proven
+// result-identical — must bump sim.Version so the result cache
+// sidelines stale entries.
 //
 // Simulation results persist across invocations in a content-addressed
 // on-disk cache (internal/cache), keyed on the canonical config key

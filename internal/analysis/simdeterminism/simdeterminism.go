@@ -4,8 +4,8 @@
 // result cache (internal/cache), the byte-identical distributed mode
 // (internal/dist) and the cross-engine equivalence proofs
 // (internal/sim) are all sound only while that holds, so inside the
-// simulator packages — internal/{core,engine,mem,isa,sim,trace,
-// workload} — wall-clock time, ambient randomness, goroutines and
+// simulator packages — internal/{core,mem,isa,sim,trace,workload} —
+// wall-clock time, ambient randomness, goroutines and
 // unordered map iteration are compile-time errors, not code-review
 // hopes.
 package simdeterminism

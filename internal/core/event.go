@@ -40,10 +40,8 @@ func (p *Processor) AdvanceTo(t int64) {
 	// Dispatch attempts a thread's oldest fetched instruction every
 	// cycle and counts the stall it hits. On a skippable span nothing
 	// commits, issues or frees a register, so each thread's stall class
-	// is frozen: charge it once per skipped cycle, mirroring
-	// dispatchOne's check order exactly.
-	// dispatchStall is never nil here: a thread that could dispatch
-	// would make NextWakeup return the current cycle.
+	// is frozen: charge it once per skipped cycle. (dispatchStall is
+	// never nil here: NextWakeup does not skip a cycle that dispatches.)
 	for i := range p.threads {
 		if th := &p.threads[i]; th.fqCount > 0 {
 			if c := p.dispatchStall(th); c != nil {
@@ -75,12 +73,6 @@ func (p *Processor) TakeDrainSignal() bool {
 // loop: Cycles++ and CyclesNoIssue++ and nothing else.
 func (p *Processor) NextWakeup() int64 {
 	now := p.now
-	t := NoWakeup
-	min := func(v int64) {
-		if v < t {
-			t = v
-		}
-	}
 
 	// Commit: a completed graduation-window head retries every cycle
 	// (a store head may spend several cycles draining its elements
@@ -93,7 +85,7 @@ func (p *Processor) NextWakeup() int64 {
 	if p.nextDone <= now {
 		return now
 	}
-	min(p.nextDone)
+	t := p.nextDone
 
 	// Loads still streaming element accesses retry every cycle once
 	// their address is ready (ports re-arbitrate per cycle).
@@ -101,7 +93,7 @@ func (p *Processor) NextWakeup() int64 {
 		if u.addrReadyAt <= now {
 			return now
 		}
-		min(u.addrReadyAt)
+		t = min(t, u.addrReadyAt)
 	}
 
 	// Issue: a ready queue entry retries every cycle, except when every
@@ -109,23 +101,20 @@ func (p *Processor) NextWakeup() int64 {
 	if w := p.nextIssueWakeup(now); w <= now {
 		return now
 	} else {
-		min(w)
+		t = min(t, w)
 	}
 
-	// Fetch: a thread that can fetch wakes at its stall horizon. The
-	// blocked cases (mispredict, I-miss, full fetch queue) wake through
-	// the event that unblocks them: branch completion, I-cache fill,
-	// dispatch progress.
+	// Fetch: a thread that can fetch once its stall horizon passes
+	// wakes then. The blocked cases (mispredict, I-miss, full fetch
+	// queue) wake through the event that unblocks them: branch
+	// completion, I-cache fill, dispatch progress.
 	for i := range p.threads {
-		th := &p.threads[i]
-		if th.idle || !th.hasPend || th.fetchBlocked ||
-			th.fqCount >= p.cfg.FetchQCap || !p.memsys.FetchReady(th.id) {
-			continue
+		if th := &p.threads[i]; p.canFetch(th, th.stallUntil) {
+			if th.stallUntil <= now {
+				return now
+			}
+			t = min(t, th.stallUntil)
 		}
-		if th.stallUntil <= now {
-			return now
-		}
-		min(th.stallUntil)
 	}
 
 	// Dispatch progresses whenever some thread's oldest fetched
@@ -134,8 +123,7 @@ func (p *Processor) NextWakeup() int64 {
 		return now
 	}
 
-	min(p.memsys.NextEvent(now))
-	return t
+	return min(t, p.memsys.NextEvent(now))
 }
 
 // nextIssueWakeup returns the earliest cycle >= now at which a queued
@@ -160,9 +148,7 @@ func (p *Processor) nextIssueWakeup(now int64) int64 {
 			if w <= now {
 				return now
 			}
-			if w < t {
-				t = w
-			}
+			t = min(t, w)
 		}
 	}
 	if p.readyCount[qidSIMD] > 0 {
@@ -170,9 +156,7 @@ func (p *Processor) nextIssueWakeup(now int64) int64 {
 		if w <= now {
 			return now
 		}
-		if w < t {
-			t = w
-		}
+		t = min(t, w)
 	}
 	return t
 }
@@ -185,9 +169,7 @@ func earliestFree(busyUntil []int64, now int64) int64 {
 		if b <= now {
 			return now
 		}
-		if b < t {
-			t = b
-		}
+		t = min(t, b)
 	}
 	return t
 }

@@ -7,15 +7,6 @@ import (
 	"mediasmt/internal/mem"
 )
 
-// drainMemory collects finished load elements from the memory system
-// and completes loads whose last element arrived. The callback is the
-// pre-bound drainFn (allocating a closure here would cost one heap
-// allocation per executed cycle); drainNow carries the cycle.
-func (p *Processor) drainMemory(now int64) {
-	p.drainNow = now
-	p.memsys.Drain(now, p.drainFn)
-}
-
 // onLoadCompletion is the Drain callback: it routes one finished load
 // element to its uop by slot index and completes the load when its last
 // element arrived.
@@ -445,7 +436,7 @@ func (p *Processor) drainStore(now int64, u *uop) bool {
 // previous mapping of its destination and accumulates statistics.
 func (p *Processor) retire(th *threadState, u *uop) {
 	th.robPop()
-	if h := th.robPeek(); h != nil && h.completed {
+	if th.robCount > 0 && th.rob[th.robHead].completed {
 		p.headDone |= 1 << th.id
 	} else {
 		p.headDone &^= 1 << th.id

@@ -137,13 +137,6 @@ func (t *threadState) robPush(u *uop) {
 	t.robCount++
 }
 
-func (t *threadState) robPeek() *uop {
-	if t.robCount == 0 {
-		return nil
-	}
-	return t.rob[t.robHead]
-}
-
 func (t *threadState) robPop() {
 	t.rob[t.robHead] = nil
 	if t.robHead++; t.robHead == len(t.rob) {
@@ -290,7 +283,7 @@ func New(cfg Config, m mem.System) (*Processor, error) {
 				if !ok {
 					return nil, fmt.Errorf("core: not enough %v physical registers for %d threads", f, cfg.Threads)
 				}
-				p.rf.setReady(f, r)
+				p.rf.file(f).ready[r] = true
 				th.rmap[f][l] = r
 			}
 		}
@@ -355,7 +348,10 @@ func (p *Processor) Cycle() {
 	now := p.now
 	p.intIssuedNow, p.simdIssuedNow = 0, 0
 
-	p.drainMemory(now)
+	// The Drain callback is the pre-bound drainFn (a closure here would
+	// cost a heap allocation per executed cycle); drainNow carries now.
+	p.drainNow = now
+	p.memsys.Drain(now, p.drainFn)
 	p.writeback(now)
 	p.commit(now)
 	p.sendLoadElements(now)
@@ -405,7 +401,7 @@ func (p *Processor) fetch(now int64) {
 			continue
 		}
 		groups++
-		anyVec := false
+		th.fetchedVec = false
 		for n := 0; n < p.cfg.GroupSize && th.hasPend && th.fqCount < p.cfg.FetchQCap; n++ {
 			e := th.fqPush()
 			e.in = th.pending
@@ -425,9 +421,7 @@ func (p *Processor) fetch(now int64) {
 			}
 			th.frontCount++
 			th.opCount += in.Equiv()
-			if !in.Op.IsScalar() {
-				anyVec = true
-			}
+			th.fetchedVec = th.fetchedVec || !in.Op.IsScalar()
 			th.advance()
 			p.st.Fetched++
 			if inf.Branch && (e.mispred || in.Taken) {
@@ -437,7 +431,6 @@ func (p *Processor) fetch(now int64) {
 				break
 			}
 		}
-		th.fetchedVec = anyVec
 	}
 	if p.rr++; p.rr == p.cfg.Threads {
 		p.rr = 0

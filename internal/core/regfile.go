@@ -64,9 +64,3 @@ func newRegFiles(cfg *Config) regFiles {
 }
 
 func (rf *regFiles) file(f isa.RegFile) *physFile { return &rf.byFile[f] }
-
-// setReady marks a physical register's value available, waking any
-// queue entry that sources it.
-func (rf *regFiles) setReady(f isa.RegFile, r int32) {
-	rf.byFile[f].ready[r] = true
-}

@@ -93,7 +93,8 @@ func drainWindow(p *Processor) {
 			return
 		}
 		now := p.now
-		p.drainMemory(now)
+		p.drainNow = now
+		p.memsys.Drain(now, p.drainFn)
 		p.writeback(now)
 		p.commit(now)
 		p.sendLoadElements(now)

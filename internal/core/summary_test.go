@@ -15,7 +15,7 @@ func (p *Processor) checkSummaries() error {
 	var headDone uint64
 	for i := range p.threads {
 		th := &p.threads[i]
-		if h := th.robPeek(); h != nil && h.completed {
+		if th.robCount > 0 && th.rob[th.robHead].completed {
 			headDone |= 1 << i
 		}
 		if e := th.fqFront(); th.fqCount > 0 && (e.qid != th.headQid || e.in.Dst != th.headDst) {
