@@ -17,6 +17,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"mediasmt/internal/isa"
 )
@@ -108,8 +109,8 @@ func (p *Processor) NextWakeup() int64 {
 	// wakes then. The blocked cases (mispredict, I-miss, full fetch
 	// queue) wake through the event that unblocks them: branch
 	// completion, I-cache fill, dispatch progress.
-	for i := range p.threads {
-		if th := &p.threads[i]; p.canFetch(th, th.stallUntil) {
+	for set := p.fetchable; set != 0; set &= set - 1 {
+		if th := &p.threads[bits.TrailingZeros64(set)]; p.canFetch(th, th.stallUntil) {
 			if th.stallUntil <= now {
 				return now
 			}

@@ -72,6 +72,7 @@ func (p *Processor) complete(u *uop, now int64) {
 	if u.mispred {
 		th.fetchBlocked = false
 		th.stallUntil = now + int64(p.cfg.BranchPenalty)
+		p.refreshFetch(th)
 	}
 }
 

@@ -181,11 +181,13 @@ type Processor struct {
 	// of NextWakeup) skip a queue whose count is zero, which is most
 	// queues on most cycles. fullQ has bit qid set while that queue is
 	// at capacity. headDone has bit t set while thread t's graduation
-	// window head has completed. nextDone is the earliest doneAt in
-	// inflight (NoWakeup when it is empty).
+	// window head has completed. fetchable has bit t set while thread t
+	// passes canFetch's core-side tests (refreshFetch). nextDone is the
+	// earliest doneAt in inflight (NoWakeup when it is empty).
 	readyCount [4]int
 	fullQ      uint8
 	headDone   uint64
+	fetchable  uint64
 	nextDone   int64
 
 	inflight    []*uop
@@ -319,6 +321,7 @@ func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
 	if prog != nil {
 		th.advance()
 	}
+	p.refreshFetch(th)
 }
 
 // ContextDrained reports whether a context has no program work left:
@@ -431,6 +434,7 @@ func (p *Processor) fetch(now int64) {
 				break
 			}
 		}
+		p.refreshFetch(th)
 	}
 	if p.rr++; p.rr == p.cfg.Threads {
 		p.rr = 0
@@ -441,9 +445,16 @@ func (p *Processor) fetch(now int64) {
 // context's fetch never changes the answer (an I-cache miss blocks only
 // the missing thread), so fetchOrder asks once per cycle.
 func (p *Processor) canFetch(th *threadState, now int64) bool {
-	return !th.idle && th.hasPend && !th.fetchBlocked &&
-		now >= th.stallUntil && th.fqCount < p.cfg.FetchQCap &&
-		p.memsys.FetchReady(th.id)
+	return p.fetchable&(1<<th.id) != 0 && now >= th.stallUntil && p.memsys.FetchReady(th.id)
+}
+
+// refreshFetch recomputes th's fetchable bit; every writer of the
+// fields it tests calls it.
+func (p *Processor) refreshFetch(th *threadState) {
+	p.fetchable &^= 1 << th.id
+	if !th.idle && th.hasPend && !th.fetchBlocked && th.fqCount < p.cfg.FetchQCap {
+		p.fetchable |= 1 << th.id
+	}
 }
 
 // vecPipeEmpty reports whether the vector pipeline has no work (used
@@ -463,10 +474,10 @@ func (p *Processor) vecPipeEmpty(now int64) bool {
 // fetchOrder ranks the contexts that can fetch this cycle according
 // to the configured policy.
 func (p *Processor) fetchOrder(now int64) []int {
-	n := p.cfg.Threads
 	order, keys := p.ordBuf[:0], p.keysBuf[:0]
 	empty := p.cfg.Policy == PolicyBALANCE && p.vecPipeEmpty(now)
-	for i, t := 0, p.rr; i < n; i++ {
+	for set := p.rotated(p.fetchable); set != 0; set &= set - 1 {
+		t := p.threadAt(bits.TrailingZeros64(set))
 		if th := &p.threads[t]; p.canFetch(th, now) {
 			k := 0
 			switch p.cfg.Policy {
@@ -480,9 +491,6 @@ func (p *Processor) fetchOrder(now int64) []int {
 				}
 			}
 			order, keys = append(order, t), append(keys, k)
-		}
-		if t++; t == n {
-			t = 0
 		}
 	}
 	// Stable insertion sort: ties keep round-robin rotation order.
@@ -637,6 +645,7 @@ func (p *Processor) dispatchOne(th *threadState) bool {
 	}
 
 	th.fqPop()
+	p.refreshFetch(th)
 	th.robPush(u)
 	if u.isStore {
 		th.pendingStores = append(th.pendingStores, u)

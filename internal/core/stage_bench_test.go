@@ -146,14 +146,15 @@ func BenchmarkStageFetch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.fetch(p.now)
-			// Reset the fetch queues in place (5 writes per thread) so
-			// the next iteration fetches full groups again; leaving the
-			// reset timed keeps the loop free of timer toggles.
+			// Reset the fetch queues in place so the next iteration
+			// fetches full groups again; leaving the reset timed keeps
+			// the loop free of timer toggles.
 			for t := range p.threads {
 				th := &p.threads[t]
 				th.fqHead, th.fqCount = 0, 0
 				th.frontCount, th.opCount = 0, 0
 				th.fetchBlocked = false
+				p.refreshFetch(th)
 			}
 		}
 	})

@@ -12,11 +12,14 @@ import (
 // incrementally from the structures underneath it and reports the
 // first that disagrees.
 func (p *Processor) checkSummaries() error {
-	var headDone uint64
+	var headDone, fetchable uint64
 	for i := range p.threads {
 		th := &p.threads[i]
 		if th.robCount > 0 && th.rob[th.robHead].completed {
 			headDone |= 1 << i
+		}
+		if !th.idle && th.hasPend && !th.fetchBlocked && th.fqCount < p.cfg.FetchQCap {
+			fetchable |= 1 << i
 		}
 		if e := th.fqFront(); th.fqCount > 0 && (e.qid != th.headQid || e.in.Dst != th.headDst) {
 			return fmt.Errorf("thread %d fetch-queue head copy (queue %d, dst %v), head entry says (%d, %v)",
@@ -25,6 +28,9 @@ func (p *Processor) checkSummaries() error {
 	}
 	if headDone != p.headDone {
 		return fmt.Errorf("ROB-head mask %b, ROB heads say %b", p.headDone, headDone)
+	}
+	if fetchable != p.fetchable {
+		return fmt.Errorf("fetchable mask %b, thread states say %b", p.fetchable, fetchable)
 	}
 	nextDone := NoWakeup
 	for _, u := range p.inflight {
