@@ -26,9 +26,7 @@ type uop struct {
 	srcPhys [3]int32
 
 	// Scoreboard wakeup: waitCount is the number of source registers
-	// still outstanding (the uop is ready to issue when it reaches 0);
-	// qid names the issue queue holding the uop, for the per-queue
-	// ready counters.
+	// still outstanding (the uop is ready to issue when it reaches 0).
 	waitCount int32
 
 	// Memory state.
@@ -45,7 +43,7 @@ type uop struct {
 	dstFile isa.RegFile
 	srcFile [3]isa.RegFile
 	nsrc    uint8
-	qid     uint8
+	qid     uint8 // issue queue holding the uop, for the per-queue ready counters
 
 	mispred   bool
 	issued    bool
