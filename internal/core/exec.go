@@ -350,23 +350,7 @@ func (p *Processor) forwardingStore(ld *uop) *uop {
 func (p *Processor) sendLoadElements(now int64) {
 	finished := false
 	for _, u := range p.activeLoads {
-		if now >= u.addrReadyAt {
-			for u.elemsSent < u.elemsTotal {
-				addr := u.addr + uint64(u.elemsSent)*uint64(u.stride)
-				ok := p.memsys.Access(now, mem.Request{
-					Tag:    uint64(u.memTag),
-					Addr:   addr,
-					Thread: uint8(u.thread),
-					Vector: u.isVector,
-				})
-				if !ok {
-					break
-				}
-				u.elemsSent++
-				p.st.LoadElemSent++
-			}
-		}
-		if u.elemsSent >= u.elemsTotal {
+		if now >= u.addrReadyAt && p.sendElements(now, u, uint64(u.memTag), &p.st.LoadElemSent) {
 			finished = true
 		}
 	}
@@ -399,7 +383,7 @@ func (p *Processor) commit(now int64) {
 		for set := p.rotated(p.headDone); set != 0 && budget > 0; set &= set - 1 {
 			th := &p.threads[p.threadAt(bits.TrailingZeros64(set))]
 			u := th.rob[th.robHead]
-			if u.isStore && !p.drainStore(now, u) {
+			if u.isStore && !p.sendElements(now, u, u.seq, &p.st.StoreElemSent) {
 				continue
 			}
 			p.retire(th, u)
@@ -412,23 +396,17 @@ func (p *Processor) commit(now int64) {
 	}
 }
 
-// drainStore sends a committing store's element accesses; it reports
-// whether the store fully drained.
-func (p *Processor) drainStore(now int64, u *uop) bool {
-	for u.elemsSent < u.elemsTotal {
+// sendElements pushes u's remaining element accesses into the memory
+// system until one is refused, counting each accepted one in *sent; it
+// reports whether all were accepted. tag is the identity the memory
+// system echoes on a load's completions.
+func (p *Processor) sendElements(now int64, u *uop, tag uint64, sent *int64) bool {
+	for ; u.elemsSent < u.elemsTotal; u.elemsSent++ {
 		addr := u.addr + uint64(u.elemsSent)*uint64(u.stride)
-		ok := p.memsys.Access(now, mem.Request{
-			Tag:    u.seq,
-			Addr:   addr,
-			Thread: uint8(u.thread),
-			Store:  true,
-			Vector: u.isVector,
-		})
-		if !ok {
+		if !p.memsys.Access(now, mem.Request{Tag: tag, Addr: addr, Thread: uint8(u.thread), Store: u.isStore, Vector: u.isVector}) {
 			return false
 		}
-		u.elemsSent++
-		p.st.StoreElemSent++
+		*sent++
 	}
 	return true
 }

@@ -64,34 +64,30 @@ func (p *Processor) checkSummaries() error {
 // programs one cycle at a time and, after every Cycle, checks each
 // maintained summary against a recomputation from scratch.
 func TestSummariesMatchStructures(t *testing.T) {
-	for _, kind := range []ISAKind{ISAMMX, ISAMOM} {
+	for _, isa := range []struct {
+		kind ISAKind
+		v    workload.Variant
+	}{{ISAMMX, workload.MMX}, {ISAMOM, workload.MOM}} {
 		for _, threads := range []int{1, 8} {
 			for _, mode := range []mem.Mode{mem.ModeIdeal, mem.ModeConventional, mem.ModeDecoupled} {
-				t.Run(fmt.Sprintf("%v-%dT-%v", kind, threads, mode), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v-%dT-%v", isa.kind, threads, mode), func(t *testing.T) {
 					t.Parallel()
-					p, err := New(ConfigForThreads(kind, threads), mem.New(mem.DefaultConfig(mode)))
+					p, err := New(ConfigForThreads(isa.kind, threads), mem.New(mem.DefaultConfig(mode)))
 					if err != nil {
 						t.Fatal(err)
 					}
-					v := workload.MMX
-					if kind == ISAMOM {
-						v = workload.MOM
-					}
 					for ctx := 0; ctx < threads; ctx++ {
-						b, err := workload.Get(workload.RunOrder[ctx])
-						if err != nil {
-							t.Fatal(err)
-						}
-						p.SetProgram(ctx, b.Program(v, uint64(ctx+1), uint64(ctx+1)<<33, 0.1), 1)
+						b := workload.MustGet(workload.RunOrder[ctx])
+						p.SetProgram(ctx, b.Program(isa.v, uint64(ctx+1), uint64(ctx+1)<<33, 0.1), 1)
 					}
-					for p.Busy() {
-						if p.Now() >= 2_000_000 {
-							t.Fatal("programs did not drain")
-						}
+					for p.Busy() && p.Now() < 2_000_000 {
 						p.Cycle()
 						if err := p.checkSummaries(); err != nil {
 							t.Fatalf("after cycle %d: %v", p.Now()-1, err)
 						}
+					}
+					if p.Busy() {
+						t.Fatal("programs did not drain")
 					}
 				})
 			}

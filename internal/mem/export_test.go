@@ -2,15 +2,15 @@ package mem
 
 import "fmt"
 
-// CheckHorizons recomputes Real's L2-queue and completion horizons
-// from the queues underneath and reports the first that disagrees.
-// Other Systems keep no horizons and always pass.
+// CheckHorizons recomputes Real's L2-queue and completion horizons from
+// the queues underneath and reports a disagreement; other Systems keep
+// none.
 func CheckHorizons(s System) error {
 	m, ok := s.(*Real)
 	if !ok {
 		return nil
 	}
-	l2q := NoEvent
+	l2q, done := NoEvent, NoEvent
 	for _, rq := range m.l2q {
 		at := rq.readyAt
 		if !rq.started {
@@ -18,15 +18,12 @@ func CheckHorizons(s System) error {
 		}
 		l2q = min(l2q, at)
 	}
-	if l2q != m.l2qNext {
-		return fmt.Errorf("L2-queue horizon %d, queue says %d", m.l2qNext, l2q)
-	}
-	done := NoEvent
 	for _, d := range m.done {
 		done = min(done, d.readyAt)
 	}
-	if done != m.doneNext {
-		return fmt.Errorf("completion horizon %d, completions say %d", m.doneNext, done)
+	if l2q != m.l2qNext || done != m.doneNext {
+		return fmt.Errorf("L2-queue horizon %d and completion horizon %d, queues say %d and %d",
+			m.l2qNext, m.doneNext, l2q, done)
 	}
 	return nil
 }

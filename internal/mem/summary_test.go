@@ -14,35 +14,31 @@ import (
 // every Cycle, checks the memory system's maintained horizons against
 // a recomputation from its queues.
 func TestHorizonsMatchQueues(t *testing.T) {
-	for _, kind := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+	for _, isa := range []struct {
+		kind core.ISAKind
+		v    workload.Variant
+	}{{core.ISAMMX, workload.MMX}, {core.ISAMOM, workload.MOM}} {
 		for _, threads := range []int{1, 8} {
 			for _, mode := range []mem.Mode{mem.ModeConventional, mem.ModeDecoupled} {
-				t.Run(fmt.Sprintf("%v-%dT-%v", kind, threads, mode), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v-%dT-%v", isa.kind, threads, mode), func(t *testing.T) {
 					t.Parallel()
 					msys := mem.New(mem.DefaultConfig(mode))
-					p, err := core.New(core.ConfigForThreads(kind, threads), msys)
+					p, err := core.New(core.ConfigForThreads(isa.kind, threads), msys)
 					if err != nil {
 						t.Fatal(err)
 					}
-					v := workload.MMX
-					if kind == core.ISAMOM {
-						v = workload.MOM
-					}
 					for ctx := 0; ctx < threads; ctx++ {
-						b, err := workload.Get(workload.RunOrder[ctx])
-						if err != nil {
-							t.Fatal(err)
-						}
-						p.SetProgram(ctx, b.Program(v, uint64(ctx+1), uint64(ctx+1)<<33, 0.1), 1)
+						b := workload.MustGet(workload.RunOrder[ctx])
+						p.SetProgram(ctx, b.Program(isa.v, uint64(ctx+1), uint64(ctx+1)<<33, 0.1), 1)
 					}
-					for p.Busy() {
-						if p.Now() >= 2_000_000 {
-							t.Fatal("programs did not drain")
-						}
+					for p.Busy() && p.Now() < 2_000_000 {
 						p.Cycle()
 						if err := mem.CheckHorizons(msys); err != nil {
 							t.Fatalf("after cycle %d: %v", p.Now()-1, err)
 						}
+					}
+					if p.Busy() {
+						t.Fatal("programs did not drain")
 					}
 				})
 			}
