@@ -148,14 +148,15 @@ func BenchmarkStageFetch(b *testing.B) {
 			p.fetch(p.now)
 			// Reset the fetch queues in place so the next iteration
 			// fetches full groups again; leaving the reset timed keeps
-			// the loop free of timer toggles.
+			// the loop free of timer toggles. Every context is then
+			// fetchable: its program never ends.
 			for t := range p.threads {
 				th := &p.threads[t]
 				th.fqHead, th.fqCount = 0, 0
 				th.frontCount, th.opCount = 0, 0
 				th.fetchBlocked = false
-				p.refreshFetch(th)
 			}
+			p.fetchable = 1<<threads - 1
 		}
 	})
 }
