@@ -587,16 +587,13 @@ func (m *Real) tickL2Queue(now int64) {
 		at := rq.readyAt
 		if !rq.started {
 			bank := int((rq.addr >> m.l2LineShift) & uint64(m.cfg.L2Banks-1))
-			if m.l2Bank[bank] <= now {
+			if at = m.l2Bank[bank]; at <= now {
 				m.l2Bank[bank] = now + int64(m.cfg.L2BankOcc)
 				rq.started = true
 				rq.readyAt = now + int64(m.cfg.L2HitLat)
+				at = rq.readyAt
 				m.st.L2QWaitSum += now - rq.acceptedAt
 				m.st.L2QWaitCount++
-			}
-			at = m.l2Bank[bank]
-			if rq.started {
-				at = rq.readyAt
 			}
 		} else if rq.readyAt <= now && m.resolveL2(now, rq) {
 			continue
