@@ -39,16 +39,20 @@
 // prints the current fingerprint (CI uses it as its cache key) and
 // exits.
 //
-// With -remote, exps acts as a distributed coordinator: every
-// simulation is POSTed to one of the listed worker expsd processes
-// (sharded by config key, retrying the other workers when one is
-// down) and exps executes nothing locally — the -json "simulations"
-// count stays 0 because the workers' counters own those executions.
-// Everything else is unchanged: the same scheduler dedups configs,
-// the same cache persists fetched results locally, the same
-// failure-domain partitioning maps an unreachable worker onto exactly
-// the experiments whose configs it stranded, and the rendered tables
-// are byte-identical to a local run.
+// With -remote, exps acts as a distributed coordinator over the
+// listed worker expsd processes, through the same work-stealing pool
+// an expsd coordinator runs (dist.StealPool): simulations shard
+// across the workers by config key, an idle worker steals queued
+// work, a straggler is re-run on a second worker, and -j bounds the
+// requests in flight. A config whose worker is down or times out runs
+// locally instead, so the run completes with every worker gone. The
+// -json "simulations" count covers local executions only: it stays 0
+// while the workers serve every config, because their counters own
+// those executions. Everything else is unchanged: the same scheduler
+// dedups configs, the same cache persists fetched results locally,
+// the same failure-domain partitioning maps a simulation failure
+// onto exactly the experiments referencing that config, and the
+// rendered tables are byte-identical to a local run.
 package main
 
 import (
@@ -79,7 +83,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the structured result set as JSON on stdout")
 	csvOut := flag.Bool("csv", false, "emit per-simulation metrics as CSV on stdout")
 	verbose := flag.Bool("v", false, "log each completed simulation to stderr")
-	remote := flag.String("remote", "", "comma-separated worker expsd URLs; simulations execute on the workers, none locally")
+	remote := flag.String("remote", "", "comma-separated worker expsd URLs; simulations shard across the workers and fall back to local execution when a worker fails")
 	remoteTimeout := flag.Duration("remote-timeout", dist.DefaultRequestTimeout, "per-request timeout against a -remote worker")
 	cacheDir := flag.String("cache-dir", cache.DefaultDir(), "on-disk result cache directory ('' disables)")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache")
@@ -134,9 +138,10 @@ func main() {
 	}
 
 	// The executor is the "where do simulations run" policy: the local
-	// worker pool by default, the -remote workers when coordinating.
-	// Everything downstream — scheduler, cache, failure domains,
-	// emitters — is identical either way.
+	// worker pool by default; with -remote, a steal pool over the
+	// listed workers with that local pool as its failover. Everything
+	// downstream — scheduler, cache, failure domains, emitters — is
+	// identical either way.
 	// -metrics instruments the whole stack on one registry: in-sim
 	// pipeline/memory sampling (obs.SimRunner), pool or peer activity
 	// (dist) and engine aggregates (exp). reg stays nil otherwise, and
@@ -145,22 +150,27 @@ func main() {
 	if *metricsOut {
 		reg = metrics.New()
 	}
-	var runner *exp.Runner
+	local := dist.NewLocalFunc(*workers, obs.SimRunner(reg)).Instrument(reg)
+	var exec dist.Executor = local
+	closeExec := func() {}
 	if *remote != "" {
 		peers, err := cliflags.Peers("-remote", *remote)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "exps: %v\n", err)
 			os.Exit(2)
 		}
-		rex, err := dist.NewRemote(peers, dist.RemoteOptions{Workers: *workers, Timeout: *remoteTimeout, Metrics: reg})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "exps: %v\n", err)
-			os.Exit(2)
+		members := dist.NewMembers()
+		for _, p := range peers {
+			members.Add(p)
 		}
-		runner = exp.NewRunnerExecutor(rex, store)
-	} else {
-		runner = exp.NewRunnerExecutor(dist.NewLocalFunc(*workers, obs.SimRunner(reg)).Instrument(reg), store)
+		steal := dist.NewStealPool(members, local, dist.StealOptions{
+			Remote:         dist.RemoteOptions{Timeout: *remoteTimeout, Metrics: reg},
+			WorkersPerPeer: *workers,
+			Metrics:        reg,
+		})
+		exec, closeExec = steal, steal.Close
 	}
+	runner := exp.NewRunnerExecutor(exec, store)
 	runner.Instrument(reg)
 	suite, err := runner.NewSuite(exp.Options{Scale: *scale, Seed: *seed, Workers: *workers, MaxCycles: *maxCycles})
 	if err != nil {
@@ -218,6 +228,7 @@ func main() {
 		os.Exit(2)
 	}
 	rs, err := suite.RunExperimentsContext(ctx, ids, prog)
+	closeExec()
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintf(os.Stderr, "exps: %v\n", perr)
 	}

@@ -75,15 +75,17 @@
 //
 // Where a simulation runs is a pluggable policy (internal/dist):
 // every expsd is a worker (POST /v1/sims executes one config through
-// its pool and cache), `exps -remote URL[,URL...]` coordinates a run
-// whose simulations all execute on the workers — the coordinator
-// honestly reports 0 local simulations while rendering tables
-// byte-identical to a local run — and `expsd -peers` shards each
-// job's simulations across workers by config key with failover to
-// local execution when a peer is down. Version skew is refused (409
-// on fingerprint mismatch), peer failures retry elsewhere, and a
-// simulation's own failure is never retried — it partitions onto its
-// experiments exactly like a local failure.
+// its pool and cache). Both coordinators run one stack, a
+// work-stealing dist.StealPool that shards simulations across workers
+// by config key and runs a config locally when its worker fails: an
+// expsd coordinator over the workers that register with it, and
+// `exps -remote URL[,URL...]` over the workers it lists. While the
+// workers serve every config the coordinator honestly reports 0 local
+// simulations, and its tables are byte-identical to a local run
+// either way. Version skew is refused (409 on fingerprint mismatch)
+// and fails over like any peer failure, and a simulation's own
+// failure is never retried — it partitions onto its experiments
+// exactly like a local failure.
 //
 // Performance is profiled and gated, not guessed: smtsim and exps
 // take -cpuprofile/-memprofile (runtime/pprof, same formats as

@@ -74,10 +74,11 @@ func Priority(name string, v int) error {
 }
 
 // WorkerURL validates one worker expsd base URL — the POST
-// /v1/workers registration body and the expsd -register/-advertise
-// flags — under the same rules Peers applies per element: absolute
-// http(s) URL with a host, no query or fragment, trailing slashes
-// stripped so the dist executors can append their endpoint paths.
+// /v1/workers registration body, the expsd -register/-advertise flags
+// and each element of Peers: an absolute http(s) URL with a host, no
+// query or fragment (the dist executors append endpoint paths, so
+// either would silently corrupt every request URL), trailing slashes
+// stripped.
 func WorkerURL(name, v string) (string, error) {
 	p := strings.TrimSpace(v)
 	if p == "" {
@@ -96,39 +97,35 @@ func WorkerURL(name, v string) (string, error) {
 	return strings.TrimRight(p, "/"), nil
 }
 
-// Peers parses and validates a comma-separated list of worker expsd
-// base URLs (exps -remote, expsd -peers). Every element must be an
-// absolute http or https URL with a host; trailing slashes are
-// stripped so the dist executors can append their endpoint paths. An
-// empty list is refused — a coordinator flag with no workers behind
-// it is a configuration mistake, not local mode.
+// Peers parses the comma-separated worker expsd base URLs of exps
+// -remote, each under WorkerURL's rules. An empty list is refused — a
+// coordinator flag with no workers behind it is a configuration
+// mistake, not local mode.
 func Peers(name, v string) ([]string, error) {
 	if strings.TrimSpace(v) == "" {
 		return nil, fmt.Errorf("empty %s (want comma-separated worker URLs, e.g. http://host:8344)", name)
 	}
 	parts := strings.Split(v, ",")
-	out := make([]string, 0, len(parts))
-	for _, raw := range parts {
-		p := strings.TrimSpace(raw)
-		if p == "" {
-			return nil, fmt.Errorf("%s has an empty element in %q (want comma-separated worker URLs)", name, v)
-		}
-		u, err := url.Parse(p)
+	out := make([]string, len(parts))
+	for i, p := range parts {
+		u, err := WorkerURL(name+" element", p)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %q: %v", name, p, err)
+			return nil, err
 		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("%s: %q is not an http(s) worker URL (want e.g. http://host:8344)", name, p)
-		}
-		// The executors append endpoint paths to the base URL, so a
-		// query or fragment would silently corrupt every request URL;
-		// refuse it here as a usage error instead.
-		if u.RawQuery != "" || u.Fragment != "" {
-			return nil, fmt.Errorf("%s: %q must be a base worker URL without query or fragment", name, p)
-		}
-		out = append(out, strings.TrimRight(p, "/"))
+		out[i] = u
 	}
 	return out, nil
+}
+
+// Enum rejects a value past last, the highest constant of its enum
+// type. Configs decoded from the network carry enums as bare
+// integers, and one that names no constant would otherwise simulate,
+// and be cached, as something it does not name.
+func Enum[E ~uint8](name string, v, last E) error {
+	if v > last {
+		return fmt.Errorf("%s %d out of range (want 0..%d)", name, v, last)
+	}
+	return nil
 }
 
 // Threads rejects hardware context counts the core cannot build. The

@@ -2,21 +2,21 @@
 // The experiment engine (internal/exp) schedules simulations through
 // the Executor interface instead of calling sim.Run directly, so the
 // same scheduler — singleflight dedup, read-through cache, failure
-// isolation — drives a local worker pool (Local), a set of remote
-// expsd workers (Remote), a statically sharded combination with local
-// failover (Pool), a work-stealing pool over dynamically registered
-// workers (StealPool over a Members registry), or any of those under
+// isolation — drives a local worker pool (Local), one remote expsd
+// worker (Remote), a work-stealing pool over a registry of workers
+// with local failover (StealPool over Members), or any of those under
 // a priority admission gate (Priority).
 //
-// The daemon-facing policies are built for campaign-scale sweeps:
-// Members tracks worker membership as workers self-register (expsd's
-// POST /v1/workers), with a HealthChecker evicting peers that stop
-// answering so dead workers stop receiving shards. StealPool shards
-// work across the live members by config key to keep each worker's
-// cache hot, lets an idle worker steal from the longest backlog, and
-// speculatively re-executes stragglers on a second worker once they
-// outlive an adaptive latency threshold — first result wins, which is
-// safe because simulations are deterministic and cache-keyed.
+// Every front end that distributes runs the same StealPool: expsd
+// fills its Members as workers self-register (POST /v1/workers), with
+// a HealthChecker evicting peers that stop answering so dead workers
+// stop receiving shards; exps -remote fills its Members once from the
+// flag. StealPool shards work across the members by config key to
+// keep each worker's cache hot, lets an idle worker steal from the
+// longest backlog, speculatively re-executes stragglers on a second
+// worker once they outlive an adaptive latency threshold — first
+// result wins, which is safe because simulations are deterministic
+// and cache-keyed — and runs a config locally when its worker fails.
 // Priority admits contended work highest class first (WithPriority on
 // the context, FIFO within a class) and re-reads the inner executor's
 // capacity on every release, so workers registering mid-queue admit
@@ -110,12 +110,13 @@ func (f *funcExecutor) Simulations() int64 { return f.sims.Load() }
 // process again.
 type noForwardKey struct{}
 
-// NoForward returns a context under which Pool executes locally and
-// Remote refuses, instead of forwarding to a peer. The worker
+// NoForward returns a context under which StealPool executes locally
+// and Remote refuses, instead of forwarding to a peer. The worker
 // endpoint (internal/serve) applies it to requests carrying
 // ForwardedHeader — a simulation crosses at most one coordinator →
-// worker hop, so daemons peered at each other serve each other's
-// forwards locally rather than bouncing them back and forth.
+// worker hop, so daemons registered as each other's workers serve
+// each other's forwards locally rather than bouncing them back and
+// forth.
 func NoForward(ctx context.Context) context.Context {
 	return context.WithValue(ctx, noForwardKey{}, true)
 }

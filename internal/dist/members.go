@@ -25,11 +25,12 @@ const (
 	DefaultHealthThreshold = 2
 )
 
-// Members is the dynamic worker-membership registry that replaces the
-// static -peers list: workers self-register (POST /v1/workers in
-// internal/serve), a HealthChecker evicts the ones that stop
-// answering, and executors that subscribe (StealPool) re-shard work as
-// the set changes. All methods are safe for concurrent use.
+// Members is the worker-membership registry a StealPool shards over.
+// In expsd workers self-register (POST /v1/workers in internal/serve)
+// and a HealthChecker evicts the ones that stop answering; exps
+// -remote adds its listed workers once. Executors that subscribe
+// (StealPool) re-shard work as the set changes. All methods are safe
+// for concurrent use.
 type Members struct {
 	mu   sync.Mutex
 	urls map[string]bool
@@ -60,8 +61,8 @@ func (m *Members) Instrument(reg *metrics.Registry) *Members {
 	return m
 }
 
-// cleanURL normalizes a worker base URL the same way Remote does, so
-// "http://h:1/" and "http://h:1" are one member.
+// cleanURL normalizes a worker base URL, so "http://h:1/" and
+// "http://h:1" are one member and one Remote.
 func cleanURL(url string) string {
 	return strings.TrimRight(strings.TrimSpace(url), "/")
 }

@@ -13,96 +13,42 @@ func peerCounter(reg *metrics.Registry, name, peer string) int64 {
 	return reg.Counter(name, "", metrics.L("peer", peer)).Value()
 }
 
-// TestRemoteMetricsPerPeer: every request counts against the peer that
-// served (or failed) it, retries count once per extra attempt, and the
-// latency histogram observes every request.
+// TestRemoteMetricsPerPeer: every request counts against its peer's
+// series, a peer failure counts once as a failure, a simulation
+// failure (422) does not, and the latency histogram observes every
+// request.
 func TestRemoteMetricsPerPeer(t *testing.T) {
 	bad := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
 		http.Error(w, `{"error":{"code":"internal","message":"worker exploded"}}`, http.StatusInternalServerError)
 		return true
 	})
-	good := workerStub(t, nil)
-	reg := metrics.New()
-	r, err := NewRemote([]string{bad.URL, good.URL}, RemoteOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Run several keys; each lands on its hash-home first, so both
-	// peers see traffic and every bad-first key retries onto good.
-	execs := 0
-	for threads := 1; threads <= 8; threads *= 2 {
-		if _, err := r.Execute(context.Background(), testConfig(threads)); err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-		execs++
-	}
-
-	badReqs := peerCounter(reg, "mediasmt_peer_requests_total", bad.URL)
-	goodReqs := peerCounter(reg, "mediasmt_peer_requests_total", good.URL)
-	badFails := peerCounter(reg, "mediasmt_peer_failures_total", bad.URL)
-	retries := reg.Counter("mediasmt_peer_retries_total", "").Value()
-
-	if goodReqs != int64(execs) {
-		t.Errorf("good peer requests = %d, want %d (all configs end there)", goodReqs, execs)
-	}
-	if badReqs != badFails {
-		t.Errorf("bad peer: %d requests but %d failures — every attempt must fail", badReqs, badFails)
-	}
-	if retries != badReqs {
-		t.Errorf("retries = %d, want %d (one retry per bad-first attempt)", retries, badReqs)
-	}
-	if got := reg.Histogram("mediasmt_peer_request_seconds", "", nil, metrics.L("peer", good.URL)).Count(); got != goodReqs {
-		t.Errorf("good peer latency observations = %d, want %d", got, goodReqs)
-	}
-
-	// A simulation failure (422) is not a peer failure: the peer served
-	// the request correctly.
 	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
 		http.Error(w, `{"error":{"code":"sim_failed","message":"hit MaxCycles"}}`, http.StatusUnprocessableEntity)
 		return true
 	})
-	r2, err := NewRemote([]string{failing.URL}, RemoteOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Execute(context.Background(), testConfig(2)); err == nil {
-		t.Fatal("want SimFailure")
-	}
-	if got := peerCounter(reg, "mediasmt_peer_failures_total", failing.URL); got != 0 {
-		t.Errorf("422 counted as a peer failure (%d)", got)
-	}
-	if got := peerCounter(reg, "mediasmt_peer_requests_total", failing.URL); got != 1 {
-		t.Errorf("422 request not counted (%d)", got)
-	}
-}
-
-// TestPoolFailoverMetric: a down home peer increments the failover
-// counter exactly once per locally recovered config.
-func TestPoolFailoverMetric(t *testing.T) {
-	down := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		http.Error(w, "unavailable", http.StatusServiceUnavailable)
-		return true
-	})
+	good := workerStub(t, nil)
 	reg := metrics.New()
-	local := NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) {
-		return stubResult(cfg), nil
-	}).Instrument(reg)
-	p, err := NewPool([]string{down.URL}, RemoteOptions{Metrics: reg}, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	for i := 0; i < n; i++ {
-		if _, err := p.Execute(context.Background(), testConfig(1<<i)); err != nil {
+	for _, c := range []struct {
+		url      string
+		calls    int
+		failures int64
+	}{{good.URL, 3, 0}, {bad.URL, 2, 2}, {failing.URL, 1, 0}} {
+		r, err := NewRemote([]string{c.url}, RemoteOptions{Metrics: reg})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := reg.Counter("mediasmt_pool_failovers_total", "").Value(); got != n {
-		t.Errorf("pool_failovers_total = %d, want %d", got, n)
-	}
-	if got := reg.Counter("mediasmt_pool_sims_total", "").Value(); got != n {
-		t.Errorf("pool_sims_total = %d, want %d (failovers execute locally)", got, n)
+		for i := 0; i < c.calls; i++ {
+			r.Execute(context.Background(), testConfig(1<<i)) //nolint:errcheck // the counters are the assertion
+		}
+		if got := peerCounter(reg, "mediasmt_peer_requests_total", c.url); got != int64(c.calls) {
+			t.Errorf("%s: requests = %d, want %d", c.url, got, c.calls)
+		}
+		if got := peerCounter(reg, "mediasmt_peer_failures_total", c.url); got != c.failures {
+			t.Errorf("%s: failures = %d, want %d", c.url, got, c.failures)
+		}
+		if got := reg.Histogram("mediasmt_peer_request_seconds", "", nil, metrics.L("peer", c.url)).Count(); got != int64(c.calls) {
+			t.Errorf("%s: latency observations = %d, want %d", c.url, got, c.calls)
+		}
 	}
 }
 

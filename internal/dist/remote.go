@@ -27,28 +27,30 @@ const (
 	FingerprintHeader = "X-Mediasmt-Fingerprint"
 	// ForwardedHeader marks a request that already crossed one
 	// coordinator→worker hop. The worker endpoint turns it into a
-	// NoForward context so a daemon that is itself peered (two expsd
-	// -peers pointing at each other) executes the simulation locally
-	// instead of bouncing it back — without this, a mutual-peer mesh
-	// would recurse a single config between daemons until both
-	// exhaust sockets and goroutines.
+	// NoForward context, so a worker that coordinates workers of its
+	// own (its StealPool has registered members) executes the
+	// simulation locally instead of passing it on — without this, two
+	// daemons registered as each other's workers would bounce a single
+	// config between them until both exhaust sockets and goroutines.
 	ForwardedHeader = "X-Mediasmt-Forwarded"
 	// DefaultRequestTimeout bounds one worker request. Full-scale
 	// simulations queue behind the worker's pool, so the default is
 	// generous; coordinators running reduced scales may tighten it.
 	DefaultRequestTimeout = 10 * time.Minute
-	// DefaultWorkersPerPeer sizes a Remote's advertised concurrency
-	// when RemoteOptions.Workers is zero: requests are I/O-bound on
-	// the coordinator, so a few in flight per peer keeps the peer's
-	// own pool busy without flooding it.
+	// DefaultWorkersPerPeer is a Remote's advertised concurrency when
+	// RemoteOptions.Workers is zero, and a StealPool's request loops
+	// per member when StealOptions.WorkersPerPeer is zero: requests
+	// are I/O-bound on the coordinator, so a few in flight per peer
+	// keeps the peer's own pool busy without flooding it.
 	DefaultWorkersPerPeer = 4
 	// maxResponseBody bounds a worker response; an encoded result is
 	// a few KB, so anything larger is a misbehaving peer.
 	maxResponseBody = 8 << 20
 )
 
-// RemoteOptions tunes a Remote (and, through NewPool, each of a
-// Pool's peers). The zero value is usable.
+// RemoteOptions tunes a Remote and, through StealOptions.Remote, the
+// Remote a StealPool builds for each member. The zero value is
+// usable.
 type RemoteOptions struct {
 	// Client issues the requests; nil uses a private default client.
 	Client *http.Client
@@ -56,65 +58,45 @@ type RemoteOptions struct {
 	// included); 0 means DefaultRequestTimeout.
 	Timeout time.Duration
 	// Workers is the advertised concurrency; 0 means
-	// DefaultWorkersPerPeer per peer.
+	// DefaultWorkersPerPeer.
 	Workers int
 	// Fingerprint overrides the FingerprintHeader value; "" means the
 	// current cache.Fingerprint(). Tests use it to emulate version
 	// skew.
 	Fingerprint string
-	// Metrics, when non-nil, receives per-peer request/failure
-	// counters, retry counts, latency buckets — and, through NewPool,
-	// the pool's failover counter.
+	// Metrics, when non-nil, receives the peer's request and failure
+	// counters and its latency buckets, labelled with the peer URL.
 	Metrics *metrics.Registry
 }
 
-// peerInstruments is one peer's request accounting; all fields no-op
-// when the executor is uninstrumented.
-type peerInstruments struct {
-	requests *metrics.Counter
-	failures *metrics.Counter
-	latency  *metrics.Histogram
-}
-
-func newPeerInstruments(reg *metrics.Registry, peer string) peerInstruments {
-	return peerInstruments{
-		requests: reg.Counter("mediasmt_peer_requests_total", "worker requests issued, by peer", metrics.L("peer", peer)),
-		failures: reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures), by peer", metrics.L("peer", peer)),
-		latency:  reg.Histogram("mediasmt_peer_request_seconds", "worker request wall time, by peer", nil, metrics.L("peer", peer)),
-	}
-}
-
-// Remote executes simulations on worker expsd processes: it POSTs the
-// config to one peer's /v1/sims endpoint — chosen by config-key hash
-// so repeated keys land on the same warm peer — and retries the
-// remaining peers when that peer cannot serve the request. A failure
-// of the simulation itself (the worker ran it and it failed) is
-// returned as-is without retrying: it is deterministic and would fail
-// everywhere.
+// Remote executes simulations on one worker expsd process: it POSTs
+// the config to the worker's /v1/sims endpoint and decodes the
+// answer. It never retries. A peer that cannot serve the request
+// yields a PeerError, which a StealPool fails over to local
+// execution; a simulation that ran and failed yields a SimFailure.
 type Remote struct {
-	peers   []string
+	peer    string
 	client  *http.Client
 	timeout time.Duration
 	fp      string
 	workers int
 
-	ins     map[string]peerInstruments // by peer URL; nil when uninstrumented
-	retries *metrics.Counter
+	// no-op when uninstrumented
+	requests *metrics.Counter
+	failures *metrics.Counter
+	latency  *metrics.Histogram
 }
 
-// NewRemote builds a remote executor over one or more worker base
-// URLs (e.g. "http://sim-worker-0:8344").
+// NewRemote builds a remote executor over one worker base URL (e.g.
+// "http://sim-worker-0:8344"). Spreading work over several workers is
+// a StealPool's job, so a list of any other length is refused.
 func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("dist: no worker peers")
+	if len(peers) != 1 {
+		return nil, fmt.Errorf("dist: a Remote serves one worker peer, got %d (use a StealPool for several)", len(peers))
 	}
-	cleaned := make([]string, len(peers))
-	for i, p := range peers {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p == "" {
-			return nil, fmt.Errorf("dist: empty worker peer URL")
-		}
-		cleaned[i] = p
+	peer := cleanURL(peers[0])
+	if peer == "" {
+		return nil, fmt.Errorf("dist: empty worker peer URL")
 	}
 	client := o.Client
 	if client == nil {
@@ -126,28 +108,25 @@ func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
 	}
 	workers := o.Workers
 	if workers <= 0 {
-		workers = DefaultWorkersPerPeer * len(cleaned)
+		workers = DefaultWorkersPerPeer
 	}
 	fp := o.Fingerprint
 	if fp == "" {
 		fp = cache.Fingerprint()
 	}
-	r := &Remote{peers: cleaned, client: client, timeout: timeout, fp: fp, workers: workers}
-	if o.Metrics != nil {
-		r.ins = make(map[string]peerInstruments, len(cleaned))
-		for _, p := range cleaned {
-			r.ins[p] = newPeerInstruments(o.Metrics, p)
-		}
-		r.retries = o.Metrics.Counter("mediasmt_peer_retries_total",
-			"worker requests retried on another peer after a peer failure")
+	r := &Remote{peer: peer, client: client, timeout: timeout, fp: fp, workers: workers}
+	if reg := o.Metrics; reg != nil {
+		r.requests = reg.Counter("mediasmt_peer_requests_total", "worker requests issued, by peer", metrics.L("peer", peer))
+		r.failures = reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures), by peer", metrics.L("peer", peer))
+		r.latency = reg.Histogram("mediasmt_peer_request_seconds", "worker request wall time, by peer", nil, metrics.L("peer", peer))
 	}
 	return r, nil
 }
 
 // SimFailure reports that a worker executed the simulation and the
-// simulation itself failed. It is not a peer problem: retrying on
-// another peer (or locally) would deterministically fail again, so
-// Remote and Pool surface it directly as the config's error.
+// simulation itself failed. It is not a peer problem: running it
+// again anywhere would deterministically fail again, so a StealPool
+// returns it as the config's error instead of failing over.
 type SimFailure struct {
 	Peer string
 	Msg  string
@@ -157,8 +136,8 @@ func (e *SimFailure) Error() string { return e.Msg }
 
 // PeerError reports that a peer could not serve a request: transport
 // failure, timeout, fingerprint mismatch (Status 409), or any other
-// non-OK answer. Peer errors are retryable on another peer and, in a
-// Pool, fail over to local execution.
+// non-OK answer. A StealPool fails the config over to local
+// execution on a peer error.
 type PeerError struct {
 	Peer   string
 	Status int // 0 when the request never got an HTTP answer
@@ -185,92 +164,56 @@ func retryable(err error) bool {
 	return !errors.As(err, &sf)
 }
 
-// Execute posts cfg to the key's home peer, walking the remaining
-// peers on peer failure. All peers failing yields an error joining
-// every attempt, so a partial-failure report names each unreachable
-// worker.
-func (r *Remote) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+// Execute posts cfg to the worker under the per-request timeout.
+func (r *Remote) Execute(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
 	if forwardingDisabled(ctx) {
-		// A remote-only executor on a worker would just bounce the
-		// request onward; refuse so the caller's failover (or the
-		// coordinator's retry) handles it instead of looping.
+		// Passing an already-forwarded simulation on could loop it
+		// between daemons; refuse, so the caller's local failover
+		// runs it instead.
 		return nil, fmt.Errorf("dist: refusing to re-forward an already-forwarded simulation")
 	}
-	cfg = cfg.Normalize()
-	body, err := sim.EncodeConfig(cfg)
+	body, err := sim.EncodeConfig(cfg.Normalize())
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	start := 0
-	if len(r.peers) > 1 {
-		start = int(hashKey(cfg.Key()) % uint64(len(r.peers)))
-	}
-	var attempts []error
-	for i := range r.peers {
-		peer := r.peers[(start+i)%len(r.peers)]
-		if i > 0 {
-			r.retries.Inc()
-		}
-		res, err := r.post(ctx, peer, body)
-		if err == nil {
-			return res, nil
-		}
-		if !retryable(err) {
-			return nil, err
-		}
-		attempts = append(attempts, err)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if len(attempts) == 1 {
-		return nil, attempts[0]
-	}
-	return nil, fmt.Errorf("dist: all %d peers failed: %w", len(r.peers), errors.Join(attempts...))
-}
-
-// post issues one worker request under the per-request timeout.
-func (r *Remote) post(ctx context.Context, peer string, body []byte) (res *sim.Result, err error) {
-	ins := r.ins[peer] // zero-valued (no-op) instruments when uninstrumented
-	ins.requests.Inc()
+	r.requests.Inc()
 	start := time.Now()
 	defer func() {
-		ins.latency.Observe(time.Since(start).Seconds())
+		r.latency.Observe(time.Since(start).Seconds())
 		var pe *PeerError
 		if errors.As(err, &pe) {
-			ins.failures.Inc()
+			r.failures.Inc()
 		}
 	}()
 
 	rctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, peer+SimsPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, r.peer+SimsPath, bytes.NewReader(body))
 	if err != nil {
-		return nil, &PeerError{Peer: peer, Err: err}
+		return nil, &PeerError{Peer: r.peer, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(FingerprintHeader, r.fp)
 	req.Header.Set(ForwardedHeader, "1")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, &PeerError{Peer: peer, Err: err}
+		return nil, &PeerError{Peer: r.peer, Err: err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
 	if err != nil {
-		return nil, &PeerError{Peer: peer, Status: resp.StatusCode, Err: err}
+		return nil, &PeerError{Peer: r.peer, Status: resp.StatusCode, Err: err}
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		res, err := sim.DecodeResult(data)
-		if err != nil {
-			return nil, &PeerError{Peer: peer, Status: resp.StatusCode, Err: err}
+		if res, err = sim.DecodeResult(data); err != nil {
+			return nil, &PeerError{Peer: r.peer, Status: resp.StatusCode, Err: err}
 		}
 		return res, nil
 	case http.StatusUnprocessableEntity:
-		return nil, &SimFailure{Peer: peer, Msg: errorBody(data)}
+		return nil, &SimFailure{Peer: r.peer, Msg: errorBody(data)}
 	default:
-		return nil, &PeerError{Peer: peer, Status: resp.StatusCode, Err: errors.New(errorBody(data))}
+		return nil, &PeerError{Peer: r.peer, Status: resp.StatusCode, Err: errors.New(errorBody(data))}
 	}
 }
 
@@ -306,9 +249,6 @@ func errorBody(data []byte) string {
 	}
 	return s
 }
-
-// Peers reports the worker base URLs in shard order.
-func (r *Remote) Peers() []string { return append([]string(nil), r.peers...) }
 
 // Workers reports the advertised request concurrency.
 func (r *Remote) Workers() int { return r.workers }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,31 +74,9 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteRetriesOnOtherPeer: a peer answering 500 must not fail the
-// config while another peer can serve it.
-func TestRemoteRetriesOnOtherPeer(t *testing.T) {
-	var badHits atomic.Int64
-	bad := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		badHits.Add(1)
-		http.Error(w, `{"error":"worker exploded"}`, http.StatusInternalServerError)
-		return true
-	})
-	good := workerStub(t, nil)
-	// Both orders must succeed regardless of which peer the key hashes
-	// to first.
-	r, err := NewRemote([]string{bad.URL, good.URL}, RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for threads := 1; threads <= 8; threads *= 2 {
-		if _, err := r.Execute(context.Background(), testConfig(threads)); err != nil {
-			t.Fatalf("threads=%d: retry on other peer failed: %v", threads, err)
-		}
-	}
-}
-
 // TestRemoteTimeoutFailsOver: a peer hanging past the per-request
-// timeout is a peer failure — the next peer serves the config.
+// timeout yields a retryable PeerError naming the peer — the error a
+// StealPool fails over to local execution on.
 func TestRemoteTimeoutFailsOver(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -107,45 +84,23 @@ func TestRemoteTimeoutFailsOver(t *testing.T) {
 		<-release
 		return true
 	})
-	good := workerStub(t, nil)
-	r, err := NewRemote([]string{hang.URL, good.URL}, RemoteOptions{Timeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for threads := 1; threads <= 8; threads *= 2 {
-		if _, err := r.Execute(context.Background(), testConfig(threads)); err != nil {
-			t.Fatalf("threads=%d: timeout did not fail over: %v", threads, err)
-		}
-	}
-}
-
-// TestRemoteAllPeersDown: with every peer failing, the error names
-// each attempt and is a peer failure (retryable elsewhere, e.g. by a
-// Pool's local fallback).
-func TestRemoteAllPeersDown(t *testing.T) {
-	down := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
-		return true
-	})
-	r, err := NewRemote([]string{down.URL, "http://127.0.0.1:1"}, RemoteOptions{Timeout: 2 * time.Second})
+	r, err := NewRemote([]string{hang.URL}, RemoteOptions{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = r.Execute(context.Background(), testConfig(1))
-	if err == nil {
-		t.Fatal("all peers down must error")
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Peer != hang.URL {
+		t.Fatalf("err = %v, want a PeerError from %s", err, hang.URL)
 	}
 	if !retryable(err) {
-		t.Error("peer failure must stay retryable")
-	}
-	if !strings.Contains(err.Error(), "busy") {
-		t.Errorf("error does not carry the peer's message: %v", err)
+		t.Error("a timed-out peer must stay retryable")
 	}
 }
 
 // TestRemoteFingerprint409: a worker on a different simulator version
 // refuses with 409; the coordinator surfaces a PeerError carrying the
-// status, never a silently mixed result.
+// status and the worker's message, never a silently mixed result.
 func TestRemoteFingerprint409(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"fingerprint mismatch"}`, http.StatusConflict)
@@ -160,25 +115,19 @@ func TestRemoteFingerprint409(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Status != http.StatusConflict {
 		t.Fatalf("err = %v, want PeerError with status 409", err)
 	}
+	if !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Errorf("error does not carry the peer's message: %v", err)
+	}
 }
 
 // TestRemoteSimFailureDoesNotRetry: a 422 means the worker ran the
-// simulation and it failed — deterministic, so no other peer is
-// tried and the error is not retryable.
+// simulation and it failed — deterministic, so the error keeps the
+// simulation's message and is not retryable.
 func TestRemoteSimFailureDoesNotRetry(t *testing.T) {
-	var hits atomic.Int64
 	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		hits.Add(1)
 		http.Error(w, `{"error":"sim: hit MaxCycles=1000 with 3/8 programs complete"}`, http.StatusUnprocessableEntity)
 		return true
 	})
-	second := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		t.Error("simulation failure must not be retried on another peer")
-		return false
-	})
-	// The failing peer must be first in the rotation for every test
-	// key; pin that by only listing it (the second peer exists to
-	// catch accidental retries through a fresh Remote).
 	r, err := NewRemote([]string{failing.URL}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,138 +143,29 @@ func TestRemoteSimFailureDoesNotRetry(t *testing.T) {
 	if retryable(err) {
 		t.Error("SimFailure must not be retryable")
 	}
-	r2, err := NewRemote([]string{failing.URL, second.URL}, RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a config whose home peer is the failing one, then assert no
-	// second request happens.
-	for threads := 1; threads <= 8; threads *= 2 {
-		cfg := testConfig(threads)
-		if int(hashKey(cfg.Normalize().Key())%2) == 0 {
-			before := hits.Load()
-			if _, err := r2.Execute(context.Background(), cfg); err == nil {
-				t.Fatal("want simulation failure")
-			}
-			if hits.Load() != before+1 {
-				t.Fatalf("failing peer hit %d times for one config", hits.Load()-before)
-			}
-			return
-		}
-	}
-	t.Skip("no test config hashes onto peer 0")
-}
-
-// TestPoolShardsAndFailsOver: configs shard deterministically across
-// peers; when a config's home peer is down the Pool executes locally
-// and counts it, and simulation failures pass through without local
-// retry.
-func TestPoolShardsAndFailsOver(t *testing.T) {
-	good := workerStub(t, nil)
-	stubLocal := func() *Local {
-		return NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil })
-	}
-
-	// All peers healthy: everything executes remotely.
-	p, err := NewPool([]string{good.URL}, RemoteOptions{}, stubLocal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(context.Background(), testConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if p.Simulations() != 0 {
-		t.Errorf("healthy pool executed %d locally, want 0", p.Simulations())
-	}
-
-	// Home peer down: local failover executes and is counted.
-	pDown, err := NewPool([]string{"http://127.0.0.1:1"}, RemoteOptions{Timeout: 2 * time.Second}, stubLocal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pDown.Execute(context.Background(), testConfig(2)); err != nil {
-		t.Fatalf("failover to local failed: %v", err)
-	}
-	if pDown.Simulations() != 1 {
-		t.Errorf("failover pool counted %d local simulations, want 1", pDown.Simulations())
-	}
-
-	// Simulation failure: no local retry, error surfaces as-is.
-	simFail := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		http.Error(w, `{"error":"sim: hit MaxCycles"}`, http.StatusUnprocessableEntity)
-		return true
-	})
-	pFail, err := NewPool([]string{simFail.URL}, RemoteOptions{}, stubLocal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pFail.Execute(context.Background(), testConfig(4))
-	var sf *SimFailure
-	if !errors.As(err, &sf) {
-		t.Fatalf("err = %v, want the worker's SimFailure (no local retry)", err)
-	}
-	if pFail.Simulations() != 0 {
-		t.Error("simulation failure must not fail over to local execution")
-	}
-}
-
-// TestPoolLimitViews: per-caller views share peers and local slots but
-// keep their own failover counters — what keeps per-job counts exact
-// when internal/serve shares one Pool across jobs.
-func TestPoolLimitViews(t *testing.T) {
-	local := NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil })
-	p, err := NewPool([]string{"http://127.0.0.1:1"}, RemoteOptions{Timeout: time.Second}, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, ok := p.Limit(1).(*Pool)
-	if !ok {
-		t.Fatal("Limit did not return a *Pool view")
-	}
-	if view.Workers() != 1 {
-		t.Errorf("view workers %d, want 1", view.Workers())
-	}
-	if _, err := view.Execute(context.Background(), testConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if view.Simulations() != 1 || p.Simulations() != 0 {
-		t.Errorf("view counted %d, base counted %d; want 1 and 0", view.Simulations(), p.Simulations())
-	}
 }
 
 // TestNoForwardTerminatesAtThisProcess: under a NoForward context —
 // what the worker endpoint applies to already-forwarded requests — a
-// Pool must execute locally without touching any peer, and a Remote
-// must refuse rather than bounce the simulation onward. This is the
-// loop guard for daemons peered at each other.
+// Remote must refuse rather than bounce the simulation onward. This is
+// the loop guard for daemons registered as each other's workers
+// (TestStealPoolNoForward covers the pool's local execution).
 func TestNoForwardTerminatesAtThisProcess(t *testing.T) {
 	peer := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
 		t.Error("forwarded simulation reached a peer again")
 		return false
 	})
-	local := NewLocalFunc(1, func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil })
-	p, err := NewPool([]string{peer.URL}, RemoteOptions{}, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NoForward(context.Background())
-	if _, err := p.Execute(ctx, testConfig(1)); err != nil {
-		t.Fatalf("no-forward pool execution failed: %v", err)
-	}
-	if p.Simulations() != 1 {
-		t.Errorf("no-forward execution not counted locally: %d", p.Simulations())
-	}
-
 	r, err := NewRemote([]string{peer.URL}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Execute(ctx, testConfig(1)); err == nil || !strings.Contains(err.Error(), "re-forward") {
+	if _, err := r.Execute(NoForward(context.Background()), testConfig(1)); err == nil || !strings.Contains(err.Error(), "re-forward") {
 		t.Errorf("remote under NoForward returned %v, want a refusal", err)
 	}
 }
 
-// TestNewRemoteValidation: constructor edges.
+// TestNewRemoteValidation: constructor edges. A Remote serves exactly
+// one worker; several are a StealPool's job.
 func TestNewRemoteValidation(t *testing.T) {
 	if _, err := NewRemote(nil, RemoteOptions{}); err == nil {
 		t.Error("no peers must error")
@@ -333,17 +173,17 @@ func TestNewRemoteValidation(t *testing.T) {
 	if _, err := NewRemote([]string{"  "}, RemoteOptions{}); err == nil {
 		t.Error("blank peer must error")
 	}
-	r, err := NewRemote([]string{"http://h:1/", "http://h:2"}, RemoteOptions{})
+	if _, err := NewRemote([]string{"http://h:1", "http://h:2"}, RemoteOptions{}); err == nil {
+		t.Error("two peers must error")
+	}
+	r, err := NewRemote([]string{"http://h:1/"}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Peers(); got[0] != "http://h:1" {
-		t.Errorf("trailing slash not stripped: %q", got[0])
+	if r.peer != "http://h:1" {
+		t.Errorf("trailing slash not stripped: %q", r.peer)
 	}
-	if r.Workers() != 2*DefaultWorkersPerPeer {
-		t.Errorf("default workers %d, want %d per peer", r.Workers(), DefaultWorkersPerPeer)
-	}
-	if _, err := NewPool(nil, RemoteOptions{}, nil); err == nil {
-		t.Error("peerless pool must error")
+	if r.Workers() != DefaultWorkersPerPeer {
+		t.Errorf("default workers %d, want %d", r.Workers(), DefaultWorkersPerPeer)
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -104,8 +105,8 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 }
 
 // TestStealPoolNoForward: an already-forwarded simulation executes
-// locally without touching any peer — the loop guard holds for the
-// dynamic pool exactly as for the static one.
+// locally without touching any peer — the pool's half of the loop
+// guard for daemons registered as each other's workers.
 func TestStealPoolNoForward(t *testing.T) {
 	peer := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
 		t.Error("forwarded simulation reached a peer again")
@@ -120,6 +121,55 @@ func TestStealPoolNoForward(t *testing.T) {
 	}
 	if p.Simulations() != 1 {
 		t.Errorf("no-forward execution not counted locally: %d", p.Simulations())
+	}
+}
+
+// TestStealPoolFailoverPolicy: a peer error — here a worker hanging
+// past RemoteOptions.Timeout — fails the config over to local
+// execution and counts it as a local simulation, while a simulation
+// failure (422) comes back as-is without a local run: it would only
+// fail again.
+func TestStealPoolFailoverPolicy(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	hang := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+		<-release
+		return true
+	})
+	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+		http.Error(w, `{"error":{"code":"sim_failed","message":"sim: hit MaxCycles"}}`, http.StatusUnprocessableEntity)
+		return true
+	})
+	for _, c := range []struct {
+		name      string
+		url       string
+		wantLocal int64
+	}{{"timeout", hang.URL, 1}, {"sim failure", failing.URL, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMembers()
+			m.Add(c.url)
+			reg := metrics.New()
+			p := NewStealPool(m, stubLocalPool(1), StealOptions{
+				Remote:  RemoteOptions{Timeout: 100 * time.Millisecond},
+				SpecMin: time.Minute,
+				Metrics: reg,
+			})
+			defer p.Close()
+			_, err := p.Execute(context.Background(), testConfig(1))
+			var sf *SimFailure
+			if c.wantLocal == 1 && err != nil {
+				t.Fatalf("timed-out peer did not fail over: %v", err)
+			}
+			if c.wantLocal == 0 && !errors.As(err, &sf) {
+				t.Fatalf("err = %v, want the worker's SimFailure", err)
+			}
+			if got := p.Simulations(); got != c.wantLocal {
+				t.Errorf("local simulations = %d, want %d", got, c.wantLocal)
+			}
+			if got := reg.Counter("mediasmt_steal_failovers_total", "").Value(); got != c.wantLocal {
+				t.Errorf("steal_failovers_total = %d, want %d", got, c.wantLocal)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // job reads through the same on-disk cache, while each job keeps its
 // own singleflight map, simulation counter and cache statistics. The
 // CLI path is the same code: NewSuite builds a private single-use
-// Runner; a coordinator front-end (exps -remote, expsd -peers) builds
-// the Runner over a dist.Remote or dist.Pool instead.
+// Runner; a coordinator front-end (exps -remote, an expsd with
+// registered workers) builds the Runner over a dist.StealPool instead.
 type Runner struct {
 	exec  dist.Executor // shared execution policy; Limit-derived per suite
 	cache *cache.Cache  // shared persistent layer; nil runs uncached
@@ -72,9 +72,8 @@ func NewRunner(workers int, store *cache.Cache) *Runner {
 }
 
 // NewRunnerExecutor builds a runner over an explicit executor —
-// dist.NewLocal for in-process pools, dist.NewRemote to coordinate
-// worker expsd processes, dist.NewPool to shard across workers with
-// local failover.
+// dist.NewLocal for in-process pools, dist.NewStealPool to shard
+// across worker expsd processes with local failover.
 func NewRunnerExecutor(exec dist.Executor, store *cache.Cache) *Runner {
 	return &Runner{exec: exec, cache: store, met: &runnerMetrics{}}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"mediasmt/internal/core"
+	"mediasmt/internal/mem"
 )
 
 // FuzzDecodeJobRequest: the job-submission decoder must never panic,
@@ -41,6 +44,9 @@ func FuzzDecodeSimRequest(f *testing.F) {
 	f.Add([]byte(`{"threads":1,"scale":0.02,"seed":7}`))
 	f.Add([]byte(`{"threads":0}`))
 	f.Add([]byte(`{"threads":1,"scale":99}`))
+	f.Add([]byte(`{"Threads":1,"Scale":0.02,"Seed":5,"ISA":7}`))
+	f.Add([]byte(`{"Threads":1,"Scale":0.02,"Seed":5,"Policy":9}`))
+	f.Add([]byte(`{"Threads":1,"Scale":0.02,"Seed":5,"Memory":5}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -54,6 +60,9 @@ func FuzzDecodeSimRequest(f *testing.F) {
 		}
 		if cfg.Threads < 1 {
 			t.Fatalf("decodeSimRequest accepted a threadless config: %+v", cfg)
+		}
+		if cfg.ISA > core.ISAMOM || cfg.Policy > core.PolicyBALANCE || cfg.Memory > mem.ModeDecoupled {
+			t.Fatalf("decodeSimRequest accepted an enum value that names nothing: %+v", cfg)
 		}
 	})
 }

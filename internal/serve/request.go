@@ -7,7 +7,9 @@ import (
 	"strings"
 
 	"mediasmt/internal/cliflags"
+	"mediasmt/internal/core"
 	"mediasmt/internal/exp"
+	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
 
@@ -113,6 +115,9 @@ func decodeSimRequest(body io.Reader) (sim.Config, error) {
 		return sim.Config{}, badRequest("%v", err)
 	}
 	for _, check := range []error{
+		cliflags.Enum("ISA", cfg.ISA, core.ISAMOM),
+		cliflags.Enum("Policy", cfg.Policy, core.PolicyBALANCE),
+		cliflags.Enum("Memory", cfg.Memory, mem.ModeDecoupled),
 		cliflags.Threads("threads", cfg.Threads),
 		cliflags.Scale("scale", cfg.Scale),
 		cliflags.Seed("seed", cfg.Seed),

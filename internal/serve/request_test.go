@@ -69,6 +69,34 @@ func TestDecodeJobRequestBounds(t *testing.T) {
 	}
 }
 
+// TestDecodeSimRequestBounds: the worker endpoint's decoder refuses
+// every config field a CLI would refuse, and enum values that name no
+// ISA, fetch policy or memory organisation, as a *requestError naming
+// the field — never simulating (and caching) something that does not
+// exist.
+func TestDecodeSimRequestBounds(t *testing.T) {
+	cases := []struct {
+		body    string
+		wantErr string // empty = accepted
+	}{
+		{`{"Threads":1,"Scale":0.02,"Seed":5,"ISA":1,"Policy":3,"Memory":2}`, ""},
+		{`{"Threads":3,"Scale":0.02,"Seed":5}`, "threads"},
+		{`{"Threads":1,"Scale":0.02,"Seed":5,"ISA":7}`, "ISA"},
+		{`{"Threads":1,"Scale":0.02,"Seed":5,"Policy":9}`, "Policy"},
+		{`{"Threads":1,"Scale":0.02,"Seed":5,"Memory":5}`, "Memory"},
+	}
+	for _, c := range cases {
+		_, err := decodeSimRequest(strings.NewReader(c.body))
+		var reqErr *requestError
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected valid config: %v", c.body, err)
+		case c.wantErr != "" && (!errors.As(err, &reqErr) || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want a *requestError naming %s", c.body, err, c.wantErr)
+		}
+	}
+}
+
 // TestDecodeDefaults pins the omitted-field contract: missing scalars
 // get the exps flag defaults, an omitted experiment list expands to
 // every built-in in paper order.

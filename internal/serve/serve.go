@@ -14,10 +14,11 @@
 //	                             return the sim.EncodeResult bytes; a
 //	                             coordinator fingerprint mismatch is 409,
 //	                             a failed simulation 422. internal/dist's
-//	                             Remote/Pool executors POST here, which is
-//	                             what turns any expsd into a worker other
-//	                             expsd -peers / exps -remote coordinators
-//	                             can dispatch to.
+//	                             Remote POSTs here for a StealPool, which
+//	                             is what turns any expsd into a worker an
+//	                             expsd coordinator (registered workers) or
+//	                             exps -remote (listed workers) can
+//	                             dispatch to.
 //	POST /v1/jobs                submit {"experiments":[...],"scale":...,
 //	                             "seed":...,"workers":...,"max_cycles":...};
 //	                             202 with the job view, Location header
@@ -283,9 +284,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // and the worker's on-disk cache serves repeats without executing —
 // and answers with the sim.EncodeResult bytes a dist.Remote decodes.
 // A coordinator on a different simulator version gets 409 (its results
-// must never mix with ours); a simulation that runs and fails gets 422
-// with the error, which the coordinator surfaces as that config's
-// failure without retrying elsewhere.
+// must never mix with ours; its StealPool runs the config locally
+// instead); a simulation that runs and fails gets 422 with the error,
+// which the coordinator surfaces as that config's failure without
+// running it again anywhere.
 func (s *Server) handleSimExecute(w http.ResponseWriter, r *http.Request) {
 	if got := r.Header.Get(dist.FingerprintHeader); got != "" && got != cache.Fingerprint() {
 		writeJSON(w, http.StatusConflict, ErrorEnvelope{
@@ -316,10 +318,10 @@ func (s *Server) handleSimExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrInternal, "suite: %v", err)
 		return
 	}
-	// A forwarded simulation terminates here: if this daemon is itself
-	// peered (expsd -peers), its Pool must execute locally rather than
-	// forward again, or two mutually-peered daemons would bounce one
-	// config between each other forever.
+	// A forwarded simulation terminates here: if this daemon has
+	// workers of its own, its StealPool must execute locally rather
+	// than forward again, or two daemons registered as each other's
+	// workers would bounce one config between them forever.
 	ctx := r.Context()
 	if r.Header.Get(dist.ForwardedHeader) != "" {
 		ctx = dist.NoForward(ctx)

@@ -78,21 +78,26 @@ func TestWorkerEndpointExecutesAndCaches(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("repeat status %d: %s", code, raw)
 	}
+	if got := simsExecuted(t, ts); got != 1 {
+		t.Errorf("sims_executed = %d after one cold and one warm request, want 1", got)
+	}
+}
+
+// simsExecuted reads a server's sims_executed from its status view.
+func simsExecuted(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/fingerprint")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	var fp struct {
 		SimsExecuted int64 `json:"sims_executed"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&fp)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&fp); err != nil {
 		t.Fatal(err)
 	}
-	if fp.SimsExecuted != 1 {
-		t.Errorf("sims_executed = %d after one cold and one warm request, want 1", fp.SimsExecuted)
-	}
+	return fp.SimsExecuted
 }
 
 // TestWorkerEndpointRejections pins the worker's error contract:
@@ -116,11 +121,23 @@ func TestWorkerEndpointRejections(t *testing.T) {
 		t.Errorf("malformed body: status %d (%s), want 400", code, raw)
 	}
 
-	bad := valid
-	bad.Threads = 3
-	code, raw = postSim(t, ts, encodedConfig(t, bad), cache.Fingerprint())
-	if code != http.StatusBadRequest || !strings.Contains(string(raw), "threads") {
-		t.Errorf("threads=3: status %d (%s), want 400 naming threads", code, raw)
+	for _, c := range []struct {
+		field string
+		set   func(*sim.Config)
+	}{
+		{"threads", func(c *sim.Config) { c.Threads = 3 }},
+		{"ISA", func(c *sim.Config) { c.ISA = 7 }},
+		{"Policy", func(c *sim.Config) { c.Policy = 9 }},
+		{"Memory", func(c *sim.Config) { c.Memory = 5 }},
+	} {
+		bad := valid
+		c.set(&bad)
+		code, raw = postSim(t, ts, encodedConfig(t, bad), cache.Fingerprint())
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusBadRequest ||
+			env.Error.Code != ErrBadRequest || !strings.Contains(env.Error.Message, c.field) {
+			t.Errorf("out-of-range %s: status %d (%s), want a bad_request 400 naming %s", c.field, code, raw, c.field)
+		}
 	}
 
 	capped := valid
@@ -131,10 +148,12 @@ func TestWorkerEndpointRejections(t *testing.T) {
 	}
 }
 
-// TestMutuallyPeeredDaemonsDoNotRecurse: two daemons pointed at each
-// other must serve a forwarded simulation locally instead of bouncing
-// it back and forth — the ForwardedHeader/NoForward guard caps every
-// config at one coordinator→worker hop.
+// TestMutuallyPeeredDaemonsDoNotRecurse: two daemons registered as
+// each other's workers, each on the expsd executor stack (a StealPool
+// over Members with local failover), must serve a forwarded
+// simulation locally instead of bouncing it back and forth — the
+// ForwardedHeader/NoForward guard caps every config at one
+// coordinator→worker hop.
 func TestMutuallyPeeredDaemonsDoNotRecurse(t *testing.T) {
 	// Late-bound handlers break the URL chicken-and-egg: each server's
 	// pool needs the other's URL before its handler exists.
@@ -150,11 +169,11 @@ func TestMutuallyPeeredDaemonsDoNotRecurse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, err := dist.NewPool([]string{peerURL}, dist.RemoteOptions{}, dist.NewLocal(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Config{Runner: exp.NewRunnerExecutor(pool, c), MaxJobs: 4})
+		members := dist.NewMembers()
+		members.Add(peerURL)
+		steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{})
+		t.Cleanup(steal.Close)
+		s := New(Config{Runner: exp.NewRunnerExecutor(steal, c), MaxJobs: 4, Members: members})
 		t.Cleanup(s.Close)
 		return s
 	}
@@ -171,37 +190,24 @@ func TestMutuallyPeeredDaemonsDoNotRecurse(t *testing.T) {
 	if _, err := sim.DecodeResult(raw); err != nil {
 		t.Fatal(err)
 	}
+	if a, b := simsExecuted(t, tsA), simsExecuted(t, tsB); a != 0 || b != 1 {
+		t.Errorf("sims_executed A=%d B=%d, want 0 and 1 (one hop, then local)", a, b)
+	}
 }
 
 // TestCoordinatorOverWorkerServer is the serve-level half of the
 // distributed acceptance criterion: a coordinator suite driving this
-// server through a real dist.Remote executes zero local simulations,
-// the worker's counter owns the work, and a warm coordinator pass adds
+// server through the exps -remote stack (a StealPool over the listed
+// worker, local failover) executes zero local simulations, the
+// worker's counter owns the work, and a warm coordinator pass adds
 // nothing anywhere.
 func TestCoordinatorOverWorkerServer(t *testing.T) {
 	ts := newTestServer(t, 2, 8)
-	rex, err := dist.NewRemote([]string{ts.URL}, dist.RemoteOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := exp.NewRunnerExecutor(rex, nil)
-
-	workerExecuted := func() int64 {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/fingerprint")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fp struct {
-			SimsExecuted int64 `json:"sims_executed"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&fp)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fp.SimsExecuted
-	}
+	members := dist.NewMembers()
+	members.Add(ts.URL)
+	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{WorkersPerPeer: 2})
+	t.Cleanup(steal.Close)
+	runner := exp.NewRunnerExecutor(steal, nil)
 
 	run := func() *exp.ResultSet {
 		t.Helper()
@@ -220,7 +226,7 @@ func TestCoordinatorOverWorkerServer(t *testing.T) {
 	if cold.Simulations != 0 {
 		t.Errorf("cold coordinator executed %d local simulations, want 0", cold.Simulations)
 	}
-	executed := workerExecuted()
+	executed := simsExecuted(t, ts)
 	if executed != 8 {
 		t.Errorf("worker executed %d simulations for fig4, want 8", executed)
 	}
@@ -229,7 +235,7 @@ func TestCoordinatorOverWorkerServer(t *testing.T) {
 	if warm.Simulations != 0 {
 		t.Errorf("warm coordinator executed %d local simulations, want 0", warm.Simulations)
 	}
-	if got := workerExecuted(); got != executed {
+	if got := simsExecuted(t, ts); got != executed {
 		t.Errorf("warm pass executed %d new worker simulations, want 0", got-executed)
 	}
 
