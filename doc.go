@@ -51,7 +51,12 @@
 // byte-identical to exps -csv for the same configs.
 // All jobs share one worker pool and the on-disk cache, so an
 // identical second submission completes with zero simulations
-// executed; partial failures settle the job as "failed" with the
+// executed. Jobs and POST /v1/sims also share the exp.Runner's bounded
+// memory tier over that cache (up to 4096 results, about 5 MB, plus up
+// to 16 rendered Table 3s), which lives as long as the process: a warm
+// repeat reads memory, not disk, and deleting cache files under a
+// running expsd no longer forces re-simulation (a restart does).
+// Partial failures settle the job as "failed" with the
 // offending config keys in its status view while every unaffected
 // experiment still renders.
 //

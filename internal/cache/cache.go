@@ -237,11 +237,13 @@ func (c *Cache) put(key string, r *sim.Result) error {
 // Prune removes every fingerprint subdirectory under dir except the
 // current Fingerprint's, and sweeps orphaned temp files out of the
 // kept one. Fingerprints are opaque, so "every other" includes entries
-// a *newer* build persisted, not just older ones — two differently
-// versioned binaries sharing one cache dir should not prune. It reports how many entries were removed (in-flight temp files
-// are not entries). Only directories named like fingerprint hashes are
-// touched, so pruning a shared directory never deletes another tool's
-// data; a missing dir prunes zero entries.
+// a *newer* build persisted, not just older ones: two differently
+// versioned binaries sharing one cache dir should not prune.
+//
+// Prune reports how many entries it removed; in-flight temp files are
+// not entries. It touches only directories named like fingerprint
+// hashes, so pruning a shared directory never deletes another tool's
+// data. A missing dir prunes zero entries.
 func Prune(dir string) (removed int, err error) {
 	if dir == "" {
 		return 0, fmt.Errorf("cache: empty directory")

@@ -52,9 +52,10 @@ type Options struct {
 // sharing configurations (Figure 5 and Table 4, for example) pay for
 // each simulation once, even when requested concurrently.
 type Suite struct {
-	opts  Options
-	store *countingStore // per-suite cache counters; nil when uncached
-	sched *scheduler
+	opts   Options
+	store  *countingStore // per-suite cache counters; nil when uncached
+	sched  *scheduler
+	table3 *memo[table3Key, string] // the Runner's, shared across suites
 }
 
 // NewSuite builds a standalone suite over a private Runner. Zero-valued

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mediasmt/internal/cache"
@@ -11,20 +12,33 @@ import (
 )
 
 // Runner owns the resources concurrent experiment runs share: the
-// executor deciding where (and how concurrently) simulations run and
-// the optional persistent result store. It is safe for concurrent use
-// — the HTTP service (internal/serve) runs every job through one
-// Runner, so the executor's capacity bound holds across jobs and every
-// job reads through the same on-disk cache, while each job keeps its
-// own singleflight map, simulation counter and cache statistics. The
-// CLI path is the same code: NewSuite builds a private single-use
+// executor deciding where (and how concurrently) simulations run, the
+// optional persistent result store with a bounded in-memory tier over
+// it, and a memo of Table 3's rendered text. It is safe for concurrent
+// use — the HTTP service (internal/serve) runs every job and every
+// /v1/sims request through one Runner, so the executor's capacity
+// bound holds across jobs and a result any job read or wrote is served
+// to the next from memory (disk only once the tier has evicted it),
+// while each job keeps its own singleflight map, simulation counter
+// and cache statistics. Both memory stores live as long as the Runner.
+// The CLI path is the same code: NewSuite builds a private single-use
 // Runner; a coordinator front-end (exps -remote, an expsd with
 // registered workers) builds the Runner over a dist.StealPool instead.
 type Runner struct {
-	exec  dist.Executor // shared execution policy; Limit-derived per suite
-	cache *cache.Cache  // shared persistent layer; nil runs uncached
-	met   *runnerMetrics
+	exec   dist.Executor // shared execution policy; Limit-derived per suite
+	cache  *cache.Cache  // shared persistent layer; nil runs uncached
+	tier   *tier         // bounded memory over cache; nil when cache is
+	table3 *memo[table3Key, string]
+	met    *runnerMetrics
 }
+
+// Capacities of the Runner's memory stores. A sim.Result is 688 bytes
+// before its slices and key, so a full result tier holds about 5 MB;
+// one `all` campaign fills 83 slots and one Table 3 slot.
+const (
+	tierCapacity   = 4096
+	table3Capacity = 16
+)
 
 // runnerMetrics aggregates engine activity across every suite the
 // runner derives. The struct always exists; its instruments are nil
@@ -75,7 +89,11 @@ func NewRunner(workers int, store *cache.Cache) *Runner {
 // dist.NewLocal for in-process pools, dist.NewStealPool to shard
 // across worker expsd processes with local failover.
 func NewRunnerExecutor(exec dist.Executor, store *cache.Cache) *Runner {
-	return &Runner{exec: exec, cache: store, met: &runnerMetrics{}}
+	r := &Runner{exec: exec, cache: store, table3: newMemo[table3Key, string](table3Capacity), met: &runnerMetrics{}}
+	if store != nil {
+		r.tier = &tier{disk: store, mem: newMemo[string, *sim.Result](tierCapacity)}
+	}
+	return r
 }
 
 // Workers reports the shared executor's concurrency bound.
@@ -84,16 +102,29 @@ func (r *Runner) Workers() int { return r.exec.Workers() }
 // Cache reports the shared persistent store (nil when uncached).
 func (r *Runner) Cache() *cache.Cache { return r.cache }
 
+// CacheStats snapshots the store's activity over the Runner's
+// lifetime: the disk cache's counters plus the hits the memory tier
+// answered without reading disk. ok is false when the runner is
+// uncached.
+func (r *Runner) CacheStats() (st cache.Stats, ok bool) {
+	if r.cache == nil {
+		return cache.Stats{}, false
+	}
+	st = r.cache.Stats()
+	st.Hits += r.tier.memHits.Load()
+	return st, true
+}
+
 // NewSuite derives a job-scoped suite from the runner. The suite
-// shares the runner's executor capacity and persistent store but
-// keeps its own singleflight map, simulation counter and cache
-// counters, so concurrent jobs never leak each other's records into
-// their result sets. opts.Workers, when positive, caps this suite's
-// share of the executor (clamped to its bound). opts.Cache must be
-// nil or the runner's own store: a different store is rejected with
-// an error instead of being silently dropped, so a suite can never
-// split its reads and writes across two stores without anyone
-// noticing.
+// shares the runner's executor capacity, store, memory tier and
+// Table 3 memo but keeps its own singleflight map, simulation counter
+// and cache counters, so concurrent jobs never leak each other's
+// records into their result sets. opts.Workers, when positive, caps
+// this suite's share of the executor (clamped to its bound).
+// opts.Cache must be nil or the runner's own store: a different store
+// is rejected with an error instead of being silently dropped, so a
+// suite can never split its reads and writes across two stores
+// without anyone noticing.
 func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 	if opts.Cache != nil && opts.Cache != r.cache {
 		return nil, fmt.Errorf("exp: Options.Cache conflicts with the runner's store (the runner's always wins); build the Runner over that cache, or leave Options.Cache nil")
@@ -106,8 +137,8 @@ func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 	}
 	var counting *countingStore
 	var store resultStore
-	if r.cache != nil {
-		counting = &countingStore{inner: r.cache, met: r.met}
+	if r.tier != nil {
+		counting = &countingStore{inner: r.tier, met: r.met}
 		store = counting
 	}
 	exec := r.exec
@@ -115,7 +146,7 @@ func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 		exec = lim.Limit(opts.Workers)
 	}
 	r.met.suites.Inc()
-	return &Suite{opts: opts, store: counting, sched: newScheduler(exec, store, r.met)}, nil
+	return &Suite{opts: opts, store: counting, sched: newScheduler(exec, store, r.met), table3: r.table3}, nil
 }
 
 // countingStore tracks one suite's hits/misses/writes (and failed
@@ -159,4 +190,72 @@ func (c *countingStore) stats() cache.Stats {
 		Writes:      c.writes.Load(),
 		WriteErrors: c.writeErrs.Load(),
 	}
+}
+
+// tier is the Runner's bounded memory layer over its disk cache. Get
+// reads memory, then disk, and remembers a disk hit; Put writes disk,
+// then memory once the disk write succeeds, so memory never holds a
+// result the disk refused. Entries outlive the suites that stored
+// them, so no reader may mutate a *sim.Result it gets.
+type tier struct {
+	disk    resultStore
+	mem     *memo[string, *sim.Result]
+	memHits atomic.Int64 // Gets memory answered (disk counts the rest)
+}
+
+func (t *tier) Get(key string) (*sim.Result, bool) {
+	if r, ok := t.mem.get(key); ok {
+		t.memHits.Add(1)
+		return r, true
+	}
+	r, ok := t.disk.Get(key)
+	if ok {
+		t.mem.put(key, r)
+	}
+	return r, ok
+}
+
+func (t *tier) Put(key string, r *sim.Result) error {
+	if err := t.disk.Put(key, r); err != nil {
+		return err
+	}
+	t.mem.put(key, r)
+	return nil
+}
+
+// memo is a fixed-capacity map safe for concurrent use. Once full,
+// each new key evicts the oldest one inserted, so it never holds more
+// than its capacity however many distinct keys arrive.
+type memo[K comparable, V any] struct {
+	mu       sync.Mutex
+	m        map[K]V
+	order    []K // insertion order; order[next] is the oldest once full
+	next     int
+	capacity int
+}
+
+func newMemo[K comparable, V any](capacity int) *memo[K, V] {
+	return &memo[K, V]{m: make(map[K]V), capacity: capacity}
+}
+
+func (c *memo[K, V]) get(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[k]
+	return v, ok
+}
+
+func (c *memo[K, V]) put(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[k]; !ok {
+		if len(c.order) < c.capacity {
+			c.order = append(c.order, k)
+		} else {
+			delete(c.m, c.order[c.next])
+			c.order[c.next] = k
+			c.next = (c.next + 1) % c.capacity
+		}
+	}
+	c.m[k] = v
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // resultStore is the persistence seam the scheduler layers under its
-// in-memory singleflight map: internal/cache.Cache satisfies it. Get
-// must treat any unusable entry as a miss; Put errors are advisory.
+// in-memory singleflight map: the Runner's tier and the
+// internal/cache.Cache under it satisfy it. Get must treat any
+// unusable entry as a miss; Put errors are advisory.
 type resultStore interface {
 	Get(key string) (*sim.Result, bool)
 	Put(key string, r *sim.Result) error
@@ -24,7 +25,7 @@ type resultStore interface {
 // workers, or a sharded combination. It is safe for concurrent use:
 // experiments rendered in parallel, or a Prefetch racing lazy Run
 // calls, all collapse onto the same in-flight execution. With a store
-// attached, run() reads through it (memory → disk → execute) and
+// attached, run() reads through it (memory tier → disk → execute) and
 // writes freshly executed results behind the waiters' backs, so
 // in-process dedup and cross-process persistence compose. The
 // executor may share its capacity with other schedulers through a

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -53,7 +54,8 @@ const seqFile = "_seq"
 // never an error), and all methods are safe for concurrent use by the
 // one process that owns the directory.
 type Journal struct {
-	dir string
+	dir   string
+	seqMu sync.Mutex // serializes bumpSeq's read-compare-write of _seq
 }
 
 // OpenJournal opens (creating as needed) a journal rooted at dir.
@@ -159,6 +161,8 @@ func (jl *Journal) Load() ([]JobRecord, int64, error) {
 // bumpSeq raises the durable sequence high-water mark; it never
 // lowers it (a concurrent append may have written a higher one).
 func (jl *Journal) bumpSeq(seq int64) error {
+	jl.seqMu.Lock()
+	defer jl.seqMu.Unlock()
 	path := filepath.Join(jl.dir, seqFile)
 	if data, err := os.ReadFile(path); err == nil {
 		if cur, err := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64); err == nil && cur >= seq {

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,6 +69,43 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if maxSeq != 3 {
 		t.Fatalf("maxSeq after full settle = %d, want 3 (the _seq high-water mark)", maxSeq)
+	}
+}
+
+// TestJournalConcurrentAppendsKeepSeq: the server appends outside its
+// own lock, so concurrent submissions race on the _seq high-water
+// mark. Once every job settles, _seq must still equal the highest
+// seq appended, or a restarted daemon would hand a settled job's id to
+// the next submission.
+func TestJournalConcurrentAppendsKeepSeq(t *testing.T) {
+	const trials, appends = 50, 32
+	for trial := 0; trial < trials; trial++ {
+		jl, err := OpenJournal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for seq := int64(1); seq <= appends; seq++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				id := fmt.Sprintf("job-%d", seq)
+				if err := jl.Append(JobRecord{ID: id, Seq: seq}); err != nil {
+					t.Error(err)
+				}
+				if err := jl.Settle(id); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		_, maxSeq, err := jl.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maxSeq != appends {
+			t.Fatalf("trial %d: _seq = %d after %d concurrent appends, want %d", trial, maxSeq, appends, appends)
+		}
 	}
 }
 

@@ -3,9 +3,11 @@
 // many users. Submissions run through one shared exp.Runner (so the
 // worker-pool bound holds across jobs) reading through one shared
 // internal/cache store (so a config any previous job — or any previous
-// process — simulated is never simulated again). Each job keeps the
-// engine's fault-isolation semantics: partial failures report the
-// offending config keys instead of suppressing the surviving tables.
+// process — simulated is never simulated again) and the Runner's
+// bounded memory tier over it (so a warm repeat reads memory, not
+// disk). Each job keeps the engine's fault-isolation semantics:
+// partial failures report the offending config keys instead of
+// suppressing the surviving tables.
 //
 // # HTTP API v1
 //
@@ -281,7 +283,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // handleSimExecute is the worker side of the distributed executor: it
 // validates one simulation config, runs it through the shared Runner
 // — so the worker's capacity bound holds across coordinators and jobs,
-// and the worker's on-disk cache serves repeats without executing —
+// and the worker's cache serves repeats without executing —
 // and answers with the sim.EncodeResult bytes a dist.Remote decodes.
 // A coordinator on a different simulator version gets 409 (its results
 // must never mix with ours; its StealPool runs the config locally
@@ -311,8 +313,9 @@ func (s *Server) handleSimExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// A per-request suite keeps worker memory bounded however many
 	// distinct configs coordinators send over the process lifetime;
-	// cross-request dedup is the shared cache's job (coordinators
-	// already singleflight their own duplicates before POSTing).
+	// cross-request dedup is the Runner's job: its bounded memory tier
+	// answers a repeat without touching disk (coordinators already
+	// singleflight their own duplicates before POSTing).
 	suite, err := s.runner.NewSuite(exp.Options{})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ErrInternal, "suite: %v", err)
@@ -698,7 +701,8 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheStatsView is the status payload's process-lifetime cache
-// bookkeeping (what exps' stderr summary prints per run).
+// bookkeeping (what exps' stderr summary prints per run); a hit the
+// Runner's memory tier answers counts as a hit.
 type CacheStatsView struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -744,10 +748,9 @@ func (s *Server) statusView() StatusView {
 	if s.members != nil {
 		v.Peers = s.members.Snapshot()
 	}
-	if c := s.runner.Cache(); c != nil {
+	if st, ok := s.runner.CacheStats(); ok {
 		v.Cache = true
-		v.CacheDir = c.Dir()
-		st := c.Stats()
+		v.CacheDir = s.runner.Cache().Dir()
 		v.CacheStats = &CacheStatsView{Hits: st.Hits, Misses: st.Misses, Writes: st.Writes}
 	}
 	return v
