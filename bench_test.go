@@ -1,18 +1,14 @@
-// Benchmarks regenerating each of the paper's tables and figures at a
-// reduced workload scale. Run the full-scale versions with cmd/exps;
-// these benches exist so `go test -bench=.` exercises every experiment
-// path and reports its headline metric.
+// Simulator throughput benchmarks. CI gates BenchmarkSimulatorThroughput
+// against BENCH_baseline.json with cmd/benchdiff; the reference-engine
+// twin shows what the event engine saves. Campaign-level timings live
+// in the repository benchmark (perfbench), and per-stage timings next
+// to internal/core and internal/mem.
 package mediasmt_test
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"mediasmt/internal/core"
-	"mediasmt/internal/dist"
-	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
@@ -20,126 +16,6 @@ import (
 // benchScale keeps every benchmark iteration in the tens of
 // milliseconds; the experiment harness defaults to scale 1.0.
 const benchScale = 0.04
-
-func benchRun(b *testing.B, isa core.ISAKind, threads int, pol core.Policy, mode mem.Mode) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(sim.Config{
-			ISA: isa, Threads: threads, Policy: pol, Memory: mode,
-			Scale: benchScale, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.EIPC, "EIPC")
-		b.ReportMetric(float64(r.Core.Committed), "insts")
-	}
-}
-
-// BenchmarkTable1Config exercises the Table 1 configuration builder.
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, th := range []int{1, 2, 4, 8} {
-			cfg := core.ConfigForThreads(core.ISAMOM, th)
-			if err := cfg.Validate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkTable3Breakdown regenerates the instruction-mix census.
-func BenchmarkTable3Breakdown(b *testing.B) {
-	s := exp.NewSuite(exp.Options{Scale: benchScale})
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4PerfectCache: one point per sub-benchmark of the
-// ideal-memory curves (Figure 4).
-func BenchmarkFig4PerfectCache(b *testing.B) {
-	b.Run("mmx-1T", func(b *testing.B) { benchRun(b, core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal) })
-	b.Run("mmx-8T", func(b *testing.B) { benchRun(b, core.ISAMMX, 8, core.PolicyRR, mem.ModeIdeal) })
-	b.Run("mom-1T", func(b *testing.B) { benchRun(b, core.ISAMOM, 1, core.PolicyRR, mem.ModeIdeal) })
-	b.Run("mom-8T", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyRR, mem.ModeIdeal) })
-}
-
-// BenchmarkFig5RealMemory: the conventional-hierarchy curves (Figure 5).
-func BenchmarkFig5RealMemory(b *testing.B) {
-	b.Run("mmx-4T", func(b *testing.B) { benchRun(b, core.ISAMMX, 4, core.PolicyRR, mem.ModeConventional) })
-	b.Run("mmx-8T", func(b *testing.B) { benchRun(b, core.ISAMMX, 8, core.PolicyRR, mem.ModeConventional) })
-	b.Run("mom-4T", func(b *testing.B) { benchRun(b, core.ISAMOM, 4, core.PolicyRR, mem.ModeConventional) })
-	b.Run("mom-8T", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyRR, mem.ModeConventional) })
-}
-
-// BenchmarkTable4CacheRates measures the cache-behaviour run of Table 4
-// and reports the hit rates as metrics.
-func BenchmarkTable4CacheRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(sim.Config{
-			ISA: core.ISAMMX, Threads: 8, Policy: core.PolicyRR,
-			Memory: mem.ModeConventional, Scale: benchScale, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.Mem.L1HitRate(), "L1hit%")
-		b.ReportMetric(100*r.Mem.ICHitRate(), "IChit%")
-		b.ReportMetric(r.Mem.AvgL1LoadLat(), "L1lat")
-	}
-}
-
-// BenchmarkFig6FetchPolicies: fetch-policy study points (Figure 6).
-func BenchmarkFig6FetchPolicies(b *testing.B) {
-	b.Run("mmx-8T-IC", func(b *testing.B) { benchRun(b, core.ISAMMX, 8, core.PolicyICOUNT, mem.ModeConventional) })
-	b.Run("mom-8T-OC", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyOCOUNT, mem.ModeConventional) })
-	b.Run("mom-8T-BL", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyBALANCE, mem.ModeConventional) })
-}
-
-// BenchmarkFig8Decoupled: fetch policies under the decoupled hierarchy.
-func BenchmarkFig8Decoupled(b *testing.B) {
-	b.Run("mmx-8T-IC", func(b *testing.B) { benchRun(b, core.ISAMMX, 8, core.PolicyICOUNT, mem.ModeDecoupled) })
-	b.Run("mom-8T-OC", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyOCOUNT, mem.ModeDecoupled) })
-}
-
-// BenchmarkFig9Hierarchies: the three memory organizations at 8 threads
-// with each model's best policy (Figure 9).
-func BenchmarkFig9Hierarchies(b *testing.B) {
-	b.Run("mom-ideal", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyOCOUNT, mem.ModeIdeal) })
-	b.Run("mom-conv", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyOCOUNT, mem.ModeConventional) })
-	b.Run("mom-decoupled", func(b *testing.B) { benchRun(b, core.ISAMOM, 8, core.PolicyOCOUNT, mem.ModeDecoupled) })
-}
-
-// BenchmarkSuitePrefetch measures the experiment engine regenerating
-// the Figure 5 simulation set sequentially (-j 1) and with one worker
-// per core; on a multi-core host the parallel variant's wall clock
-// should approach sequential/cores.
-func BenchmarkSuitePrefetch(b *testing.B) {
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
-			fig5, ok := exp.ByID("fig5")
-			if !ok || fig5.Configs == nil {
-				b.Fatal("fig5 experiment missing config declaration")
-			}
-			var sims int64
-			for i := 0; i < b.N; i++ {
-				s := exp.NewSuite(exp.Options{Scale: benchScale, Seed: 42, Workers: workers})
-				if err := s.Prefetch(fig5.Configs(s), nil); err != nil {
-					b.Fatal(err)
-				}
-				sims += s.Simulations()
-			}
-			b.ReportMetric(float64(sims)/b.Elapsed().Seconds(), "sims/s")
-		})
-	}
-}
 
 // BenchmarkSimulatorThroughput measures raw simulation speed
 // (simulated instructions per wall second) for profiling the simulator
@@ -183,39 +59,4 @@ func BenchmarkSimulatorThroughputReference(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "siminsts/s")
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-}
-
-// BenchmarkLocalExecutor compares the pre-refactor execution shape —
-// a raw semaphore channel guarding a direct function call, as
-// exp.scheduler inlined before the executor seam — against the same
-// dispatch through dist.Local's Executor interface. A stub run
-// function isolates pure dispatch overhead (a real simulation is
-// milliseconds, six orders of magnitude above either path), showing
-// the interface indirection costs nothing measurable on the hot path.
-func BenchmarkLocalExecutor(b *testing.B) {
-	cfg := sim.Config{ISA: core.ISAMMX, Threads: 1, Policy: core.PolicyRR, Memory: mem.ModeIdeal, Scale: benchScale, Seed: 42}
-	stub := &sim.Result{Cfg: cfg.Normalize(), Cycles: 1}
-	run := func(sim.Config) (*sim.Result, error) { return stub, nil }
-
-	b.Run("direct-semaphore", func(b *testing.B) {
-		sem := make(chan struct{}, 1)
-		for i := 0; i < b.N; i++ {
-			sem <- struct{}{}
-			r, err := run(cfg)
-			<-sem
-			if err != nil || r == nil {
-				b.Fatal("stub failed")
-			}
-		}
-	})
-	b.Run("dist-local", func(b *testing.B) {
-		l := dist.NewLocalFunc(1, run)
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			r, err := l.Execute(ctx, cfg)
-			if err != nil || r == nil {
-				b.Fatal("stub failed")
-			}
-		}
-	})
 }

@@ -89,7 +89,7 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache")
 	cachePrune := flag.Bool("cache-prune", false, "drop all cache entries except the current fingerprint's, then exit")
 	fingerprint := flag.Bool("fingerprint", false, "print the cache fingerprint (cache format + simulator version), then exit")
-	metricsOut := flag.Bool("metrics", false, "instrument the run (pipeline sampling included) and dump the metrics snapshot as JSON to stderr after the summary")
+	metricsOut := flag.Bool("metrics", false, "instrument the run (per-simulation stall and memory counters included) and dump the metrics snapshot as JSON to stderr after the summary")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a post-run heap profile to this file")
 	flag.Parse()
@@ -142,10 +142,10 @@ func main() {
 	// listed workers with that local pool as its failover. Everything
 	// downstream — scheduler, cache, failure domains, emitters — is
 	// identical either way.
-	// -metrics instruments the whole stack on one registry: in-sim
-	// pipeline/memory sampling (obs.SimRunner), pool or peer activity
-	// (dist) and engine aggregates (exp). reg stays nil otherwise, and
-	// every instrument no-ops.
+	// -metrics instruments the whole stack on one registry: each
+	// finished simulation's stall and memory totals (obs.SimRunner),
+	// pool or peer activity (dist) and engine aggregates (exp). reg
+	// stays nil otherwise, and every instrument no-ops.
 	var reg *metrics.Registry
 	if *metricsOut {
 		reg = metrics.New()

@@ -166,10 +166,11 @@ func main() {
 		}
 	}
 
-	// One registry covers the whole process — pipeline/memory sampling
-	// inside each simulation (obs.SimRunner), pool saturation and
-	// steal/speculation traffic (dist), engine aggregates (exp) and the
-	// HTTP layer (serve) — and is scraped from GET /v1/metrics.
+	// One registry covers the whole process — each finished
+	// simulation's stall and memory totals (obs.SimRunner), pool
+	// saturation and steal/speculation traffic (dist), engine
+	// aggregates (exp) and the HTTP layer (serve) — and is scraped from
+	// GET /v1/metrics.
 	//
 	// The executor stack, inside out: a local pool bounds this
 	// process's simulations; the steal pool shards over dynamically

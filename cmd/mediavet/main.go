@@ -18,7 +18,7 @@
 //	                error envelope with a stable code
 //	metricnames     constant snake_case metric names, conventional
 //	                suffixes, one kind per name across the program
-//	execseam        sim.Run/sim.RunObserved only behind dist.Executor
+//	execseam        sim.Run/sim.RunReference only behind dist.Executor
 //
 // A violation that is deliberate carries its justification inline:
 //

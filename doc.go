@@ -69,14 +69,14 @@
 //
 // Observability is strictly additive (internal/metrics, internal/obs):
 // a dependency-free registry of atomic counters/gauges/histograms
-// collects sampled pipeline occupancy, dispatch-stall classes and
-// cache/DRAM events from hooks that fire every N executed cycles —
-// off the event engine's NextWakeup path, so results are bit-identical
-// with sampling on or off and sim.Version is unchanged — plus pool
-// saturation, per-peer request latencies, and engine counters that
-// reconcile exactly with the exps summary (mediasmt_sims_executed_total
-// is the summary's simulation count). expsd always serves its registry
-// on /v1/metrics; exps -metrics dumps the JSON snapshot to stderr.
+// collects each finished simulation's exact cycles, instructions,
+// dispatch-stall classes and cache/DRAM events from its sim.Result
+// (nothing runs inside the simulation loop, so results do not depend
+// on it), plus pool saturation, per-peer request latencies, and engine
+// counters that reconcile exactly with the exps summary
+// (mediasmt_sims_executed_total is the summary's simulation count).
+// expsd always serves its registry on /v1/metrics; exps -metrics dumps
+// the JSON snapshot to stderr.
 //
 // Where a simulation runs is a pluggable policy (internal/dist):
 // every expsd is a worker (POST /v1/sims executes one config through
@@ -108,7 +108,7 @@
 // map iteration), internal/serve must speak the v1 error envelope,
 // metric registrations must be constant snake_case names with
 // conventional suffixes and no cross-package kind clashes, and
-// sim.Run/RunObserved stay behind the dist.Executor seam. Suppress a
+// sim.Run/RunReference stay behind the dist.Executor seam. Suppress a
 // finding with `//mediavet:ignore <reason>`. The analyzers check
 // build-time properties only; a behavioural change still needs the
 // sim.Version bump above.

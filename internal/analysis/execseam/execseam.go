@@ -7,7 +7,7 @@
 // result cache, the instrumentation counters and the distributed
 // byte-identity guarantees all at once. Only internal/dist (the seam
 // itself), internal/obs (the instrumented runner) and cmd/smtsim (the
-// single-simulation debugging CLI) may touch sim.Run/sim.RunObserved
+// single-simulation debugging CLI) may touch sim.Run/sim.RunReference
 // directly; everything else injects an Executor.
 package execseam
 
@@ -21,7 +21,7 @@ import (
 // Analyzer implements the execseam check.
 var Analyzer = &analysis.Analyzer{
 	Name: "execseam",
-	Doc: "restrict direct sim.Run/sim.RunObserved use to the executor seam's own packages\n\n" +
+	Doc: "restrict direct sim.Run/sim.RunReference use to the executor seam's own packages\n\n" +
 		"Everything outside internal/dist, internal/obs and cmd/smtsim must execute simulations\n" +
 		"through a dist.Executor so capacity bounds, caching, instrumentation and distribution\n" +
 		"policies apply to every simulation in the process.",
@@ -41,7 +41,7 @@ var allowed = []string{
 }
 
 // guarded are the sim entry points that execute a simulation.
-var guarded = map[string]bool{"Run": true, "RunObserved": true, "RunReference": true}
+var guarded = map[string]bool{"Run": true, "RunReference": true}
 
 func run(pass *analysis.Pass) error {
 	for _, prefix := range allowed {

@@ -5,7 +5,7 @@ package main
 import "mediasmt/internal/sim"
 
 func main() {
-	res, err := sim.RunObserved(sim.Config{Threads: 2}, &sim.Observer{}) // want `sim.RunObserved bypasses the dist.Executor seam`
+	res, err := sim.Run(sim.Config{Threads: 2}) // want `sim.Run bypasses the dist.Executor seam`
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,10 @@
-// Package obs is the instrumented runner: it may call sim.RunObserved
+// Package obs is the instrumented runner: it may call sim.Run
 // directly.
 package obs
 
 import "mediasmt/internal/sim"
 
-// Run wraps the observed entry point.
+// Run wraps the simulator's entry point.
 func Run(cfg sim.Config) (*sim.Result, error) {
-	return sim.RunObserved(cfg, &sim.Observer{})
+	return sim.Run(cfg)
 }

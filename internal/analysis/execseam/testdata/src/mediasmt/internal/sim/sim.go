@@ -1,6 +1,5 @@
 // Package sim is a fixture mirror of the simulator's entry points:
-// the analyzer matches Run/RunObserved/RunReference by this package
-// path.
+// the analyzer matches Run/RunReference by this package path.
 package sim
 
 // Config mirrors the real simulation config.
@@ -9,14 +8,8 @@ type Config struct{ Threads int }
 // Result mirrors the real simulation result.
 type Result struct{ Cycles int64 }
 
-// Observer mirrors the sampling observer.
-type Observer struct{}
-
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) { return &Result{}, nil }
-
-// RunObserved executes one simulation with sampling hooks.
-func RunObserved(cfg Config, obs *Observer) (*Result, error) { return Run(cfg) }
 
 // RunReference is the tick-loop oracle.
 func RunReference(cfg Config) (*Result, error) { return Run(cfg) }

@@ -232,11 +232,6 @@ type Processor struct {
 	// needs to scan contexts for relaunch.
 	drainSignal bool
 
-	// hooks is the sampling seam (see hooks.go); nil when observability
-	// is off, which costs Cycle a single nil check.
-	hooks         *Hooks
-	hookCountdown int64
-
 	st Stats
 }
 
@@ -374,10 +369,6 @@ func (p *Processor) Cycle() {
 
 	p.st.Cycles++
 	p.now++
-
-	if p.hooks != nil {
-		p.sampleHooks()
-	}
 }
 
 // fetch selects up to FetchGroups threads by the configured policy and

@@ -51,7 +51,7 @@ func (p *Processor) checkSummaries() error {
 			}
 		}
 		if ready != p.readyCount[qid] {
-			return fmt.Errorf("queue %s ready count %d, queue says %d", QueueNames[qid], p.readyCount[qid], ready)
+			return fmt.Errorf("queue %d ready count %d, queue says %d", qid, p.readyCount[qid], ready)
 		}
 	}
 	if fullQ != p.fullQ {

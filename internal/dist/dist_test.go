@@ -10,6 +10,7 @@ import (
 
 	"mediasmt/internal/core"
 	"mediasmt/internal/mem"
+	"mediasmt/internal/metrics"
 	"mediasmt/internal/sim"
 )
 
@@ -111,15 +112,17 @@ func TestLocalLimitViews(t *testing.T) {
 }
 
 // TestLocalPanicReleasesSlot: a panicking simulation must not leak
-// pool capacity (the caller recovers the panic itself).
+// pool capacity and must count as a failure (the caller recovers the
+// panic itself).
 func TestLocalPanicReleasesSlot(t *testing.T) {
 	var calls atomic.Int64
+	reg := metrics.New()
 	l := NewLocalFunc(1, func(cfg sim.Config) (*sim.Result, error) {
 		if calls.Add(1) == 1 {
 			panic("boom")
 		}
 		return stubResult(cfg), nil
-	})
+	}).Instrument(reg)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -144,6 +147,14 @@ func TestLocalPanicReleasesSlot(t *testing.T) {
 	}
 	if l.Simulations() != 1 {
 		t.Errorf("counted %d simulations, want 1 (panicked run excluded)", l.Simulations())
+	}
+	for name, want := range map[string]int64{"mediasmt_pool_sims_total": 1, "mediasmt_pool_sim_failures_total": 1} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("mediasmt_pool_inflight", "").Value(); got != 0 {
+		t.Errorf("pool_inflight = %d after the pool went idle", got)
 	}
 }
 

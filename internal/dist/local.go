@@ -52,16 +52,16 @@ func (l *Local) Instrument(reg *metrics.Registry) *Local {
 		return l
 	}
 	l.simsC = reg.Counter("mediasmt_pool_sims_total", "simulations executed by the local pool")
-	l.failC = reg.Counter("mediasmt_pool_sim_failures_total", "local pool simulations that returned an error")
+	l.failC = reg.Counter("mediasmt_pool_sim_failures_total", "local pool simulations that returned an error or panicked")
 	l.inflightG = reg.Gauge("mediasmt_pool_inflight", "simulations currently executing in the local pool")
 	reg.Gauge("mediasmt_pool_size", "local pool execution slots").Set(int64(cap(l.sem)))
 	return l
 }
 
 // Execute claims a pool slot (honouring ctx while waiting) and runs
-// cfg to completion. The slot is released even if the simulation
-// panics, so a poisoned config can never leak pool capacity; the
-// panic itself propagates to the caller's recovery.
+// cfg to completion. The slot is released and the failure counted even
+// if the simulation panics, so a poisoned config can never leak pool
+// capacity; the panic itself propagates to the caller's recovery.
 func (l *Local) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	select {
 	case l.sem <- struct{}{}:
@@ -69,16 +69,19 @@ func (l *Local) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error
 		return nil, ctx.Err()
 	}
 	l.inflightG.Add(1)
+	ok := false
 	defer func() {
+		if !ok {
+			l.failC.Inc()
+		}
 		<-l.sem
 		l.inflightG.Add(-1)
 	}()
 	r, err := l.run(cfg)
-	if err == nil {
+	ok = err == nil
+	if ok {
 		l.sims.Add(1)
 		l.simsC.Inc()
-	} else {
-		l.failC.Inc()
 	}
 	return r, err
 }

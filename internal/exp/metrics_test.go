@@ -3,11 +3,15 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"mediasmt/internal/cache"
+	"mediasmt/internal/core"
 	"mediasmt/internal/dist"
+	"mediasmt/internal/mem"
 	"mediasmt/internal/metrics"
+	"mediasmt/internal/obs"
 	"mediasmt/internal/sim"
 )
 
@@ -161,5 +165,68 @@ func TestLocalExecutorInstrumented(t *testing.T) {
 	}
 	if got := counterVal(reg, "mediasmt_pool_sims_total"); got != 2 {
 		t.Errorf("pool_sims_total through a Limit view = %d, want 2", got)
+	}
+}
+
+// TestFailureCountersIncludePanics wires a Runner the way the front
+// ends do and runs one config whose simulation panics and one that
+// hits MaxCycles: the engine, pool and simulation failure counters must
+// each count both, both runs must be timed, and the pool must drain.
+func TestFailureCountersIncludePanics(t *testing.T) {
+	reg := metrics.New()
+	r := NewRunnerExecutor(dist.NewLocalFunc(1, obs.SimRunner(reg)).Instrument(reg), nil).Instrument(reg)
+	s, err := r.NewSuite(Options{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeConventional)
+	mc := mem.DefaultConfig(mem.ModeConventional)
+	mc.L1Line = 48 // cache set count not a power of two
+	panics.MemOverride = &mc
+	capped := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeConventional)
+	capped.MaxCycles = 1000
+	if _, err := s.RunConfig(panics); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("L1Line 48: err = %v, want a panic error", err)
+	}
+	if _, err := s.RunConfig(capped); err == nil {
+		t.Fatal("want a MaxCycles failure")
+	}
+	for _, name := range []string{"mediasmt_sim_failures_total", "mediasmt_pool_sim_failures_total", "mediasmt_sim_run_failures_total"} {
+		if got := counterVal(reg, name); got != 2 {
+			t.Errorf("%s = %d, want 2", name, got)
+		}
+	}
+	if got := reg.Histogram("mediasmt_sim_run_seconds", "", nil).Count(); got != 2 {
+		t.Errorf("sim_run_seconds count = %d, want 2", got)
+	}
+	if got := reg.Gauge("mediasmt_pool_inflight", "").Value(); got != 0 {
+		t.Errorf("pool_inflight = %d after the pool went idle", got)
+	}
+}
+
+// TestSchedulerCountsInjectedPanic: a run function that panics counts
+// once in the engine's and the pool's failure counters. The injected
+// panic keeps this path covered even where the simulator itself would
+// reject a bad config before running it.
+func TestSchedulerCountsInjectedPanic(t *testing.T) {
+	reg := metrics.New()
+	local := dist.NewLocalFunc(1, func(sim.Config) (*sim.Result, error) { panic("boom") }).Instrument(reg)
+	s, err := NewRunnerExecutor(local, nil).Instrument(reg).NewSuite(Options{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want a panic error", err)
+	}
+	for _, name := range []string{"mediasmt_sim_failures_total", "mediasmt_pool_sim_failures_total"} {
+		if got := counterVal(reg, name); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+	if got := counterVal(reg, "mediasmt_sims_executed_total"); got != 0 {
+		t.Errorf("sims_executed_total = %d, want 0", got)
+	}
+	if got := reg.Gauge("mediasmt_pool_inflight", "").Value(); got != 0 {
+		t.Errorf("pool_inflight = %d after the pool went idle", got)
 	}
 }

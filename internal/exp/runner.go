@@ -66,7 +66,7 @@ func (r *Runner) Instrument(reg *metrics.Registry) *Runner {
 	}
 	*r.met = runnerMetrics{
 		sims:        reg.Counter("mediasmt_sims_executed_total", "simulations executed successfully by the experiment engine"),
-		simFailures: reg.Counter("mediasmt_sim_failures_total", "simulation executions that returned an error"),
+		simFailures: reg.Counter("mediasmt_sim_failures_total", "simulation executions that returned an error or panicked"),
 		cacheHits:   reg.Counter("mediasmt_cache_hits_total", "result-cache hits across all suites"),
 		cacheMisses: reg.Counter("mediasmt_cache_misses_total", "result-cache misses across all suites"),
 		cacheWrites: reg.Counter("mediasmt_cache_writes_total", "result-cache writes across all suites"),

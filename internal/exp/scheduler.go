@@ -95,14 +95,16 @@ func (s *scheduler) run(ctx context.Context, cfg sim.Config) (*sim.Result, error
 
 	// The deferred close/release make a simulation panic (e.g. an
 	// unsupported thread count reaching core.ConfigForThreads) surface
-	// as this entry's error instead of deadlocking waiters on done;
-	// the executor's own defers keep its capacity from leaking.
+	// as this entry's error, counted like any failed execution, instead
+	// of deadlocking waiters on done; the executor's own defers keep
+	// its capacity from leaking.
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
 				e.err = fmt.Errorf("simulation panicked: %v", p)
 			}
 			if e.err != nil {
+				s.met.simFailures.Inc()
 				s.mu.Lock()
 				if s.entries[key] == e {
 					delete(s.entries, key)
@@ -121,9 +123,7 @@ func (s *scheduler) run(ctx context.Context, cfg sim.Config) (*sim.Result, error
 			}
 		}
 		e.res, e.err = s.exec.Execute(ctx, cfg)
-		if e.err != nil {
-			s.met.simFailures.Inc()
-		} else {
+		if e.err == nil {
 			s.executed.Add(1)
 			if s.store != nil {
 				// Write behind: waiters unblock on done while the

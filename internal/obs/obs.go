@@ -1,136 +1,86 @@
-// Package obs glues the simulator's sampling observer (sim.Observer,
-// core.Hooks) to the process metrics registry (internal/metrics). It
-// produces an instrumented run function that drops into the
-// dist.Executor seam via dist.NewLocalFunc, so the front-ends turn
-// observability on by swapping one constructor argument — and off by
-// passing a nil registry, which makes every instrument a no-op and
-// SimRunner degrade to plain sim.Run.
+// Package obs feeds each finished simulation's exact counts into the
+// process metrics registry (internal/metrics). It produces a run
+// function that drops into the dist.Executor seam via
+// dist.NewLocalFunc, so the front-ends turn observability on by
+// swapping one constructor argument — and off by passing a nil
+// registry, which makes SimRunner plain sim.Run.
+//
+// The counters advance when a run finishes, by the totals its
+// sim.Result carries, so the registry equals the sum over the
+// process's successful Results. A failed run adds only to the failure
+// counter and the seconds histogram.
 package obs
 
 import (
 	"time"
 
-	"mediasmt/internal/core"
 	"mediasmt/internal/metrics"
 	"mediasmt/internal/sim"
 )
 
-// simInstruments is the family of instruments SimRunner feeds. All
-// fields are nil when the registry is nil; updates then no-op.
-type simInstruments struct {
-	runs     *metrics.Counter
-	failures *metrics.Counter
-	cycles   *metrics.Counter
-	insts    *metrics.Counter
-	seconds  *metrics.Histogram
-
-	queueOcc   [4]*metrics.Gauge
-	queueReady [4]*metrics.Gauge
-	robOcc     *metrics.Gauge
-	fetchQOcc  *metrics.Gauge
-	inflight   *metrics.Gauge
-	loads      *metrics.Gauge
-
-	stallROB    *metrics.Counter
-	stallRename *metrics.Counter
-	stallQueue  *metrics.Counter
-
-	l1Hits    *metrics.Counter
-	l1Misses  *metrics.Counter
-	l2Hits    *metrics.Counter
-	l2Misses  *metrics.Counter
-	dramReads *metrics.Counter
-	dramWrite *metrics.Counter
+// resultCounter is a registry counter that advances by one total read
+// from each successful Result.
+type resultCounter struct {
+	counter *metrics.Counter
+	total   func(*sim.Result) int64
 }
 
-func newSimInstruments(reg *metrics.Registry) *simInstruments {
-	ins := &simInstruments{
-		runs:     reg.Counter("mediasmt_sim_runs_total", "simulations executed in this process"),
-		failures: reg.Counter("mediasmt_sim_run_failures_total", "simulations that returned an error"),
-		cycles:   reg.Counter("mediasmt_sim_cycles_total", "simulated cycles across all runs"),
-		insts:    reg.Counter("mediasmt_sim_insts_total", "committed instructions across all runs"),
-		seconds:  reg.Histogram("mediasmt_sim_run_seconds", "wall time of one simulation", nil),
-		robOcc:   reg.Gauge("mediasmt_pipeline_rob_occupancy", "sampled graduation-window entries (all threads)"),
-		fetchQOcc: reg.Gauge("mediasmt_pipeline_fetchq_occupancy",
-			"sampled fetch-queue entries (all threads)"),
-		inflight: reg.Gauge("mediasmt_pipeline_inflight_ops", "sampled issued-not-written-back ops"),
-		loads:    reg.Gauge("mediasmt_pipeline_active_loads", "sampled loads with outstanding elements"),
-		stallROB: reg.Counter("mediasmt_dispatch_stalls_total",
-			"dispatch stalls over sampled windows, by cause", metrics.L("class", "rob")),
-		stallRename: reg.Counter("mediasmt_dispatch_stalls_total",
-			"dispatch stalls over sampled windows, by cause", metrics.L("class", "rename")),
-		stallQueue: reg.Counter("mediasmt_dispatch_stalls_total",
-			"dispatch stalls over sampled windows, by cause", metrics.L("class", "queue")),
-		l1Hits:    memEvent(reg, "l1_hit"),
-		l1Misses:  memEvent(reg, "l1_miss"),
-		l2Hits:    memEvent(reg, "l2_hit"),
-		l2Misses:  memEvent(reg, "l2_miss"),
-		dramReads: memEvent(reg, "dram_read"),
-		dramWrite: memEvent(reg, "dram_write"),
+func resultCounters(reg *metrics.Registry) []resultCounter {
+	stall := func(class string) *metrics.Counter {
+		return reg.Counter("mediasmt_dispatch_stalls_total",
+			"dispatch stalls across all runs, by cause", metrics.L("class", class))
 	}
-	for q, name := range core.QueueNames {
-		ins.queueOcc[q] = reg.Gauge("mediasmt_pipeline_queue_occupancy",
-			"sampled issue-queue entries", metrics.L("queue", name))
-		ins.queueReady[q] = reg.Gauge("mediasmt_pipeline_queue_ready",
-			"sampled ready-to-issue entries", metrics.L("queue", name))
+	memEvent := func(event string) *metrics.Counter {
+		return reg.Counter("mediasmt_mem_events_total",
+			"memory-system events across all runs, by type", metrics.L("event", event))
 	}
-	return ins
-}
-
-func memEvent(reg *metrics.Registry, event string) *metrics.Counter {
-	return reg.Counter("mediasmt_mem_events_total",
-		"memory-system events over sampled windows, by type", metrics.L("event", event))
+	return []resultCounter{
+		{reg.Counter("mediasmt_sim_cycles_total", "simulated cycles across all runs"), func(r *sim.Result) int64 { return r.Cycles }},
+		{reg.Counter("mediasmt_sim_insts_total", "committed instructions across all runs"), func(r *sim.Result) int64 { return r.Core.Committed }},
+		{stall("rob"), func(r *sim.Result) int64 { return r.Core.ROBStalls }},
+		{stall("rename"), func(r *sim.Result) int64 { return r.Core.RenameStalls }},
+		{stall("queue"), func(r *sim.Result) int64 { return r.Core.QueueStalls }},
+		{memEvent("l1_hit"), func(r *sim.Result) int64 { return r.Mem.L1Hits }},
+		{memEvent("l1_miss"), func(r *sim.Result) int64 { return r.Mem.L1Misses }},
+		{memEvent("l2_hit"), func(r *sim.Result) int64 { return r.Mem.L2Hits }},
+		{memEvent("l2_miss"), func(r *sim.Result) int64 { return r.Mem.L2Misses }},
+		{memEvent("dram_read"), func(r *sim.Result) int64 { return r.Mem.DRAMReads }},
+		{memEvent("dram_write"), func(r *sim.Result) int64 { return r.Mem.DRAMWrites }},
+	}
 }
 
 // SimRunner returns a run function for dist.NewLocalFunc that executes
-// simulations through sim.RunObserved, feeding sampled pipeline and
-// memory state into reg. With a nil registry it returns sim.Run
-// itself: no observer is installed and the hook seam stays disabled.
-// Results are bit-identical either way — the observer only reads
-// state (see sim.Observer).
+// simulations through sim.Run and adds each successful Result's totals
+// to reg. With a nil registry it returns sim.Run itself. Results are
+// the same either way: the counters only read the finished Result.
 func SimRunner(reg *metrics.Registry) func(sim.Config) (*sim.Result, error) {
 	if reg == nil {
 		return sim.Run
 	}
-	ins := newSimInstruments(reg)
+	runs := reg.Counter("mediasmt_sim_runs_total", "simulations executed in this process")
+	failures := reg.Counter("mediasmt_sim_run_failures_total", "simulations that returned an error or panicked")
+	seconds := reg.Histogram("mediasmt_sim_run_seconds", "wall time of one simulation", nil)
+	totals := resultCounters(reg)
 	return func(cfg sim.Config) (*sim.Result, error) {
-		// prev carries the previous sample's cumulative counters so the
-		// stall and memory counters advance by per-window deltas; it is
-		// per-run state, so concurrent simulations never share it.
-		var prev sim.Sample
-		obs := &sim.Observer{OnSample: func(s sim.Sample) {
-			for q := range core.QueueNames {
-				ins.queueOcc[q].Set(int64(s.Pipeline.QueueOcc[q]))
-				ins.queueReady[q].Set(int64(s.Pipeline.QueueReady[q]))
-			}
-			ins.robOcc.Set(int64(s.Pipeline.ROBOcc))
-			ins.fetchQOcc.Set(int64(s.Pipeline.FetchQOcc))
-			ins.inflight.Set(int64(s.Pipeline.Inflight))
-			ins.loads.Set(int64(s.Pipeline.ActiveLoads))
-
-			ins.stallROB.Add(s.Pipeline.ROBStalls - prev.Pipeline.ROBStalls)
-			ins.stallRename.Add(s.Pipeline.RenameStalls - prev.Pipeline.RenameStalls)
-			ins.stallQueue.Add(s.Pipeline.QueueStalls - prev.Pipeline.QueueStalls)
-
-			ins.l1Hits.Add(s.Mem.L1Hits - prev.Mem.L1Hits)
-			ins.l1Misses.Add(s.Mem.L1Misses - prev.Mem.L1Misses)
-			ins.l2Hits.Add(s.Mem.L2Hits - prev.Mem.L2Hits)
-			ins.l2Misses.Add(s.Mem.L2Misses - prev.Mem.L2Misses)
-			ins.dramReads.Add(s.Mem.DRAMReads - prev.Mem.DRAMReads)
-			ins.dramWrite.Add(s.Mem.DRAMWrites - prev.Mem.DRAMWrites)
-			prev = s
-		}}
-
+		// The deferred block also runs when the simulation panics, so
+		// a panicked run is timed and counted as a failure before the
+		// panic reaches the caller's recovery.
 		start := time.Now()
-		r, err := sim.RunObserved(cfg, obs)
-		ins.seconds.Observe(time.Since(start).Seconds())
-		if err != nil {
-			ins.failures.Inc()
-			return r, err
+		ok := false
+		defer func() {
+			seconds.Observe(time.Since(start).Seconds())
+			if !ok {
+				failures.Inc()
+			}
+		}()
+		r, err := sim.Run(cfg)
+		ok = err == nil
+		if ok {
+			runs.Inc()
+			for _, t := range totals {
+				t.counter.Add(t.total(r))
+			}
 		}
-		ins.runs.Inc()
-		ins.cycles.Add(r.Cycles)
-		ins.insts.Add(r.Core.Committed)
-		return r, nil
+		return r, err
 	}
 }

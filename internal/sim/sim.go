@@ -130,49 +130,14 @@ func (c *Config) variant() workload.Variant {
 // identical to the retained per-cycle reference engine (RunReference);
 // the equivalence is enforced by the cross-engine test matrix in this
 // package.
-func Run(cfg Config) (*Result, error) { return run(cfg, engineEvent, nil) }
-
-// Observer subscribes to sampled simulator state. Samples fire every
-// SampleEvery executed pipeline cycles (cycles the event engine skips
-// via AdvanceTo never sample), so observation cannot change which
-// cycles execute: results are bit-identical with or without an
-// observer, and sim.Version does not move when one is attached.
-type Observer struct {
-	// SampleEvery is the sampling period in executed cycles; 0 means
-	// DefaultSampleEvery.
-	SampleEvery int64
-	// OnSample runs synchronously on the simulation goroutine; keep it
-	// cheap.
-	OnSample func(Sample)
-}
-
-// DefaultSampleEvery is the observer sampling period when none is
-// given: rare enough to be invisible in the gated benchmark, frequent
-// enough that second-scale runs still produce hundreds of samples.
-const DefaultSampleEvery = 4096
-
-// Sample is one observation: the core's pipeline snapshot plus the
-// memory system's cumulative counters at the same cycle. Mem is a
-// copy; difference consecutive samples for event rates (cache hits,
-// DRAM traffic) over the sampled window.
-type Sample struct {
-	Cycle    int64
-	Pipeline core.PipelineSample
-	Mem      mem.Stats
-}
-
-// RunObserved is Run with a sampling observer attached. A nil observer
-// (or nil OnSample) degrades to exactly Run.
-func RunObserved(cfg Config, obs *Observer) (*Result, error) {
-	return run(cfg, engineEvent, obs)
-}
+func Run(cfg Config) (*Result, error) { return run(cfg, engineEvent) }
 
 // RunReference executes the same simulation on the original per-cycle
 // tick loop. It is retained as the behavioural oracle for the event
 // engine: slow, but every cycle is explicit. Use it in tests and when
 // bisecting a suspected event-scheduling bug; production paths should
 // call Run.
-func RunReference(cfg Config) (*Result, error) { return run(cfg, engineTick, nil) }
+func RunReference(cfg Config) (*Result, error) { return run(cfg, engineTick) }
 
 // engineKind selects the run loop; results must not depend on it.
 type engineKind uint8
@@ -184,7 +149,7 @@ const (
 	engineTick
 )
 
-func run(cfg Config, kind engineKind, obs *Observer) (*Result, error) {
+func run(cfg Config, kind engineKind) (*Result, error) {
 	cfg = cfg.Normalize()
 	order := cfg.Programs
 	if order == nil {
@@ -221,20 +186,6 @@ func run(cfg Config, kind engineKind, obs *Observer) (*Result, error) {
 	p, err := core.New(ccfg, msys)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	if obs != nil && obs.OnSample != nil {
-		every := obs.SampleEvery
-		if every <= 0 {
-			every = DefaultSampleEvery
-		}
-		onSample := obs.OnSample
-		p.SetHooks(&core.Hooks{
-			Every: every,
-			Sample: func(ps core.PipelineSample) {
-				onSample(Sample{Cycle: ps.Cycle, Pipeline: ps, Mem: *msys.Stats()})
-			},
-		})
 	}
 
 	v := cfg.variant()
