@@ -84,13 +84,15 @@
 // work-stealing dist.StealPool that shards simulations across workers
 // by config key and runs a config locally when its worker fails: an
 // expsd coordinator over the workers that register with it, and
-// `exps -remote URL[,URL...]` over the workers it lists. While the
-// workers serve every config the coordinator honestly reports 0 local
-// simulations, and its tables are byte-identical to a local run
-// either way. Version skew is refused (409 on fingerprint mismatch)
-// and fails over like any peer failure, and a simulation's own
-// failure is never retried — it partitions onto its experiments
-// exactly like a local failure.
+// `exps -remote URL[,URL...]` over the workers it lists. A job counts
+// only the simulations dist.Local runs for it, through a tally carried
+// on the job's context, so while the workers serve every config the
+// coordinator honestly reports 0 local simulations, whatever wraps its
+// executor; its tables are byte-identical to a local run either way.
+// Version skew is refused (409 on fingerprint mismatch) and fails over
+// like any peer failure, and a simulation's own failure is never
+// retried — it partitions onto its experiments exactly like a local
+// failure.
 //
 // Performance is profiled and gated, not guessed: smtsim and exps
 // take -cpuprofile/-memprofile (runtime/pprof, same formats as

@@ -28,13 +28,13 @@
 // is cleanly separated from the compute kernels (the executors), so
 // scaling out never touches the engine's semantics.
 //
-// Executors also implement two optional interfaces the engine uses
-// when present: Counter reports how many simulations ran in this
-// process (remote executions count on the worker that ran them, never
-// on the coordinator that asked), and Limiter derives per-caller
-// views that share the underlying resources — pool slots, HTTP
-// clients — while keeping their own counters, so concurrent jobs over
-// one shared executor still report exact per-job statistics.
+// Executors keep no per-caller state. Local is the one place a
+// simulation runs in this process, so Local.Execute adds each
+// successful run to the tally its caller attached with WithTally. The
+// engine attaches one per suite, so concurrent jobs over one shared
+// executor stack count exactly their own runs however the stack is
+// wrapped. Remote executions count on the worker that ran them, never
+// on the coordinator that asked.
 package dist
 
 import (
@@ -52,30 +52,14 @@ type Executor interface {
 	// Execute runs cfg to completion and returns its result. A
 	// cancelled ctx fails the call while it waits for capacity; an
 	// execution already started runs to completion (sim.Run is not
-	// interruptible). Execute must be safe for concurrent use.
+	// interruptible). Execute must be safe for concurrent use, and a
+	// wrapper passes ctx on so a tally attached with WithTally reaches
+	// the Local underneath.
 	Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 	// Workers reports how many Execute calls usefully run
-	// concurrently; the engine sizes its fan-out from it.
+	// concurrently; the engine sizes its fan-out from it, capped by
+	// the suite's own worker option.
 	Workers() int
-}
-
-// Counter is the optional introspection executors implement to report
-// how many simulations they executed successfully in this process.
-// The engine's "simulations" bookkeeping reads it, which is what lets
-// a coordinator honestly report 0 local simulations when its peers do
-// all the work.
-type Counter interface {
-	Simulations() int64
-}
-
-// Limiter is the optional derivation executors implement so one
-// shared executor can serve many concurrent callers with exact
-// per-caller counters: Limit returns a view capped at n concurrent
-// executions (n <= 0 or above the executor's bound means the full
-// bound) sharing the underlying resources but counting its own
-// simulations.
-type Limiter interface {
-	Limit(n int) Executor
 }
 
 // Func adapts a plain function into an Executor bounded at workers
@@ -92,19 +76,25 @@ func Func(workers int, fn func(context.Context, sim.Config) (*sim.Result, error)
 type funcExecutor struct {
 	workers int
 	fn      func(context.Context, sim.Config) (*sim.Result, error)
-	sims    atomic.Int64
 }
 
 func (f *funcExecutor) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	r, err := f.fn(ctx, cfg)
-	if err == nil {
-		f.sims.Add(1)
-	}
-	return r, err
+	return f.fn(ctx, cfg)
 }
 
-func (f *funcExecutor) Workers() int       { return f.workers }
-func (f *funcExecutor) Simulations() int64 { return f.sims.Load() }
+func (f *funcExecutor) Workers() int { return f.workers }
+
+// tallyKey marks a context whose in-process simulations are counted.
+type tallyKey struct{}
+
+// WithTally returns a context under which Local adds each simulation
+// it runs successfully to n. Work a StealPool sends to a peer —
+// sharded, stolen or speculative — never reaches Local, so n counts
+// exactly the caller's simulations in this process: failover,
+// NoForward and peerless runs included.
+func WithTally(ctx context.Context, n *atomic.Int64) context.Context {
+	return context.WithValue(ctx, tallyKey{}, n)
+}
 
 // noForwardKey marks a context whose simulation must not leave this
 // process again.

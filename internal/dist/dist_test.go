@@ -31,10 +31,12 @@ func stubResult(cfg sim.Config) *sim.Result {
 }
 
 // TestLocalBoundsConcurrency: no more than Workers() executions may
-// be in flight at once, however many goroutines call Execute.
+// be in flight at once, however many goroutines call Execute, and the
+// caller's tally counts every one of them.
 func TestLocalBoundsConcurrency(t *testing.T) {
 	const workers, calls = 2, 16
-	var inFlight, peak, now atomic.Int64
+	var inFlight, peak, now, tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 	l := NewLocalFunc(workers, func(cfg sim.Config) (*sim.Result, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
@@ -53,7 +55,7 @@ func TestLocalBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := l.Execute(context.Background(), testConfig(1)); err != nil {
+			if _, err := l.Execute(ctx, testConfig(1)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -62,8 +64,8 @@ func TestLocalBoundsConcurrency(t *testing.T) {
 	if got := peak.Load(); got > workers {
 		t.Errorf("observed %d concurrent executions, pool bound is %d", got, workers)
 	}
-	if got := l.Simulations(); got != calls {
-		t.Errorf("local counted %d simulations, want %d", got, calls)
+	if got := tally.Load(); got != calls {
+		t.Errorf("tally counted %d simulations, want %d", got, calls)
 	}
 }
 
@@ -88,34 +90,12 @@ func TestLocalCancelWhileQueued(t *testing.T) {
 	close(release)
 }
 
-// TestLocalLimitViews: Limit-derived views share the slot pool but
-// count their own executions, and clamp to the pool size.
-func TestLocalLimitViews(t *testing.T) {
-	l := NewLocalFunc(4, func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil })
-	a, ok := l.Limit(2).(*Local)
-	if !ok {
-		t.Fatal("Limit did not return a *Local view")
-	}
-	b := l.Limit(99)
-	if a.Workers() != 2 {
-		t.Errorf("Limit(2) view advertises %d workers, want 2", a.Workers())
-	}
-	if b.Workers() != 4 {
-		t.Errorf("Limit(99) view advertises %d workers, want the pool size 4", b.Workers())
-	}
-	if _, err := a.Execute(context.Background(), testConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Simulations() != 1 || l.Simulations() != 0 {
-		t.Errorf("view counted %d, base counted %d; want 1 and 0 (per-view counters)", a.Simulations(), l.Simulations())
-	}
-}
-
 // TestLocalPanicReleasesSlot: a panicking simulation must not leak
-// pool capacity and must count as a failure (the caller recovers the
-// panic itself).
+// pool capacity and must count as a failure, not in the caller's
+// tally (the caller recovers the panic itself).
 func TestLocalPanicReleasesSlot(t *testing.T) {
-	var calls atomic.Int64
+	var calls, tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 	reg := metrics.New()
 	l := NewLocalFunc(1, func(cfg sim.Config) (*sim.Result, error) {
 		if calls.Add(1) == 1 {
@@ -129,12 +109,12 @@ func TestLocalPanicReleasesSlot(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		l.Execute(context.Background(), testConfig(1)) //nolint:errcheck // panics
+		l.Execute(ctx, testConfig(1)) //nolint:errcheck // panics
 	}()
 	// The single slot must still be usable.
 	done := make(chan error, 1)
 	go func() {
-		_, err := l.Execute(context.Background(), testConfig(2))
+		_, err := l.Execute(ctx, testConfig(2))
 		done <- err
 	}()
 	select {
@@ -145,8 +125,8 @@ func TestLocalPanicReleasesSlot(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("slot leaked by panic: second Execute never ran")
 	}
-	if l.Simulations() != 1 {
-		t.Errorf("counted %d simulations, want 1 (panicked run excluded)", l.Simulations())
+	if got := tally.Load(); got != 1 {
+		t.Errorf("tally counted %d simulations, want 1 (panicked run excluded)", got)
 	}
 	for name, want := range map[string]int64{"mediasmt_pool_sims_total": 1, "mediasmt_pool_sim_failures_total": 1} {
 		if got := reg.Counter(name, "").Value(); got != want {
@@ -155,32 +135,6 @@ func TestLocalPanicReleasesSlot(t *testing.T) {
 	}
 	if got := reg.Gauge("mediasmt_pool_inflight", "").Value(); got != 0 {
 		t.Errorf("pool_inflight = %d after the pool went idle", got)
-	}
-}
-
-// TestFuncCountsSuccessesOnly: the Func adapter implements Counter
-// over successful calls, which is what keeps scheduler bookkeeping
-// honest when tests swap the executor.
-func TestFuncCountsSuccessesOnly(t *testing.T) {
-	fail := true
-	f := Func(2, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		if fail {
-			return nil, errors.New("transient")
-		}
-		return stubResult(cfg), nil
-	})
-	if _, err := f.Execute(context.Background(), testConfig(1)); err == nil {
-		t.Fatal("want error")
-	}
-	fail = false
-	if _, err := f.Execute(context.Background(), testConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.(Counter).Simulations(); got != 1 {
-		t.Errorf("Func counted %d, want 1", got)
-	}
-	if f.Workers() != 2 {
-		t.Errorf("Workers = %d, want 2", f.Workers())
 	}
 }
 

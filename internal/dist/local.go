@@ -11,18 +11,16 @@ import (
 
 // Local executes simulations in this process through a semaphore-
 // bounded worker pool — the policy the experiment engine inlined
-// before the executor seam existed. The pool slots may be shared by
-// many views (see Limit), bounding simulations in flight across every
-// job in the process, while each view counts its own executions.
+// before the executor seam existed. One Local serves every job in the
+// process, bounding simulations in flight across all of them, and it
+// is where in-process simulations are counted: each successful run
+// adds to the caller's WithTally tally.
 type Local struct {
-	sem   chan struct{} // execution slots, shared across Limit views
-	limit int           // this view's concurrency cap (<= cap(sem))
-	run   func(sim.Config) (*sim.Result, error)
-	sims  atomic.Int64 // successful executions through this view
+	sem chan struct{} // execution slots
+	run func(sim.Config) (*sim.Result, error)
 
-	// Process-wide instruments, shared across Limit views so pool
-	// saturation aggregates over every job; nil (no-op) when the pool
-	// is uninstrumented.
+	// Process-wide instruments; nil (no-op) when the pool is
+	// uninstrumented.
 	simsC     *metrics.Counter
 	failC     *metrics.Counter
 	inflightG *metrics.Gauge
@@ -39,14 +37,13 @@ func NewLocalFunc(workers int, run func(sim.Config) (*sim.Result, error)) *Local
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Local{sem: make(chan struct{}, workers), limit: workers, run: run}
+	return &Local{sem: make(chan struct{}, workers), run: run}
 }
 
 // Instrument attaches process-wide pool metrics: executed/failed
 // simulation counters, an in-flight gauge (pool saturation when read
-// against the pool-size gauge). Views derived with Limit — before or
-// after this call — share the instruments. A nil registry is a no-op.
-// Call once, before the pool starts executing.
+// against the pool-size gauge). A nil registry is a no-op. Call once,
+// before the pool starts executing.
 func (l *Local) Instrument(reg *metrics.Registry) *Local {
 	if reg == nil {
 		return l
@@ -59,9 +56,10 @@ func (l *Local) Instrument(reg *metrics.Registry) *Local {
 }
 
 // Execute claims a pool slot (honouring ctx while waiting) and runs
-// cfg to completion. The slot is released and the failure counted even
-// if the simulation panics, so a poisoned config can never leak pool
-// capacity; the panic itself propagates to the caller's recovery.
+// cfg to completion, adding a success to ctx's tally (see WithTally).
+// The slot is released and the failure counted even if the simulation
+// panics, so a poisoned config can never leak pool capacity; the panic
+// itself propagates to the caller's recovery.
 func (l *Local) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	select {
 	case l.sem <- struct{}{}:
@@ -80,30 +78,13 @@ func (l *Local) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error
 	r, err := l.run(cfg)
 	ok = err == nil
 	if ok {
-		l.sims.Add(1)
+		if n, _ := ctx.Value(tallyKey{}).(*atomic.Int64); n != nil {
+			n.Add(1)
+		}
 		l.simsC.Inc()
 	}
 	return r, err
 }
 
-// Workers reports this view's concurrency cap.
-func (l *Local) Workers() int { return l.limit }
-
-// Simulations reports how many simulations this view executed
-// successfully.
-func (l *Local) Simulations() int64 { return l.sims.Load() }
-
-// Limit derives a view sharing the pool slots and run function but
-// capped at n concurrent executions (n <= 0 or above the pool size
-// means the full pool) with its own simulation counter.
-func (l *Local) Limit(n int) Executor { return l.limited(n) }
-
-func (l *Local) limited(n int) *Local {
-	if n <= 0 || n > cap(l.sem) {
-		n = cap(l.sem)
-	}
-	return &Local{
-		sem: l.sem, limit: n, run: l.run,
-		simsC: l.simsC, failC: l.failC, inflightG: l.inflightG,
-	}
-}
+// Workers reports the pool size.
+func (l *Local) Workers() int { return cap(l.sem) }

@@ -19,10 +19,10 @@ const (
 	// DefaultHealthInterval spaces health-check sweeps over the
 	// registered workers.
 	DefaultHealthInterval = 5 * time.Second
-	// DefaultHealthThreshold is how many consecutive failed probes
-	// evict a worker: one lost probe is routine (GC pause, connection
-	// reset), two in a row means shards are better off elsewhere.
-	DefaultHealthThreshold = 2
+	// healthThreshold is how many consecutive failed probes evict a
+	// worker: one lost probe is routine (GC pause, connection reset),
+	// two in a row means shards are better off elsewhere.
+	healthThreshold = 2
 )
 
 // Members is the worker-membership registry a StealPool shards over.
@@ -147,26 +147,20 @@ func snapshotLocked(urls map[string]bool) []string {
 
 // HealthOptions tunes a HealthChecker. The zero value is usable.
 type HealthOptions struct {
-	// Interval spaces probe sweeps; 0 means DefaultHealthInterval.
+	// Interval spaces probe sweeps and bounds each probe; 0 means
+	// DefaultHealthInterval.
 	Interval time.Duration
-	// Timeout bounds one probe; 0 means Interval.
-	Timeout time.Duration
-	// Threshold is the consecutive-failure count that evicts a
-	// worker; 0 means DefaultHealthThreshold.
-	Threshold int
-	// Client issues the probes; nil uses a private default client.
-	Client *http.Client
 }
 
 // HealthChecker periodically probes every member's /v1/healthz and
-// evicts workers that fail Threshold consecutive sweeps, so dead
-// peers stop receiving shards without any operator action. Eviction
-// is not permanent: a worker that comes back re-registers itself
-// through its own heartbeat.
+// evicts workers that fail two consecutive sweeps, so dead peers stop
+// receiving shards without any operator action. Eviction is not
+// permanent: a worker that comes back re-registers itself through its
+// own heartbeat.
 type HealthChecker struct {
-	members *Members
-	o       HealthOptions
-	client  *http.Client
+	members  *Members
+	interval time.Duration
+	client   *http.Client
 
 	stop chan struct{}
 	done chan struct{}
@@ -179,17 +173,7 @@ func NewHealthChecker(m *Members, o HealthOptions) *HealthChecker {
 	if o.Interval <= 0 {
 		o.Interval = DefaultHealthInterval
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = o.Interval
-	}
-	if o.Threshold <= 0 {
-		o.Threshold = DefaultHealthThreshold
-	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &HealthChecker{members: m, o: o, client: client,
+	return &HealthChecker{members: m, interval: o.Interval, client: &http.Client{},
 		stop: make(chan struct{}), done: make(chan struct{})}
 }
 
@@ -197,7 +181,7 @@ func NewHealthChecker(m *Members, o HealthOptions) *HealthChecker {
 func (h *HealthChecker) Start() {
 	go func() {
 		defer close(h.done)
-		ticker := time.NewTicker(h.o.Interval)
+		ticker := time.NewTicker(h.interval)
 		defer ticker.Stop()
 		failures := make(map[string]int)
 		for {
@@ -243,7 +227,7 @@ func (h *HealthChecker) sweep(failures map[string]int) {
 			continue
 		}
 		failures[u]++
-		if failures[u] >= h.o.Threshold {
+		if failures[u] >= healthThreshold {
 			h.members.Remove(u)
 			delete(failures, u)
 		}
@@ -252,7 +236,7 @@ func (h *HealthChecker) sweep(failures map[string]int) {
 
 // probe reports whether one worker answered its health endpoint.
 func (h *HealthChecker) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), h.o.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+HealthPath, nil)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestMembersSubscribeReplays(t *testing.T) {
 }
 
 // TestHealthCheckerEvictsDeadPeer: a worker that stops answering
-// /v1/healthz is removed after Threshold consecutive failed sweeps,
+// /v1/healthz is removed after two consecutive failed sweeps,
 // while a healthy worker stays — and a single lost probe does not
 // evict.
 func TestHealthCheckerEvictsDeadPeer(t *testing.T) {
@@ -85,8 +85,8 @@ func TestHealthCheckerEvictsDeadPeer(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	t.Cleanup(healthy.Close)
-	// Fails exactly once, then recovers: must never be evicted with
-	// Threshold 2 because success resets the streak.
+	// Fails exactly once, then recovers: must never be evicted,
+	// because success resets the streak.
 	var flaky atomic.Int64
 	flakyTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if flaky.Add(1) == 1 {
@@ -102,7 +102,7 @@ func TestHealthCheckerEvictsDeadPeer(t *testing.T) {
 	m.Add(flakyTS.URL)
 	m.Add("http://127.0.0.1:1") // nothing listens here
 
-	h := NewHealthChecker(m, HealthOptions{Interval: 20 * time.Millisecond, Threshold: 2})
+	h := NewHealthChecker(m, HealthOptions{Interval: 20 * time.Millisecond})
 	h.Start()
 	defer h.Stop()
 

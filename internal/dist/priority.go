@@ -67,12 +67,12 @@ func (q *prioQueue) Pop() any {
 	return w
 }
 
-// prioGate is the admission controller shared by a Priority executor
-// and every view derived from it: at most capacity() executions hold
-// a slot, and contended slots go to the highest-priority waiter,
-// FIFO within a class. Capacity is a function, not a number, because
-// the inner executor's concurrency can grow while waiters queue
-// (workers registering into a StealPool); each release re-reads it.
+// prioGate is a Priority executor's admission controller: at most
+// capacity() executions hold a slot, and contended slots go to the
+// highest-priority waiter, FIFO within a class. Capacity is a
+// function, not a number, because the inner executor's concurrency can
+// grow while waiters queue (workers registering into a StealPool);
+// each release re-reads it.
 type prioGate struct {
 	mu       sync.Mutex
 	queue    prioQueue
@@ -142,19 +142,16 @@ func (g *prioGate) grantLocked() {
 // contention it adds nothing but a counter increment — capacity
 // matches the inner executor's Workers(), so the gate only ever
 // queues what the inner executor would have queued anyway, and the
-// queue order is the policy.
+// queue order is the policy. Every job in the process shares one
+// Priority, so all of them contend in one admission order.
 type Priority struct {
 	gate  *prioGate
 	inner Executor
 }
 
-// NewPriority builds the admission gate over inner. Derive per-job
-// views with Limit; they share the gate (global admission order)
-// while narrowing the inner executor's view.
+// NewPriority builds the admission gate over inner.
 func NewPriority(inner Executor) *Priority {
-	p := &Priority{inner: inner}
-	p.gate = &prioGate{capacity: inner.Workers}
-	return p
+	return &Priority{gate: &prioGate{capacity: inner.Workers}, inner: inner}
 }
 
 // Instrument attaches the admission-queue depth gauge. A nil registry
@@ -182,25 +179,3 @@ func (p *Priority) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, er
 
 // Workers reports the inner executor's concurrency.
 func (p *Priority) Workers() int { return p.inner.Workers() }
-
-// Simulations delegates to the inner executor's counter (0 when the
-// inner executor does not count).
-func (p *Priority) Simulations() int64 {
-	if c, ok := p.inner.(Counter); ok {
-		return c.Simulations()
-	}
-	return 0
-}
-
-// Limit derives a per-caller view narrowing the inner executor while
-// sharing the admission gate, so concurrent jobs contend in one
-// global priority order but keep exact per-job counters. The gate's
-// capacity stays the full inner executor's — the view's narrowing is
-// enforced by the narrowed inner executor itself.
-func (p *Priority) Limit(n int) Executor {
-	inner := p.inner
-	if lim, ok := inner.(Limiter); ok {
-		inner = lim.Limit(n)
-	}
-	return &Priority{gate: p.gate, inner: inner}
-}

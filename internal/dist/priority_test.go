@@ -203,27 +203,3 @@ func (g *growingExecutor) Execute(ctx context.Context, cfg sim.Config) (*sim.Res
 	return g.fn(cfg)
 }
 func (g *growingExecutor) Workers() int { return int(g.workers.Load()) }
-
-// TestPriorityLimitSharesGate: views narrow the inner executor and
-// keep per-view counters, but contend in the shared admission order;
-// Simulations delegates to the inner counter.
-func TestPriorityLimitSharesGate(t *testing.T) {
-	local := NewLocalFunc(4, func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil })
-	p := NewPriority(local)
-	view, ok := p.Limit(2).(*Priority)
-	if !ok {
-		t.Fatal("Limit did not return a *Priority view")
-	}
-	if view.gate != p.gate {
-		t.Error("view does not share the admission gate")
-	}
-	if view.Workers() != 2 {
-		t.Errorf("view workers = %d, want 2", view.Workers())
-	}
-	if _, err := view.Execute(context.Background(), seededConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if view.Simulations() != 1 || p.Simulations() != 0 {
-		t.Errorf("view counted %d, base counted %d; want 1 and 0", view.Simulations(), p.Simulations())
-	}
-}

@@ -252,19 +252,3 @@ func errorBody(data []byte) string {
 
 // Workers reports the advertised request concurrency.
 func (r *Remote) Workers() int { return r.workers }
-
-// Simulations is always zero: remote executions count on the worker
-// that ran them, which is exactly what lets a coordinator prove it
-// ran nothing locally.
-func (r *Remote) Simulations() int64 { return 0 }
-
-// Limit derives a view with a tighter advertised concurrency; Remote
-// holds no per-view state, so out-of-range n returns the receiver.
-func (r *Remote) Limit(n int) Executor {
-	if n <= 0 || n >= r.workers {
-		return r
-	}
-	view := *r
-	view.workers = n
-	return &view
-}

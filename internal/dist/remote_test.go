@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,8 +54,8 @@ func workerStub(t *testing.T, behavior func(w http.ResponseWriter, cfg sim.Confi
 }
 
 // TestRemoteRoundTrip: a healthy peer returns a decodable result, and
-// the coordinator-side Simulations() stays 0 — the execution belongs
-// to the worker.
+// the coordinator-side tally stays 0 — the execution belongs to the
+// worker.
 func TestRemoteRoundTrip(t *testing.T) {
 	ts := workerStub(t, nil)
 	r, err := NewRemote([]string{ts.URL}, RemoteOptions{})
@@ -62,14 +63,15 @@ func TestRemoteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2)
-	res, err := r.Execute(context.Background(), cfg)
+	var tally atomic.Int64
+	res, err := r.Execute(WithTally(context.Background(), &tally), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles != 42 || res.Cfg.Key() != cfg.Key() {
 		t.Errorf("round-tripped result wrong: %+v", res)
 	}
-	if r.Simulations() != 0 {
+	if tally.Load() != 0 {
 		t.Error("remote executor claimed local simulations")
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 const (
-	// DefaultSpecMultiplier scales the observed mean simulation
-	// latency into the straggler threshold: an attempt running twice
-	// as long as the average is worth duplicating.
-	DefaultSpecMultiplier = 2.0
+	// specMultiplier scales the observed mean simulation latency into
+	// the straggler threshold: an attempt running twice as long as the
+	// average is worth duplicating.
+	specMultiplier = 2.0
 	// DefaultSpecMin floors the straggler threshold so short
 	// simulations (or a cold latency estimate) never trigger a storm
 	// of duplicates.
@@ -30,9 +30,6 @@ type StealOptions struct {
 	// WorkersPerPeer is how many request loops serve each member; 0
 	// means DefaultWorkersPerPeer.
 	WorkersPerPeer int
-	// SpecMultiplier scales the mean observed latency into the
-	// straggler threshold; 0 means DefaultSpecMultiplier.
-	SpecMultiplier float64
 	// SpecMin floors the straggler threshold; 0 means DefaultSpecMin.
 	SpecMin time.Duration
 	// Metrics, when non-nil, receives queue-depth, steal, speculation
@@ -69,8 +66,7 @@ type stealItem struct {
 	err        error
 }
 
-// stealCore is the shared state behind a StealPool and all its Limit
-// views: per-peer FIFO queues, the in-flight set, and the peer loops.
+// stealCore is the state behind a StealPool: per-peer FIFO queues, the in-flight set, and the peer loops.
 // One mutex guards everything; the condition variable wakes idle
 // loops when work appears, membership changes, or the straggler
 // ticker fires.
@@ -86,10 +82,9 @@ type stealCore struct {
 	queuedN int
 	running map[*stealItem]bool
 
-	perPeer  int
-	specMult float64
-	specMin  time.Duration
-	ropts    RemoteOptions
+	perPeer int
+	specMin time.Duration
+	ropts   RemoteOptions
 
 	latN   int64 // completed remote attempts, for the mean
 	latSum time.Duration
@@ -111,11 +106,12 @@ type stealCore struct {
 // result wins. Work whose peer dies (or whose attempt fails for peer
 // reasons) falls over to local execution, and with no live members at
 // all the pool degrades to a plain local pool, so a coordinator is
-// usable before its first worker registers.
+// usable before its first worker registers. Only those local runs
+// reach Local, so only they count in the caller's WithTally tally;
+// sharded, stolen and speculative attempts count on their worker.
 type StealPool struct {
 	core  *stealCore
 	local *Local
-	cap   int // this view's advertised bound; 0 means uncapped
 }
 
 // NewStealPool builds the pool over the membership registry (whose
@@ -129,9 +125,6 @@ func NewStealPool(members *Members, local *Local, o StealOptions) *StealPool {
 	if o.WorkersPerPeer <= 0 {
 		o.WorkersPerPeer = DefaultWorkersPerPeer
 	}
-	if o.SpecMultiplier <= 0 {
-		o.SpecMultiplier = DefaultSpecMultiplier
-	}
 	if o.SpecMin <= 0 {
 		o.SpecMin = DefaultSpecMin
 	}
@@ -141,7 +134,6 @@ func NewStealPool(members *Members, local *Local, o StealOptions) *StealPool {
 		queues:   make(map[string][]*stealItem),
 		running:  make(map[*stealItem]bool),
 		perPeer:  o.WorkersPerPeer,
-		specMult: o.SpecMultiplier,
 		specMin:  o.SpecMin,
 		ropts:    o.Remote,
 		stopPoll: make(chan struct{}),
@@ -380,7 +372,7 @@ func (c *stealCore) claimLocked(it *stealItem, url string) {
 func (c *stealCore) specThresholdLocked() time.Duration {
 	thr := c.specMin
 	if c.latN > 0 {
-		if t := time.Duration(c.specMult * float64(c.latSum/time.Duration(c.latN))); t > thr {
+		if t := time.Duration(specMultiplier * float64(c.latSum/time.Duration(c.latN))); t > thr {
 			thr = t
 		}
 	}
@@ -505,29 +497,7 @@ func (p *StealPool) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, e
 // pool plus every live peer's loops. It grows and shrinks with
 // membership — capacity-sensitive consumers (the priority gate)
 // re-read it.
-func (p *StealPool) Workers() int {
-	n := p.local.Workers() + p.core.peerWorkers()
-	if p.cap > 0 && p.cap < n {
-		return p.cap
-	}
-	return n
-}
-
-// Simulations counts only local executions (failover and forwarded
-// work); sharded work counts on the peer that ran it.
-func (p *StealPool) Simulations() int64 { return p.local.Simulations() }
-
-// Limit derives a per-caller view: the shard queues, peer loops and
-// latency estimate are shared, the local pool is narrowed to n so the
-// view counts its own failovers without saturating the shared slots
-// past its cap.
-func (p *StealPool) Limit(n int) Executor {
-	view := &StealPool{core: p.core, local: p.local.limited(n)}
-	if n > 0 {
-		view.cap = n
-	}
-	return view
-}
+func (p *StealPool) Workers() int { return p.local.Workers() + p.core.peerWorkers() }
 
 // Close retires the peer loops and settles all queued work with a
 // retryable error; in-flight attempts finish on their own. Live

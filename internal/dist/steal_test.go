@@ -71,7 +71,7 @@ func stubLocalPool(workers int) *Local {
 }
 
 // TestStealPoolShardsToPeers: with live members every config executes
-// remotely (Simulations stays 0) and results round-trip; with no
+// remotely (the caller's tally stays 0) and results round-trip; with no
 // members at all the pool degrades to local execution.
 func TestStealPoolShardsToPeers(t *testing.T) {
 	a, b := workerStub(t, nil), workerStub(t, nil)
@@ -80,9 +80,11 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 	m.Add(b.URL)
 	p := NewStealPool(m, stubLocalPool(2), StealOptions{})
 	defer p.Close()
+	var tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 	for threads := 1; threads <= 8; threads *= 2 {
 		cfg := testConfig(threads)
-		res, err := p.Execute(context.Background(), cfg)
+		res, err := p.Execute(ctx, cfg)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -90,17 +92,17 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 			t.Errorf("threads=%d: wrong result %+v", threads, res)
 		}
 	}
-	if p.Simulations() != 0 {
-		t.Errorf("remote execution counted %d local simulations", p.Simulations())
+	if got := tally.Load(); got != 0 {
+		t.Errorf("remote execution counted %d local simulations", got)
 	}
 
 	empty := NewStealPool(NewMembers(), stubLocalPool(2), StealOptions{})
 	defer empty.Close()
-	if _, err := empty.Execute(context.Background(), testConfig(1)); err != nil {
+	if _, err := empty.Execute(ctx, testConfig(1)); err != nil {
 		t.Fatalf("peerless pool must run locally: %v", err)
 	}
-	if empty.Simulations() != 1 {
-		t.Errorf("peerless pool counted %d, want 1 local simulation", empty.Simulations())
+	if got := tally.Load(); got != 1 {
+		t.Errorf("peerless pool counted %d, want 1 local simulation", got)
 	}
 }
 
@@ -116,11 +118,12 @@ func TestStealPoolNoForward(t *testing.T) {
 	m.Add(peer.URL)
 	p := NewStealPool(m, stubLocalPool(1), StealOptions{})
 	defer p.Close()
-	if _, err := p.Execute(NoForward(context.Background()), testConfig(1)); err != nil {
+	var tally atomic.Int64
+	if _, err := p.Execute(NoForward(WithTally(context.Background(), &tally)), testConfig(1)); err != nil {
 		t.Fatal(err)
 	}
-	if p.Simulations() != 1 {
-		t.Errorf("no-forward execution not counted locally: %d", p.Simulations())
+	if got := tally.Load(); got != 1 {
+		t.Errorf("no-forward execution not counted locally: %d", got)
 	}
 }
 
@@ -155,7 +158,8 @@ func TestStealPoolFailoverPolicy(t *testing.T) {
 				Metrics: reg,
 			})
 			defer p.Close()
-			_, err := p.Execute(context.Background(), testConfig(1))
+			var tally atomic.Int64
+			_, err := p.Execute(WithTally(context.Background(), &tally), testConfig(1))
 			var sf *SimFailure
 			if c.wantLocal == 1 && err != nil {
 				t.Fatalf("timed-out peer did not fail over: %v", err)
@@ -163,7 +167,7 @@ func TestStealPoolFailoverPolicy(t *testing.T) {
 			if c.wantLocal == 0 && !errors.As(err, &sf) {
 				t.Fatalf("err = %v, want the worker's SimFailure", err)
 			}
-			if got := p.Simulations(); got != c.wantLocal {
+			if got := tally.Load(); got != c.wantLocal {
 				t.Errorf("local simulations = %d, want %d", got, c.wantLocal)
 			}
 			if got := reg.Counter("mediasmt_steal_failovers_total", "").Value(); got != c.wantLocal {
@@ -207,10 +211,12 @@ func TestStealPoolIdlePeerSteals(t *testing.T) {
 		Metrics:        reg,
 	})
 	defer p.Close()
+	var tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 
 	results := make(chan error, 3)
 	go func() {
-		_, err := p.Execute(context.Background(), seededConfig(1))
+		_, err := p.Execute(ctx, seededConfig(1))
 		results <- err
 	}()
 	slowURL := urls[<-entered] // this peer's loop is now stuck
@@ -218,7 +224,7 @@ func TestStealPoolIdlePeerSteals(t *testing.T) {
 	// peer can serve it, and only by stealing.
 	for _, cfg := range homedConfigs(t, urls, slowURL, 2) {
 		go func(cfg sim.Config) {
-			_, err := p.Execute(context.Background(), cfg)
+			_, err := p.Execute(ctx, cfg)
 			results <- err
 		}(cfg)
 	}
@@ -237,8 +243,8 @@ func TestStealPoolIdlePeerSteals(t *testing.T) {
 	if err := <-results; err != nil {
 		t.Fatal(err)
 	}
-	if p.Simulations() != 0 {
-		t.Errorf("stolen work executed locally (%d), want all remote", p.Simulations())
+	if got := tally.Load(); got != 0 {
+		t.Errorf("stolen work executed locally (%d), want all remote", got)
 	}
 }
 
@@ -271,7 +277,8 @@ func TestStealPoolSpeculatesStragglers(t *testing.T) {
 	})
 	defer p.Close()
 
-	res, err := p.Execute(context.Background(), testConfig(1))
+	var tally atomic.Int64
+	res, err := p.Execute(WithTally(context.Background(), &tally), testConfig(1))
 	if err != nil {
 		t.Fatalf("straggler was not rescued: %v", err)
 	}
@@ -285,7 +292,7 @@ func TestStealPoolSpeculatesStragglers(t *testing.T) {
 	if got := reg.Counter("mediasmt_spec_wins_total", "").Value(); got != 1 {
 		t.Errorf("spec_wins_total = %d, want 1", got)
 	}
-	if p.Simulations() != 0 {
+	if tally.Load() != 0 {
 		t.Error("speculation must stay remote, not fail over locally")
 	}
 }
@@ -318,15 +325,17 @@ func TestStealPoolDeadPeerRehomesAndFailsOver(t *testing.T) {
 	if got := p.Workers(); got != 2+1 {
 		t.Errorf("Workers with one member = %d, want 3", got)
 	}
+	var tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 
 	results := make(chan error, 2)
 	go func() { // in-flight on the peer
-		_, err := p.Execute(context.Background(), seededConfig(1))
+		_, err := p.Execute(ctx, seededConfig(1))
 		results <- err
 	}()
 	<-entered
 	go func() { // queued behind it (the peer's single loop is busy)
-		_, err := p.Execute(context.Background(), seededConfig(2))
+		_, err := p.Execute(ctx, seededConfig(2))
 		results <- err
 	}()
 	waitFor(t, "second config to queue", func() bool {
@@ -341,7 +350,7 @@ func TestStealPoolDeadPeerRehomesAndFailsOver(t *testing.T) {
 	if err := <-results; err != nil {
 		t.Fatalf("failed attempt did not fail over locally: %v", err)
 	}
-	if got := p.Simulations(); got != 2 {
+	if got := tally.Load(); got != 2 {
 		t.Errorf("local failovers executed %d, want 2", got)
 	}
 	if got := reg.Counter("mediasmt_steal_failovers_total", "").Value(); got != 2 {
@@ -349,29 +358,6 @@ func TestStealPoolDeadPeerRehomesAndFailsOver(t *testing.T) {
 	}
 	if got := p.Workers(); got != 2 {
 		t.Errorf("Workers after eviction = %d, want the local pool's 2", got)
-	}
-}
-
-// TestStealPoolLimitViews: views share the queues and peer loops but
-// narrow the local pool and keep per-view counters.
-func TestStealPoolLimitViews(t *testing.T) {
-	p := NewStealPool(NewMembers(), stubLocalPool(4), StealOptions{})
-	defer p.Close()
-	view, ok := p.Limit(2).(*StealPool)
-	if !ok {
-		t.Fatal("Limit did not return a *StealPool view")
-	}
-	if view.core != p.core {
-		t.Error("view does not share the steal core")
-	}
-	if view.Workers() != 2 {
-		t.Errorf("view workers = %d, want 2", view.Workers())
-	}
-	if _, err := view.Execute(context.Background(), testConfig(1)); err != nil {
-		t.Fatal(err)
-	}
-	if view.Simulations() != 1 || p.Simulations() != 0 {
-		t.Errorf("view counted %d, base counted %d; want 1 and 0", view.Simulations(), p.Simulations())
 	}
 }
 
@@ -394,15 +380,17 @@ func TestStealPoolCloseSettlesQueue(t *testing.T) {
 	m.Add(peer.URL)
 	reg := metrics.New()
 	p := NewStealPool(m, stubLocalPool(2), StealOptions{WorkersPerPeer: 1, SpecMin: time.Minute, Metrics: reg})
+	var tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
 
 	results := make(chan error, 2)
 	go func() {
-		_, err := p.Execute(context.Background(), seededConfig(1))
+		_, err := p.Execute(ctx, seededConfig(1))
 		results <- err
 	}()
 	<-entered
 	go func() {
-		_, err := p.Execute(context.Background(), seededConfig(2))
+		_, err := p.Execute(ctx, seededConfig(2))
 		results <- err
 	}()
 	waitFor(t, "second config to queue", func() bool {
@@ -412,7 +400,7 @@ func TestStealPoolCloseSettlesQueue(t *testing.T) {
 	if err := <-results; err != nil {
 		t.Fatalf("queued config did not complete after Close: %v", err)
 	}
-	if p.Simulations() < 1 {
+	if tally.Load() < 1 {
 		t.Error("queued work did not fall over to local execution")
 	}
 }

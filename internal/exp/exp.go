@@ -26,8 +26,10 @@ type Options struct {
 	// smaller values.
 	Scale float64
 	Seed  uint64
-	// Workers bounds how many simulations run concurrently; 0 means
-	// GOMAXPROCS. Simulations are deterministic per config, so the
+	// Workers caps how many simulations the suite runs concurrently:
+	// it fans out to min(Workers, the executor's Workers()), and 0
+	// means the executor's bound (GOMAXPROCS for NewSuite's private
+	// local pool). Simulations are deterministic per config, so the
 	// worker count changes wall clock, never results.
 	Workers int
 	// MaxCycles caps every simulation the suite builds; 0 keeps the
@@ -134,7 +136,10 @@ func (s *Suite) PrefetchContext(ctx context.Context, cfgs []sim.Config, onDone f
 }
 
 // Simulations reports how many simulations the suite executed
-// successfully (cache hits and failed runs excluded).
+// successfully in this process (cache hits, failed runs and runs on
+// remote workers excluded). dist.Local counts them into the suite's
+// own tally, so the number is exact whatever wraps the executor and
+// however many suites share it.
 func (s *Suite) Simulations() int64 { return s.sched.simulations() }
 
 // Flush blocks until every write-behind persistence of a finished
@@ -157,7 +162,9 @@ func (s *Suite) CacheStats() (st cache.Stats, ok bool) {
 	return s.store.stats(), true
 }
 
-// Workers reports the concurrency bound the suite schedules under.
+// Workers reports the concurrency bound the suite schedules under:
+// min(Options.Workers, the executor's Workers()), or the executor's
+// bound when Options.Workers is 0.
 func (s *Suite) Workers() int { return s.sched.workers() }
 
 // Experiment is one regenerable artifact. Configs, when non-nil,

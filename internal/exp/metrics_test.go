@@ -157,15 +157,6 @@ func TestLocalExecutorInstrumented(t *testing.T) {
 	if got := reg.Gauge("mediasmt_pool_size", "").Value(); got != 1 {
 		t.Errorf("pool_size = %d, want 1", got)
 	}
-
-	// Limit views share the pool instruments.
-	view := local.Limit(1)
-	if _, err := view.Execute(context.Background(), sim.Config{Threads: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := counterVal(reg, "mediasmt_pool_sims_total"); got != 2 {
-		t.Errorf("pool_sims_total through a Limit view = %d, want 2", got)
-	}
 }
 
 // TestFailureCountersIncludePanics wires a Runner the way the front

@@ -25,7 +25,7 @@ import (
 // Runner; a coordinator front-end (exps -remote, an expsd with
 // registered workers) builds the Runner over a dist.StealPool instead.
 type Runner struct {
-	exec   dist.Executor // shared execution policy; Limit-derived per suite
+	exec   dist.Executor // shared execution policy, used as is by every suite
 	cache  *cache.Cache  // shared persistent layer; nil runs uncached
 	tier   *tier         // bounded memory over cache; nil when cache is
 	table3 *memo[table3Key, string]
@@ -116,11 +116,12 @@ func (r *Runner) CacheStats() (st cache.Stats, ok bool) {
 }
 
 // NewSuite derives a job-scoped suite from the runner. The suite
-// shares the runner's executor capacity, store, memory tier and
-// Table 3 memo but keeps its own singleflight map, simulation counter
-// and cache counters, so concurrent jobs never leak each other's
-// records into their result sets. opts.Workers, when positive, caps
-// this suite's share of the executor (clamped to its bound).
+// shares the runner's executor, store, memory tier and Table 3 memo
+// but keeps its own singleflight map, simulation tally and cache
+// counters, so concurrent jobs never leak each other's records into
+// their result sets. opts.Workers, when positive, caps this suite's
+// fan-out below the executor's bound: the suite schedules at most
+// min(opts.Workers, executor Workers()) simulations at once.
 // opts.Cache must be nil or the runner's own store: a different store
 // is rejected with an error instead of being silently dropped, so a
 // suite can never split its reads and writes across two stores
@@ -141,12 +142,8 @@ func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 		counting = &countingStore{inner: r.tier, met: r.met}
 		store = counting
 	}
-	exec := r.exec
-	if lim, ok := exec.(dist.Limiter); ok {
-		exec = lim.Limit(opts.Workers)
-	}
 	r.met.suites.Inc()
-	return &Suite{opts: opts, store: counting, sched: newScheduler(exec, store, r.met), table3: r.table3}, nil
+	return &Suite{opts: opts, store: counting, sched: newScheduler(r.exec, opts.Workers, store, r.met), table3: r.table3}, nil
 }
 
 // countingStore tracks one suite's hits/misses/writes (and failed

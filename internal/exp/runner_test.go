@@ -1,18 +1,22 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mediasmt/internal/cache"
 	"mediasmt/internal/core"
 	"mediasmt/internal/dist"
 	"mediasmt/internal/mem"
+	"mediasmt/internal/metrics"
 	"mediasmt/internal/sim"
 )
 
@@ -65,7 +69,7 @@ func TestWriteErrorsSurfaceInStats(t *testing.T) {
 	s := &Suite{
 		opts:  Options{Scale: 0.05, Seed: 7},
 		store: counting,
-		sched: newScheduler(dist.NewLocal(2), counting, nil),
+		sched: newScheduler(dist.NewLocal(2), 0, counting, nil),
 	}
 	if _, err := s.Run(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal); err != nil {
 		t.Fatal(err)
@@ -215,5 +219,96 @@ func TestRemotePeerFailureStaysInFailureDomain(t *testing.T) {
 	}
 	if rs.Simulations != 0 {
 		t.Errorf("coordinator executed %d local simulations, want 0", rs.Simulations)
+	}
+}
+
+// TestSuiteWorkersCapsExecutorBound: a suite fans out to
+// min(Options.Workers, executor Workers()), 0 meaning the executor's
+// bound, and reads the bound live, so a StealPool's grows with its
+// membership.
+func TestSuiteWorkersCapsExecutorBound(t *testing.T) {
+	members := dist.NewMembers()
+	members.Add("http://127.0.0.1:1") // never contacted: only Workers is read
+	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{WorkersPerPeer: 3})
+	t.Cleanup(steal.Close)
+	for _, c := range []struct {
+		name    string
+		exec    dist.Executor
+		workers int
+		want    int
+	}{
+		{"local/default", dist.NewLocal(4), 0, 4},
+		{"local/below", dist.NewLocal(4), 2, 2},
+		{"local/above", dist.NewLocal(4), 9, 4},
+		{"steal/default", steal, 0, 5},
+		{"steal/below", steal, 3, 3},
+		{"steal/above", steal, 9, 5},
+	} {
+		s, err := NewRunnerExecutor(c.exec, nil).NewSuite(Options{Workers: c.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Workers(); got != c.want {
+			t.Errorf("%s: Suite.Workers() = %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	s, err := NewRunnerExecutor(steal, nil).NewSuite(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members.Add("http://127.0.0.1:2")
+	if got := s.Workers(); got != 2+3+3 {
+		t.Errorf("Suite.Workers() after a second member = %d, want 8", got)
+	}
+}
+
+// TestConcurrentSuitesShareOneGate: two jobs run at once over the
+// expsd stack, one Priority(StealPool(Members, Local)), at different
+// priorities. Each reports exactly its own simulations, and the shared
+// pool's counter holds their sum.
+func TestConcurrentSuitesShareOneGate(t *testing.T) {
+	reg := metrics.New()
+	local := dist.NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) {
+		time.Sleep(time.Millisecond) // let the two jobs interleave
+		return &sim.Result{Cfg: cfg}, nil
+	}).Instrument(reg)
+	steal := dist.NewStealPool(dist.NewMembers(), local, dist.StealOptions{})
+	t.Cleanup(steal.Close)
+	runner := NewRunnerExecutor(dist.NewPriority(steal).Instrument(reg), nil)
+
+	jobs := []struct{ prio, workers, configs int }{{5, 1, 12}, {0, 0, 20}}
+	suites := make([]*Suite, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		s, err := runner.NewSuite(Options{Scale: 0.02, Seed: 7, Workers: j.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		suites[i] = s
+		cfgs := make([]sim.Config, j.configs)
+		for k := range cfgs {
+			cfgs[k] = s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal)
+			cfgs[k].Seed = uint64(1000*i + k + 1) // distinct keys across both jobs
+		}
+		wg.Add(1)
+		go func(prio int) {
+			defer wg.Done()
+			if err := s.PrefetchContext(dist.WithPriority(context.Background(), prio), cfgs, nil); err != nil {
+				t.Error(err)
+			}
+		}(j.prio)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if got := suites[i].Simulations(); got != int64(j.configs) {
+			t.Errorf("job %d reports %d simulations, want exactly its own %d", i, got, j.configs)
+		}
+	}
+	if got := counterVal(reg, "mediasmt_pool_sims_total"); got != 12+20 {
+		t.Errorf("pool_sims_total = %d, want 32", got)
+	}
+	if got := reg.Gauge("mediasmt_priority_queue_depth", "").Value(); got != 0 {
+		t.Errorf("priority queue depth = %d after both jobs finished", got)
 	}
 }

@@ -28,20 +28,21 @@ type resultStore interface {
 // attached, run() reads through it (memory tier → disk → execute) and
 // writes freshly executed results behind the waiters' backs, so
 // in-process dedup and cross-process persistence compose. The
-// executor may share its capacity with other schedulers through a
-// Runner, bounding executions in flight across every job in the
-// process; the singleflight map, counters and store wrapper stay
-// per-scheduler.
+// executor may be shared with other schedulers through a Runner,
+// bounding executions in flight across every job in the process; the
+// singleflight map, fan-out cap, simulation tally and store wrapper
+// stay per-scheduler.
 type scheduler struct {
 	exec  dist.Executor
+	limit int            // fan-out cap below the executor's bound; <= 0 means none
 	store resultStore    // optional persistent layer; nil disables it
 	met   *runnerMetrics // shared process aggregates; never nil
 
 	mu      sync.Mutex
 	entries map[string]*schedEntry
 
-	executed atomic.Int64   // fallback simulation counter (see simulations)
-	pending  sync.WaitGroup // in-flight write-behind store Puts
+	sims    atomic.Int64   // in-process simulations, counted by dist.Local (see run)
+	pending sync.WaitGroup // in-flight write-behind store Puts
 }
 
 // schedEntry is one singleflight slot. done is closed once res/err are
@@ -52,21 +53,29 @@ type schedEntry struct {
 	err  error
 }
 
-func newScheduler(exec dist.Executor, store resultStore, met *runnerMetrics) *scheduler {
+func newScheduler(exec dist.Executor, limit int, store resultStore, met *runnerMetrics) *scheduler {
 	if met == nil {
 		met = &runnerMetrics{}
 	}
 	return &scheduler{
 		exec:    exec,
+		limit:   limit,
 		store:   store,
 		met:     met,
 		entries: make(map[string]*schedEntry),
 	}
 }
 
-// workers reports the executor's concurrency cap — the fan-out bound
-// for prefetch.
-func (s *scheduler) workers() int { return s.exec.Workers() }
+// workers reports the fan-out bound for prefetch: the executor's
+// concurrency, capped at limit when that is positive. It is read on
+// every prefetch, because a StealPool's bound moves with membership.
+func (s *scheduler) workers() int {
+	n := s.exec.Workers()
+	if s.limit > 0 && s.limit < n {
+		return s.limit
+	}
+	return n
+}
 
 // run returns the cached result for cfg, executing the simulation if
 // this is the first caller for its key. Concurrent callers with the
@@ -122,9 +131,11 @@ func (s *scheduler) run(ctx context.Context, cfg sim.Config) (*sim.Result, error
 				return
 			}
 		}
-		e.res, e.err = s.exec.Execute(ctx, cfg)
+		// dist.Local adds to s.sims if, and only if, the simulation
+		// runs successfully in this process; however the executor is
+		// wrapped, remote attempts never reach it.
+		e.res, e.err = s.exec.Execute(dist.WithTally(ctx, &s.sims), cfg)
 		if e.err == nil {
-			s.executed.Add(1)
 			if s.store != nil {
 				// Write behind: waiters unblock on done while the
 				// entry persists concurrently. flush() joins these
@@ -217,23 +228,9 @@ func (s *scheduler) prefetch(ctx context.Context, cfgs []sim.Config, onDone func
 }
 
 // simulations reports how many simulations executed successfully in
-// this process (cache hits and failed runs excluded). Executors that
-// count their own local work (dist.Counter) are the source of truth —
-// a Remote-backed scheduler honestly reports 0 because the worker
-// that ran the simulations counts them — but only when they also
-// implement dist.Limiter: Limit is the per-suite derivation contract,
-// so its absence means the executor (and its counter) may be shared
-// across suites, where a process-level count would leak other jobs'
-// executions into this one's. Everything else falls back to the
-// scheduler's own per-suite tally of successful Execute calls.
-func (s *scheduler) simulations() int64 {
-	if c, ok := s.exec.(dist.Counter); ok {
-		if _, perSuite := s.exec.(dist.Limiter); perSuite {
-			return c.Simulations()
-		}
-	}
-	return s.executed.Load()
-}
+// this process (cache hits, failed runs and remote executions
+// excluded).
+func (s *scheduler) simulations() int64 { return s.sims.Load() }
 
 // completed snapshots every finished, successful simulation by key.
 func (s *scheduler) completed() map[string]*sim.Result {

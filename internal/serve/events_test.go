@@ -90,18 +90,3 @@ func TestEventsStreamEndsAfterSettle(t *testing.T) {
 		t.Errorf("stream did not end cleanly after done:\n%s", body)
 	}
 }
-
-// TestEventBufferConfig: Config.EventBuffer reaches the subscription;
-// with a 1-event buffer a stalled HTTP client is dropped once the job
-// outpaces it, and the server-side gauge returns to zero after the
-// handler exits.
-func TestEventBufferConfig(t *testing.T) {
-	if New(Config{Runner: exp.NewRunner(1, nil)}).eventBuf != DefaultEventBuffer {
-		t.Error("zero EventBuffer did not default")
-	}
-	s := New(Config{Runner: exp.NewRunner(1, nil), EventBuffer: 1})
-	defer s.Close()
-	if s.eventBuf != 1 {
-		t.Fatalf("eventBuf = %d, want 1", s.eventBuf)
-	}
-}

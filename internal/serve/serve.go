@@ -93,10 +93,6 @@ type Config struct {
 	// the whole process. Nil disables both — the endpoint then serves
 	// an empty snapshot and every instrument is a no-op.
 	Metrics *metrics.Registry
-	// EventBuffer is each SSE subscriber's channel capacity; a
-	// subscriber lagging this many events behind is dropped (it can
-	// reconnect and replay). 0 means DefaultEventBuffer.
-	EventBuffer int
 	// Journal, when non-nil, makes the job queue durable: every
 	// submission is journalled until it settles, and New re-admits the
 	// unsettled records — with their original ids, options and
@@ -114,9 +110,10 @@ type Config struct {
 // DefaultMaxJobs bounds the job store when Config.MaxJobs is zero.
 const DefaultMaxJobs = 64
 
-// DefaultEventBuffer is the per-subscriber SSE buffer when
-// Config.EventBuffer is zero.
-const DefaultEventBuffer = 256
+// eventBuffer is each SSE subscriber's channel capacity; a subscriber
+// lagging this many events behind is dropped (it can reconnect and
+// replay).
+const eventBuffer = 256
 
 // serveMetrics is the server's own instrument set. The struct always
 // exists; with a nil registry every instrument is nil and no-ops.
@@ -137,7 +134,6 @@ type serveMetrics struct {
 type Server struct {
 	runner   *exp.Runner
 	maxJobs  int
-	eventBuf int
 	registry *metrics.Registry
 	journal  *Journal
 	members  *dist.Members
@@ -165,14 +161,10 @@ func New(cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = DefaultEventBuffer
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		runner:    cfg.Runner,
 		maxJobs:   cfg.MaxJobs,
-		eventBuf:  cfg.EventBuffer,
 		registry:  cfg.Metrics,
 		journal:   cfg.Journal,
 		members:   cfg.Members,
@@ -568,7 +560,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	history, ch, done := j.subscribe(s.eventBuf)
+	history, ch, done := j.subscribe(eventBuffer)
 	if ch != nil {
 		s.met.sseSubs.Add(1)
 		defer s.met.sseSubs.Add(-1)

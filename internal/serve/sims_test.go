@@ -250,3 +250,50 @@ func TestCoordinatorOverWorkerServer(t *testing.T) {
 		t.Error("warm coordinator CSV differs from cold")
 	}
 }
+
+// forwardOnly exposes only the two methods dist.Executor declares —
+// the shape of a tracing or metering wrapper.
+type forwardOnly struct{ dist.Executor }
+
+// TestWrappedExecutorCountsLikeBare: what wraps the executor must not
+// change what a job counts. A coordinator over a worker server counts
+// 0 local simulations and a local pool counts every fig4 config,
+// whether the runner holds the executor itself or a wrapper that
+// forwards only Execute and Workers.
+func TestWrappedExecutorCountsLikeBare(t *testing.T) {
+	worker := newTestServer(t, 2, 8)
+	remote, err := dist.NewRemote([]string{worker.URL}, dist.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		exec dist.Executor
+		want int64
+	}{
+		{"remote", remote, 0},
+		{"local", dist.NewLocal(2), 8},
+	} {
+		for _, wrapped := range []bool{false, true} {
+			exec := c.exec
+			if wrapped {
+				exec = forwardOnly{exec}
+			}
+			suite, err := exp.NewRunnerExecutor(exec, nil).NewSuite(exp.Options{Scale: 0.02, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := suite.RunExperiments([]string{"fig4"}, exp.Progress{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Simulations != c.want || suite.Simulations() != c.want {
+				t.Errorf("%s (wrapped %v): %d simulations (suite %d), want %d",
+					c.name, wrapped, rs.Simulations, suite.Simulations(), c.want)
+			}
+		}
+	}
+	if got := simsExecuted(t, worker); got != 8 {
+		t.Errorf("worker executed %d simulations, want fig4's 8 once", got)
+	}
+}

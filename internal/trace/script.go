@@ -58,16 +58,14 @@ type Script struct {
 	phases []Phase
 	rounds int64
 	seed   uint64
-	limit  int64
 
-	rng     RNG
-	round   int64
-	pi      int
-	iter    int64
-	iters   int64
-	si      int
-	emitted int64
-	done    bool
+	rng   RNG
+	round int64
+	pi    int
+	iter  int64
+	iters int64
+	si    int
+	done  bool
 
 	// ctx is the reused callback context. Passing a stack-local Ctx to
 	// the Addr/Taken function values makes it escape, costing one heap
@@ -129,14 +127,6 @@ func (s *Script) Name() string { return s.name }
 // Rounds returns the configured number of rounds.
 func (s *Script) Rounds() int64 { return s.rounds }
 
-// SetLimit caps the number of raw instructions the script will emit;
-// zero removes the cap. It is the workload scaling knob.
-func (s *Script) SetLimit(n int64) { s.limit = n }
-
-// Emitted reports how many raw instructions have been produced since
-// the last Reset.
-func (s *Script) Emitted() int64 { return s.emitted }
-
 // Reset rewinds the script to its initial state.
 func (s *Script) Reset() {
 	s.rng.Seed(s.seed)
@@ -144,7 +134,6 @@ func (s *Script) Reset() {
 	s.pi = 0
 	s.iter = 0
 	s.si = 0
-	s.emitted = 0
 	s.done = false
 	s.iters = s.phaseIters()
 }
@@ -163,7 +152,7 @@ func (s *Script) phaseIters() int64 {
 
 // Next implements Program.
 func (s *Script) Next(in *Inst) bool {
-	if s.done || (s.limit > 0 && s.emitted >= s.limit) {
+	if s.done {
 		return false
 	}
 	// Advance over exhausted bodies/phases/rounds.
@@ -244,7 +233,6 @@ func (s *Script) Next(in *Inst) bool {
 	}
 
 	s.si++
-	s.emitted++
 	return true
 }
 

@@ -96,22 +96,6 @@ func TestScriptResetReplays(t *testing.T) {
 	}
 }
 
-func TestScriptLimit(t *testing.T) {
-	s := simpleLoop(100, 100)
-	s.SetLimit(37)
-	var in Inst
-	n := 0
-	for s.Next(&in) {
-		n++
-	}
-	if n != 37 {
-		t.Errorf("limit: emitted %d, want 37", n)
-	}
-	if s.Emitted() != 37 {
-		t.Errorf("Emitted() = %d, want 37", s.Emitted())
-	}
-}
-
 func TestScriptPCsAndTargets(t *testing.T) {
 	s := simpleLoop(2, 1)
 	var in Inst
