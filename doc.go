@@ -74,7 +74,9 @@
 // (nothing runs inside the simulation loop, so results do not depend
 // on it), plus pool saturation, per-peer request latencies, and engine
 // counters that reconcile exactly with the exps summary
-// (mediasmt_sims_executed_total is the summary's simulation count).
+// (mediasmt_sims_executed_total is the summary's simulation count):
+// the engine writes and counts each fresh result before any caller
+// sees it, for jobs and /v1/sims requests alike.
 // expsd always serves its registry on /v1/metrics; exps -metrics dumps
 // the JSON snapshot to stderr.
 //

@@ -9,11 +9,13 @@
 // the fingerprint combines the cache format version with the simulator
 // version (sim.Version): results from an older simulator or entry
 // layout land in a different subdirectory and are never returned.
-// Writes are atomic (temp file + rename in the same directory), so
-// concurrent writers — including other processes — degrade to
-// last-write-wins without torn entries. Reads are corruption-tolerant:
-// a missing, truncated, unparsable, or mislabelled entry is a miss,
-// never an error.
+// Writes are atomic (WriteAtomic: temp file + rename in the same
+// directory), so concurrent writers — including other processes —
+// degrade to last-write-wins without torn entries. Reads are
+// corruption-tolerant: a missing, truncated, unparsable, or
+// mislabelled entry is a miss, never an error. The service's job
+// journal keeps its files with the same WriteAtomic and SweepTemp.
+// The cache counts nothing; the engine counts each Get and Put it makes.
 package cache
 
 import (
@@ -27,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mediasmt/internal/sim"
@@ -56,16 +57,16 @@ func DefaultDir() string {
 	return filepath.Join(base, "mediasmt")
 }
 
-// Stats is a snapshot of a cache's activity counters.
+// Stats is a snapshot of cache activity, as the experiment engine
+// counts it per suite and per Runner.
 type Stats struct {
 	Hits   int64 // Get found a valid entry
 	Misses int64 // Get found nothing usable (absent, corrupt, or mislabelled)
 	Writes int64 // Put persisted an entry
-	// WriteErrors counts Puts that failed. Put errors are advisory —
-	// the scheduler writes behind and a failed write only costs a
-	// future hit — but a persistently failing store (full disk, bad
-	// permissions) would otherwise fail silently forever; front-ends
-	// surface this count so the operator finds out.
+	// WriteErrors counts Puts that failed. Put errors are advisory — a
+	// failed write only costs a future hit — but a persistently failing
+	// store (full disk, bad permissions) would otherwise fail silently
+	// forever; front-ends surface this count so the operator finds out.
 	WriteErrors int64
 }
 
@@ -76,11 +77,6 @@ type Cache struct {
 	dir   string // root, shared across fingerprints
 	fp    string // this handle's fingerprint
 	fpDir string // dir/<hash of fp>
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	writes    atomic.Int64
-	writeErrs atomic.Int64
 }
 
 // tmpPrefix marks in-flight Put temp files; Prune recognizes (and
@@ -133,16 +129,6 @@ func (c *Cache) Dir() string { return c.dir }
 // Fingerprint reports the fingerprint this handle reads and writes.
 func (c *Cache) Fingerprint() string { return c.fp }
 
-// Stats snapshots the activity counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Writes:      c.writes.Load(),
-		WriteErrors: c.writeErrs.Load(),
-	}
-}
-
 // hashName maps an arbitrary string to a fixed-length, path-safe name.
 func hashName(s string) string {
 	sum := sha256.Sum256([]byte(s))
@@ -176,38 +162,24 @@ func (c *Cache) path(key string) string {
 func (c *Cache) Get(key string) (*sim.Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil || e.Fingerprint != c.fp || e.Key != key {
-		c.misses.Add(1)
 		return nil, false
 	}
 	r, err := sim.DecodeResult(e.Result)
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
 	return r, true
 }
 
-// Put persists r under key atomically: the entry is written to a temp
-// file in the destination directory and renamed into place, so readers
-// and concurrent writers never observe a partial entry and the last
-// writer wins. Callers may treat errors as advisory — a failed write
-// only costs a future hit — but every failure is tallied in
-// Stats.WriteErrors so silent persistence loss stays visible.
+// Put persists r under key with WriteAtomic, so readers and
+// concurrent writers never observe a partial entry and the last writer
+// wins. Callers may treat errors as advisory — a failed write only
+// costs a future hit.
 func (c *Cache) Put(key string, r *sim.Result) error {
-	err := c.put(key, r)
-	if err != nil {
-		c.writeErrs.Add(1)
-	}
-	return err
-}
-
-func (c *Cache) put(key string, r *sim.Result) error {
 	body, err := sim.EncodeResult(r)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -216,21 +188,33 @@ func (c *Cache) put(key string, r *sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("cache: encode entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.fpDir, tmpPrefix+"*")
-	if err != nil {
+	if err := WriteAtomic(c.path(key), tmpPrefix, data); err != nil {
 		return fmt.Errorf("cache: %w", err)
+	}
+	return nil
+}
+
+// WriteAtomic writes data to path through a temp file named
+// prefix+"*" in path's directory and a rename, so a reader — or a load
+// after a crash — sees the whole file or none of it. A crash between
+// the two steps leaves the temp file behind; SweepTemp with the same
+// prefix removes it. Errors carry no package prefix: each caller adds
+// its own.
+func WriteAtomic(path, prefix string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), prefix+"*")
+	if err != nil {
+		return err
 	}
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: write entry: %w", cmp.Or(werr, cerr))
+		return cmp.Or(werr, cerr)
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
+		return err
 	}
-	c.writes.Add(1)
 	return nil
 }
 
@@ -268,7 +252,7 @@ func Prune(dir string) (removed int, err error) {
 			// The kept fingerprint only sheds orphaned temp files a
 			// killed writer left behind; Get never sees them, so
 			// without this they accumulate forever.
-			sweepTempFiles(sub)
+			SweepTemp(sub, tmpPrefix)
 			continue
 		}
 		ents, err := os.ReadDir(sub)
@@ -289,21 +273,22 @@ func Prune(dir string) (removed int, err error) {
 }
 
 // tmpSweepAge is how old a temp file must be before the sweep treats
-// it as a crashed writer's orphan: a live Put's temp file exists for
-// milliseconds, so an hour-old one has no writer coming back for it.
+// it as a crashed writer's orphan: a live WriteAtomic's temp file
+// exists for milliseconds, so an hour-old one has no writer coming
+// back for it.
 const tmpSweepAge = time.Hour
 
-// sweepTempFiles unlinks orphaned Put temp files in dir, leaving
-// anything younger than tmpSweepAge in case a concurrent writer is
-// about to rename it. Best-effort: a file that disappears mid-sweep is
-// fine.
-func sweepTempFiles(dir string) {
+// SweepTemp unlinks the orphaned WriteAtomic temp files named
+// prefix+"*" in dir, leaving anything younger than tmpSweepAge in case
+// a concurrent writer is about to rename it. Best-effort: a file that
+// disappears mid-sweep is fine.
+func SweepTemp(dir, prefix string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasPrefix(ent.Name(), tmpPrefix) {
+		if ent.IsDir() || !strings.HasPrefix(ent.Name(), prefix) {
 			continue
 		}
 		info, err := ent.Info()

@@ -72,9 +72,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if got.Cycles != r.Cycles || got.IPC != r.IPC || got.Cfg.Key() != key {
 		t.Errorf("stored entry came back different: %+v vs %+v", got, r)
 	}
-	if st := c.Stats(); st != (Stats{Hits: 1, Misses: 1, Writes: 1}) {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 write", st)
-	}
 }
 
 // TestPersistsAcrossHandles: a second Open over the same directory —
@@ -409,27 +406,56 @@ func TestOpenIfEnabled(t *testing.T) {
 	}
 }
 
-// TestPutErrorCountsWriteError: a failed Put — here a nil result that
-// cannot encode — must land in Stats.WriteErrors, the advisory count
-// front-ends surface so persistence loss never stays silent.
-func TestPutErrorCountsWriteError(t *testing.T) {
+// TestPutErrorWritesNothing: a failed Put — here a nil result that
+// cannot encode — returns its error and leaves neither an entry nor a
+// temp file behind; a healthy Put to the same key then lands.
+func TestPutErrorWritesNothing(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k", nil); err == nil {
-		t.Fatal("Put(nil result) succeeded")
+	if err := c.Put("k", nil); err == nil || !strings.HasPrefix(err.Error(), "cache: ") {
+		t.Fatalf("Put(nil result) = %v, want a cache: error", err)
 	}
-	st := c.Stats()
-	if st.WriteErrors != 1 || st.Writes != 0 {
-		t.Errorf("stats = %+v, want 1 write error and 0 writes", st)
+	if _, ok := c.Get("k"); ok {
+		t.Error("failed Put left a readable entry")
 	}
-	// A healthy Put counts a write, not an error.
+	if ents, err := os.ReadDir(c.fpDir); err != nil || len(ents) != 0 {
+		t.Errorf("failed Put left %d files (%v), want none", len(ents), err)
+	}
 	if err := c.Put("k", &sim.Result{Cfg: sim.Config{Threads: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	st = c.Stats()
-	if st.Writes != 1 || st.WriteErrors != 1 {
-		t.Errorf("stats after healthy Put = %+v, want 1 write and still 1 write error", st)
+	if _, ok := c.Get("k"); !ok {
+		t.Error("healthy Put after a failed one missed")
+	}
+}
+
+// TestWriteAtomic: a write lands whole under its final name; a write
+// whose rename fails (the target is a directory) returns the error and
+// removes its temp file.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	if err := WriteAtomic(path, ".w-", []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "data" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(filepath.Join(dir, "d"), ".w-", []byte("data")); err == nil {
+		t.Fatal("write over a directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ".w-") {
+			t.Errorf("failed write left temp file %s", e.Name())
+		}
 	}
 }

@@ -31,10 +31,10 @@
 // Executors keep no per-caller state. Local is the one place a
 // simulation runs in this process, so Local.Execute adds each
 // successful run to the tally its caller attached with WithTally. The
-// engine attaches one per suite, so concurrent jobs over one shared
-// executor stack count exactly their own runs however the stack is
-// wrapped. Remote executions count on the worker that ran them, never
-// on the coordinator that asked.
+// engine attaches one per call and counts the run when Local marks
+// it, so concurrent jobs over one shared executor stack count exactly
+// their own runs however the stack is wrapped. Remote executions count
+// on the worker that ran them, never on the coordinator that asked.
 package dist
 
 import (

@@ -115,13 +115,6 @@ func (m *Members) Snapshot() []string {
 	return snapshotLocked(m.urls)
 }
 
-// Len reports the current membership size.
-func (m *Members) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.urls)
-}
-
 // Subscribe registers fn for membership changes and immediately
 // replays the current members as additions, so a late subscriber
 // (an executor built after the first registrations) still sees every

@@ -33,8 +33,8 @@ func TestMembersAddRemove(t *testing.T) {
 	if !m.Remove("http://b:1") || m.Remove("http://b:1") {
 		t.Error("Remove must report exactly one change")
 	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1", m.Len())
+	if len(m.Snapshot()) != 1 {
+		t.Errorf("%d members, want 1", len(m.Snapshot()))
 	}
 	if v := reg.Gauge("mediasmt_members", "").Value(); v != 1 {
 		t.Errorf("members gauge = %d, want 1", v)
@@ -107,7 +107,7 @@ func TestHealthCheckerEvictsDeadPeer(t *testing.T) {
 	defer h.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Len() != 2 {
+	for len(m.Snapshot()) != 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("dead peer not evicted; members = %v", m.Snapshot())
 		}

@@ -52,16 +52,17 @@ func TestRemoteMetricsPerPeer(t *testing.T) {
 	}
 }
 
-// TestErrorBodyEnvelopeAndLegacy: the coordinator parses both the v1
-// error envelope and the legacy string form, so mixed-version fleets
-// keep readable errors.
+// TestErrorBodyEnvelopeAndLegacy: the coordinator reads the message of
+// the v1 error envelope; anything else, a pre-v1 daemon's
+// {"error":"..."} included, falls back to the raw body, so its text
+// still reaches the error.
 func TestErrorBodyEnvelopeAndLegacy(t *testing.T) {
 	cases := []struct {
 		body string
 		want string
 	}{
 		{`{"error":{"code":"bad_request","message":"threads out of range"}}`, "threads out of range"},
-		{`{"error":"legacy message"}`, "legacy message"},
+		{`{"error":"legacy message"}`, `{"error":"legacy message"}`},
 		{`plain text`, "plain text"},
 		{``, "empty response body"},
 		{`{"error":{}}`, `{"error":{}}`}, // envelope without message: raw fallback

@@ -20,7 +20,7 @@ const (
 	// SimsPath is the worker endpoint Remote POSTs one encoded
 	// sim.Config to; the worker answers with sim.EncodeResult bytes.
 	SimsPath = "/v1/sims"
-	// FingerprintHeader carries the coordinator's cache fingerprint
+	// FingerprintHeader carries the coordinator's cache.Fingerprint()
 	// (cache format + simulator version). A worker whose fingerprint
 	// differs refuses with 409: results from mismatched simulator
 	// versions must never silently mix into one result set.
@@ -60,10 +60,6 @@ type RemoteOptions struct {
 	// Workers is the advertised concurrency; 0 means
 	// DefaultWorkersPerPeer.
 	Workers int
-	// Fingerprint overrides the FingerprintHeader value; "" means the
-	// current cache.Fingerprint(). Tests use it to emulate version
-	// skew.
-	Fingerprint string
 	// Metrics, when non-nil, receives the peer's request and failure
 	// counters and its latency buckets, labelled with the peer URL.
 	Metrics *metrics.Registry
@@ -78,7 +74,6 @@ type Remote struct {
 	peer    string
 	client  *http.Client
 	timeout time.Duration
-	fp      string
 	workers int
 
 	// no-op when uninstrumented
@@ -110,11 +105,7 @@ func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
 	if workers <= 0 {
 		workers = DefaultWorkersPerPeer
 	}
-	fp := o.Fingerprint
-	if fp == "" {
-		fp = cache.Fingerprint()
-	}
-	r := &Remote{peer: peer, client: client, timeout: timeout, fp: fp, workers: workers}
+	r := &Remote{peer: peer, client: client, timeout: timeout, workers: workers}
 	if reg := o.Metrics; reg != nil {
 		r.requests = reg.Counter("mediasmt_peer_requests_total", "worker requests issued, by peer", metrics.L("peer", peer))
 		r.failures = reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures), by peer", metrics.L("peer", peer))
@@ -193,7 +184,7 @@ func (r *Remote) Execute(ctx context.Context, cfg sim.Config) (res *sim.Result, 
 		return nil, &PeerError{Peer: r.peer, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(FingerprintHeader, r.fp)
+	req.Header.Set(FingerprintHeader, cache.Fingerprint())
 	req.Header.Set(ForwardedHeader, "1")
 	resp, err := r.client.Do(req)
 	if err != nil {
@@ -217,27 +208,17 @@ func (r *Remote) Execute(ctx context.Context, cfg sim.Config) (res *sim.Result, 
 	}
 }
 
-// errorBody extracts the service's error message. The v1 API wraps
-// errors in an envelope — {"error":{"code":...,"message":...}} — but
-// older daemons answered {"error":"..."}; both parse, and non-JSON
-// answers fall back to the (truncated) raw body, so a coordinator can
-// talk to workers across the envelope migration.
+// errorBody extracts the message of the v1 error envelope,
+// {"error":{"code":...,"message":...}}. Any other answer falls back to
+// the (truncated) raw body, so its text still reaches the caller.
 func errorBody(data []byte) string {
 	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(data, &env) == nil && len(env.Error) > 0 {
-		var obj struct {
-			Code    string `json:"code"`
+		Error struct {
 			Message string `json:"message"`
-		}
-		if json.Unmarshal(env.Error, &obj) == nil && obj.Message != "" {
-			return obj.Message
-		}
-		var s string
-		if json.Unmarshal(env.Error, &s) == nil && s != "" {
-			return s
-		}
+		} `json:"error"`
+	}
+	if json.Unmarshal(data, &env) == nil && env.Error.Message != "" {
+		return env.Error.Message
 	}
 	const max = 256
 	s := strings.TrimSpace(string(data))

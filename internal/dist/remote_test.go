@@ -101,14 +101,15 @@ func TestRemoteTimeoutFailsOver(t *testing.T) {
 }
 
 // TestRemoteFingerprint409: a worker on a different simulator version
-// refuses with 409; the coordinator surfaces a PeerError carrying the
-// status and the worker's message, never a silently mixed result.
+// refuses this coordinator's fingerprint with 409; the coordinator
+// surfaces a PeerError carrying the status and the worker's message,
+// never a silently mixed result.
 func TestRemoteFingerprint409(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"fingerprint mismatch"}`, http.StatusConflict)
+		http.Error(w, `{"error":{"code":"fingerprint_mismatch","message":"fingerprint mismatch"}}`, http.StatusConflict)
 	}))
 	t.Cleanup(ts.Close)
-	r, err := NewRemote([]string{ts.URL}, RemoteOptions{Fingerprint: "cachefmt-v0+older-sim"})
+	r, err := NewRemote([]string{ts.URL}, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRemoteFingerprint409(t *testing.T) {
 // simulation's message and is not retryable.
 func TestRemoteSimFailureDoesNotRetry(t *testing.T) {
 	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
-		http.Error(w, `{"error":"sim: hit MaxCycles=1000 with 3/8 programs complete"}`, http.StatusUnprocessableEntity)
+		http.Error(w, `{"error":{"code":"sim_failed","message":"sim: hit MaxCycles=1000 with 3/8 programs complete"}}`, http.StatusUnprocessableEntity)
 		return true
 	})
 	r, err := NewRemote([]string{failing.URL}, RemoteOptions{})

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func cachedSuite(t *testing.T, dir string, workers int) *Suite {
 // text plus the result set.
 func renderAll(t *testing.T, s *Suite, ids []string) (string, *ResultSet) {
 	t.Helper()
-	rs, err := s.RunExperiments(ids, Progress{})
+	rs, err := s.RunExperimentsContext(context.Background(), ids, Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,20 +75,19 @@ func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 	}
 }
 
-// TestWarmCachePrefetch: Prefetch must warm from disk without
+// TestWarmCachePrefetch: PrefetchContext must warm from disk without
 // executing, and lazy RunConfig calls after it stay free.
 func TestWarmCachePrefetch(t *testing.T) {
 	dir := t.TempDir()
 	s1 := cachedSuite(t, dir, 4)
 	cfgs := s1.fig4Configs()
-	if err := s1.Prefetch(cfgs, nil); err != nil {
+	if err := s1.PrefetchContext(context.Background(), cfgs, nil); err != nil {
 		t.Fatal(err)
 	}
-	s1.Flush()
 
 	s2 := cachedSuite(t, dir, 4)
 	var progressed int
-	if err := s2.Prefetch(cfgs, func(done, total int, key string, err error) { progressed++ }); err != nil {
+	if err := s2.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) { progressed++ }); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Simulations(); got != 0 {
@@ -115,7 +115,6 @@ func TestCorruptCacheEntryReExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.Flush()
 
 	// Corrupt every entry under the cache root.
 	var corrupted int
@@ -130,7 +129,7 @@ func TestCorruptCacheEntryReExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if corrupted == 0 {
-		t.Fatal("flush left no entries on disk to corrupt")
+		t.Fatal("the cold run left no entries on disk to corrupt")
 	}
 
 	s2 := cachedSuite(t, dir, 2)
@@ -144,7 +143,6 @@ func TestCorruptCacheEntryReExecutes(t *testing.T) {
 	if got.Cycles != want.Cycles {
 		t.Errorf("re-executed result diverged: %d cycles vs %d", got.Cycles, want.Cycles)
 	}
-	s2.Flush()
 
 	// The slot healed: a third suite hits.
 	s3 := cachedSuite(t, dir, 2)
@@ -166,7 +164,6 @@ func TestUncachedSuiteUnchanged(t *testing.T) {
 	if _, ok := s.CacheStats(); ok {
 		t.Error("uncached suite reported cache stats")
 	}
-	s.Flush() // must not hang or panic with no cache attached
 	if got := s.Simulations(); got != 1 {
 		t.Errorf("ran %d simulations, want 1", got)
 	}
@@ -182,7 +179,6 @@ func TestCachedErrorNotPersisted(t *testing.T) {
 	if _, err := s.RunConfig(bad); err == nil {
 		t.Fatal("cycle-capped simulation succeeded unexpectedly")
 	}
-	s.Flush()
 	if st, _ := s.CacheStats(); st.Writes != 0 {
 		t.Errorf("failed simulation persisted %d cache entries, want 0", st.Writes)
 	}

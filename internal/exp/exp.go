@@ -5,6 +5,10 @@
 // Figure 8 (fetch policies under the decoupled hierarchy), Figure 9
 // (hierarchy comparison) and the headline speedup numbers, plus the
 // ablation studies listed in DESIGN.md.
+//
+// A Suite's scheduler resolves each config once, in sequence: read the
+// Runner's store, execute on a miss, then persist and count the fresh
+// result before any caller sees it.
 package exp
 
 import (
@@ -40,7 +44,7 @@ type Options struct {
 	MaxCycles int64
 	// Cache, when non-nil, persists simulation results on disk across
 	// processes: the scheduler reads through it before executing and
-	// writes fresh results behind. Results are keyed on the same
+	// writes each fresh result to it. Results are keyed on the same
 	// canonical sim.Config.Key() as the in-memory singleflight map, so
 	// a second suite over a warm cache executes zero simulations while
 	// rendering byte-identical artifacts. Only the package-level
@@ -94,7 +98,8 @@ func (s *Suite) Config(isa core.ISAKind, threads int, pol core.Policy, mode mem.
 }
 
 // RunConfig executes one simulation through the scheduler, deduplicated
-// and cached on the canonical config key. Safe for concurrent use.
+// and cached on the canonical config key. A fresh result is persisted
+// and counted before the call returns. Safe for concurrent use.
 func (s *Suite) RunConfig(cfg sim.Config) (*sim.Result, error) {
 	return s.RunConfigContext(context.Background(), cfg)
 }
@@ -117,39 +122,24 @@ func (s *Suite) Run(isa core.ISAKind, threads int, pol core.Policy, mode mem.Mod
 	return s.RunConfig(s.Config(isa, threads, pol, mode))
 }
 
-// Prefetch warms the result cache for cfgs using the suite's worker
-// pool; duplicate keys are dropped up front, so onDone, if non-nil,
-// observes progress over unique configs. Every config is attempted —
-// one failure never skips the rest — and onDone fires for failures too
-// (with the error), so progress always reaches total. The returned
-// error is nil when everything resolved, otherwise an errors.Join
-// naming every failed key in sorted order.
-func (s *Suite) Prefetch(cfgs []sim.Config, onDone func(done, total int, key string, err error)) error {
-	return s.PrefetchContext(context.Background(), cfgs, onDone)
-}
-
-// PrefetchContext is Prefetch honouring ctx: configs not yet started
-// when ctx is cancelled fail with the context error (still reported
-// through onDone, so progress reaches total).
+// PrefetchContext warms the result cache for cfgs using the suite's
+// worker pool; duplicate keys are dropped up front, so onDone, if
+// non-nil, observes progress over unique configs. Every config is
+// attempted — one failure never skips the rest — and onDone fires for
+// failures too (with the error), so progress always reaches total.
+// Configs not yet started when ctx is cancelled fail with the context
+// error. The returned error is nil when everything resolved, otherwise
+// an errors.Join naming every failed key in sorted order.
 func (s *Suite) PrefetchContext(ctx context.Context, cfgs []sim.Config, onDone func(done, total int, key string, err error)) error {
 	return joinKeyErrors(s.sched.prefetch(ctx, cfgs, onDone))
 }
 
 // Simulations reports how many simulations the suite executed
 // successfully in this process (cache hits, failed runs and runs on
-// remote workers excluded). dist.Local counts them into the suite's
-// own tally, so the number is exact whatever wraps the executor and
-// however many suites share it.
+// remote workers excluded). dist.Local marks each run on its call's
+// tally, and the scheduler counts the marked ones, so the number is
+// exact whatever wraps the executor and however many suites share it.
 func (s *Suite) Simulations() int64 { return s.sched.simulations() }
-
-// Flush blocks until every write-behind persistence of a finished
-// simulation has settled on disk. Call it only after all
-// RunConfig/Prefetch calls have returned — a simulation still in
-// flight may register its write after the wait began and miss it.
-// RunExperiments flushes before returning; direct RunConfig/Prefetch
-// users with a cache attached should Flush before exiting, or late
-// results may miss the cache.
-func (s *Suite) Flush() { s.sched.flush() }
 
 // CacheStats snapshots this suite's hit/miss/write counters against
 // the persistent cache; ok is false when the suite runs uncached. The

@@ -44,7 +44,7 @@ var failingExperiment = Experiment{
 func TestPartialFailureIsolation(t *testing.T) {
 	ids := []string{"table1", "fig4", "issuemix"}
 	green := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 4})
-	rsGreen, err := green.RunExperiments(ids, Progress{})
+	rsGreen, err := green.RunExperimentsContext(context.Background(), ids, Progress{})
 	if err != nil {
 		t.Fatalf("green run failed: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestPartialFailureIsolation(t *testing.T) {
 	exps = append(exps, e)
 
 	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 4})
-	rs, err := s.RunExperimentList(exps, Progress{})
+	rs, err := s.RunExperimentListContext(context.Background(), exps, Progress{})
 	if err == nil {
 		t.Fatal("run with a failing experiment returned nil error")
 	}
@@ -126,7 +126,7 @@ func TestPrefetchAggregatesAllErrors(t *testing.T) {
 	cfgs = append(cfgs, bad2)
 
 	var settled, failed int
-	err := s.Prefetch(cfgs, func(done, total int, key string, err error) {
+	err := s.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) {
 		settled++
 		if total != len(good)+2 {
 			t.Errorf("progress total = %d, want %d", total, len(good)+2)
@@ -205,7 +205,7 @@ func TestRenderErrorDoesNotAbortLaterExperiments(t *testing.T) {
 	t1, _ := ByID("table1")
 	t2, _ := ByID("table2")
 	s := NewSuite(Options{Scale: 0.05, Seed: 7})
-	rs, err := s.RunExperimentList([]Experiment{t1, renderFail, t2}, Progress{})
+	rs, err := s.RunExperimentListContext(context.Background(), []Experiment{t1, renderFail, t2}, Progress{})
 	if err == nil || !strings.Contains(err.Error(), "renderboom") {
 		t.Fatalf("err = %v, want renderboom failure", err)
 	}
@@ -286,7 +286,7 @@ func TestCancelledRunRendersCompletedWork(t *testing.T) {
 
 	// The same suite, uncancelled, heals: cancelled entries were
 	// evicted, so a retry executes fresh.
-	rs2, err := s.RunExperiments([]string{"fig4"}, Progress{})
+	rs2, err := s.RunExperimentsContext(context.Background(), []string{"fig4"}, Progress{})
 	if err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}

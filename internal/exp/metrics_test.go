@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mediasmt/internal/cache"
@@ -219,5 +220,66 @@ func TestSchedulerCountsInjectedPanic(t *testing.T) {
 	}
 	if got := reg.Gauge("mediasmt_pool_inflight", "").Value(); got != 0 {
 		t.Errorf("pool_inflight = %d after the pool went idle", got)
+	}
+}
+
+// TestSimsCountedAsTheyResolve: each simulation reaches
+// mediasmt_sims_executed_total when it resolves, not when the suite
+// finishes, and from the same increment that feeds the pool's counter
+// and the suite's tally. The second simulation blocks until the test
+// has read the counters after the first progress event.
+func TestSimsCountedAsTheyResolve(t *testing.T) {
+	reg := metrics.New()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	run := func(cfg sim.Config) (*sim.Result, error) {
+		if calls.Add(1) == 2 {
+			<-release
+		}
+		return &sim.Result{Cfg: cfg}, nil
+	}
+	s, err := NewRunnerExecutor(dist.NewLocalFunc(1, run).Instrument(reg), nil).Instrument(reg).NewSuite(Options{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []sim.Config{
+		s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal),
+		s.Config(core.ISAMOM, 1, core.PolicyRR, mem.ModeIdeal),
+	}
+	two := Experiment{
+		ID:      "two",
+		Configs: func(*Suite) []sim.Config { return cfgs },
+		Run:     func(*Suite) (string, error) { return "", nil },
+	}
+	first := make(chan struct{})
+	prog := Progress{Sim: func(done, _ int, _ string, _ error) {
+		if done == 1 {
+			close(first)
+		}
+	}}
+	type outcome struct {
+		rs  *ResultSet
+		err error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		rs, err := s.RunExperimentListContext(context.Background(), []Experiment{two}, prog)
+		out <- outcome{rs, err}
+	}()
+
+	<-first
+	executed, pool := counterVal(reg, "mediasmt_sims_executed_total"), counterVal(reg, "mediasmt_pool_sims_total")
+	if executed != 1 || pool != 1 {
+		t.Errorf("mid-run: sims_executed_total = %d, pool_sims_total = %d, want 1 and 1", executed, pool)
+	}
+	close(release)
+	o := <-out
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	executed, pool = counterVal(reg, "mediasmt_sims_executed_total"), counterVal(reg, "mediasmt_pool_sims_total")
+	if o.rs.Simulations != 2 || executed != o.rs.Simulations || pool != o.rs.Simulations {
+		t.Errorf("at the end: simulations = %d, sims_executed_total = %d, pool_sims_total = %d, want all 2",
+			o.rs.Simulations, executed, pool)
 	}
 }

@@ -190,8 +190,8 @@ func (s *Suite) SimRecords() []SimRecord {
 	return out
 }
 
-// Progress carries optional observers for a RunExperiments call.
-// Sim fires after each prefetched simulation settles, success or
+// Progress carries optional observers for a RunExperimentsContext
+// call. Sim fires after each prefetched simulation settles, success or
 // failure (err carries the failure); Experiment fires after each
 // artifact renders or is marked failed. Both may be nil.
 type Progress struct {
@@ -199,17 +199,12 @@ type Progress struct {
 	Experiment func(done, total int, res ExperimentResult)
 }
 
-// RunExperiments resolves ids, fans every declared simulation out over
-// the suite's worker pool, then renders each experiment in order from
-// the warm cache. Rendering order — and therefore output — is
-// independent of the worker count. Unknown ids fail up front, before
-// any simulation, with a nil result set.
-func (s *Suite) RunExperiments(ids []string, prog Progress) (*ResultSet, error) {
-	return s.RunExperimentsContext(context.Background(), ids, prog)
-}
-
-// RunExperimentsContext is RunExperiments honouring ctx; see
-// RunExperimentListContext for the cancellation semantics.
+// RunExperimentsContext resolves ids, fans every declared simulation
+// out over the suite's worker pool, then renders each experiment in
+// order from the warm cache. Rendering order — and therefore output —
+// is independent of the worker count. Unknown ids fail up front,
+// before any simulation, with a nil result set; see
+// RunExperimentListContext for the failure and cancellation semantics.
 func (s *Suite) RunExperimentsContext(ctx context.Context, ids []string, prog Progress) (*ResultSet, error) {
 	exps := make([]Experiment, 0, len(ids))
 	for _, id := range ids {
@@ -222,47 +217,26 @@ func (s *Suite) RunExperimentsContext(ctx context.Context, ids []string, prog Pr
 	return s.RunExperimentListContext(ctx, exps, prog)
 }
 
-// RunExperimentList is RunExperiments over already-resolved
-// experiments, for callers composing custom artifact lists.
-func (s *Suite) RunExperimentList(exps []Experiment, prog Progress) (*ResultSet, error) {
-	return s.RunExperimentListContext(context.Background(), exps, prog)
-}
-
 // RunExperimentListContext is the engine's single entry point — the
-// CLI and the HTTP service both land here. Each experiment is an
-// isolated failure domain: every declared simulation is attempted,
-// prefetch errors are partitioned onto exactly the experiments whose
-// Configs reference the failed key, and every unaffected experiment
-// renders in order, byte-identical to a fully green run. On any
-// failure the full partial result set is returned alongside an
-// errors.Join of one error per failed experiment, each naming its
-// failed keys. Cancellation rides the same partition: a cancelled ctx
-// fails every simulation not yet started with the context error,
-// failing exactly the experiments that reference one, while
-// experiments whose simulations all completed — and the config-free
-// static tables — still render, so an interrupted run degrades to a
-// partial one instead of losing finished work.
+// CLI and the HTTP service both land here, through
+// RunExperimentsContext or with an already-resolved custom artifact
+// list. Each experiment is an isolated failure domain: every declared
+// simulation is attempted, prefetch errors are partitioned onto
+// exactly the experiments whose Configs reference the failed key, and
+// every unaffected experiment renders in order, byte-identical to a
+// fully green run. On any failure the full partial result set is
+// returned alongside an errors.Join of one error per failed
+// experiment, each naming its failed keys. Cancellation rides the same
+// partition: a cancelled ctx fails every simulation not yet started
+// with the context error, failing exactly the experiments that
+// reference one, while experiments whose simulations all completed —
+// and the config-free static tables — still render, so an interrupted
+// run degrades to a partial one instead of losing finished work.
+// Every result it executed is already persisted and counted when it
+// returns.
 func (s *Suite) RunExperimentListContext(ctx context.Context, exps []Experiment, prog Progress) (*ResultSet, error) {
 	rs := &ResultSet{Scale: s.opts.Scale, Seed: s.opts.Seed, Workers: s.Workers()}
 	start := time.Now()
-	finish := func() {
-		// Join the write-behind cache Puts so completed results are
-		// durable by the time the run reports itself finished.
-		s.Flush()
-		rs.Simulations = s.Simulations()
-		if st, ok := s.CacheStats(); ok {
-			rs.CacheHits, rs.CacheMisses, rs.CacheWrites = st.Hits, st.Misses, st.Writes
-		}
-		rs.Sims = s.SimRecords()
-		rs.WallSeconds = time.Since(start).Seconds()
-		// Advance the process-wide counter from the same source the
-		// stderr summary and job view report, so an instrumented run's
-		// sims-executed metric reconciles exactly with both. Remote and
-		// failure accounting already match: coordinators report 0 here
-		// because their executor counts nothing locally, and failed
-		// executions were tallied per Execute error in the scheduler.
-		s.sched.met.sims.Add(rs.Simulations)
-	}
 
 	// Prefetch dedups by canonical key, so cross-experiment overlap
 	// costs nothing and progress done/total counts unique simulations.
@@ -330,6 +304,11 @@ func (s *Suite) RunExperimentListContext(ctx context.Context, exps []Experiment,
 			prog.Experiment(i+1, len(exps), res)
 		}
 	}
-	finish()
+	rs.Simulations = s.Simulations()
+	if st, ok := s.CacheStats(); ok {
+		rs.CacheHits, rs.CacheMisses, rs.CacheWrites = st.Hits, st.Misses, st.Writes
+	}
+	rs.Sims = s.SimRecords()
+	rs.WallSeconds = time.Since(start).Seconds()
 	return rs, errors.Join(errs...)
 }

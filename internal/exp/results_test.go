@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -11,7 +12,7 @@ import (
 func smallResultSet(t *testing.T) *ResultSet {
 	t.Helper()
 	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 2})
-	rs, err := s.RunExperiments([]string{"table1", "fig4"}, Progress{})
+	rs, err := s.RunExperimentsContext(context.Background(), []string{"table1", "fig4"}, Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}

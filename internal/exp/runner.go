@@ -20,14 +20,16 @@ import (
 // bound holds across jobs and a result any job read or wrote is served
 // to the next from memory (disk only once the tier has evicted it),
 // while each job keeps its own singleflight map, simulation counter
-// and cache statistics. Both memory stores live as long as the Runner.
+// and cache statistics (CacheStats sums the last over every job). Both
+// memory stores live as long as the Runner.
 // The CLI path is the same code: NewSuite builds a private single-use
 // Runner; a coordinator front-end (exps -remote, an expsd with
 // registered workers) builds the Runner over a dist.StealPool instead.
 type Runner struct {
-	exec   dist.Executor // shared execution policy, used as is by every suite
-	cache  *cache.Cache  // shared persistent layer; nil runs uncached
-	tier   *tier         // bounded memory over cache; nil when cache is
+	exec   dist.Executor  // shared execution policy, used as is by every suite
+	cache  *cache.Cache   // shared persistent layer; nil runs uncached
+	tier   *tier          // bounded memory over cache; nil when cache is
+	store  *countingStore // every suite's traffic to tier; nil when cache is
 	table3 *memo[table3Key, string]
 	met    *runnerMetrics
 }
@@ -92,6 +94,7 @@ func NewRunnerExecutor(exec dist.Executor, store *cache.Cache) *Runner {
 	r := &Runner{exec: exec, cache: store, table3: newMemo[table3Key, string](table3Capacity), met: &runnerMetrics{}}
 	if store != nil {
 		r.tier = &tier{disk: store, mem: newMemo[string, *sim.Result](tierCapacity)}
+		r.store = &countingStore{inner: r.tier, met: r.met}
 	}
 	return r
 }
@@ -102,17 +105,15 @@ func (r *Runner) Workers() int { return r.exec.Workers() }
 // Cache reports the shared persistent store (nil when uncached).
 func (r *Runner) Cache() *cache.Cache { return r.cache }
 
-// CacheStats snapshots the store's activity over the Runner's
-// lifetime: the disk cache's counters plus the hits the memory tier
-// answered without reading disk. ok is false when the runner is
-// uncached.
+// CacheStats snapshots the cache traffic of every suite the Runner
+// derived, over its lifetime — the same events, counted in the same
+// place, as the mediasmt_cache_* counters. A hit the memory tier
+// answers is a hit. ok is false when the runner is uncached.
 func (r *Runner) CacheStats() (st cache.Stats, ok bool) {
-	if r.cache == nil {
+	if r.store == nil {
 		return cache.Stats{}, false
 	}
-	st = r.cache.Stats()
-	st.Hits += r.tier.memHits.Load()
-	return st, true
+	return r.store.stats(), true
 }
 
 // NewSuite derives a job-scoped suite from the runner. The suite
@@ -138,21 +139,21 @@ func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 	}
 	var counting *countingStore
 	var store resultStore
-	if r.tier != nil {
-		counting = &countingStore{inner: r.tier, met: r.met}
+	if r.store != nil {
+		counting = &countingStore{inner: r.store, met: &runnerMetrics{}} // r.store feeds the process counters
 		store = counting
 	}
 	r.met.suites.Inc()
 	return &Suite{opts: opts, store: counting, sched: newScheduler(r.exec, opts.Workers, store, r.met), table3: r.table3}, nil
 }
 
-// countingStore tracks one suite's hits/misses/writes (and failed
-// writes) against a store shared with other suites, so per-job cache
-// statistics stay exact even when jobs run concurrently against one
-// cache.
+// countingStore counts the hits, misses, writes and failed writes it
+// passes to inner, also in met. Each suite counts its own traffic in
+// one, layered over the Runner's, which sums every suite's: per-job
+// statistics stay exact when jobs share one cache.
 type countingStore struct {
 	inner                           resultStore
-	met                             *runnerMetrics // shared process aggregates; never nil
+	met                             *runnerMetrics // never nil; a suite's is the zero value, counting nothing
 	hits, misses, writes, writeErrs atomic.Int64
 }
 
@@ -195,14 +196,12 @@ func (c *countingStore) stats() cache.Stats {
 // result the disk refused. Entries outlive the suites that stored
 // them, so no reader may mutate a *sim.Result it gets.
 type tier struct {
-	disk    resultStore
-	mem     *memo[string, *sim.Result]
-	memHits atomic.Int64 // Gets memory answered (disk counts the rest)
+	disk resultStore
+	mem  *memo[string, *sim.Result]
 }
 
 func (t *tier) Get(key string) (*sim.Result, bool) {
 	if r, ok := t.mem.get(key); ok {
-		t.memHits.Add(1)
 		return r, true
 	}
 	r, ok := t.disk.Get(key)

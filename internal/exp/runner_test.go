@@ -61,9 +61,9 @@ type failingStore struct{}
 func (failingStore) Get(string) (*sim.Result, bool) { return nil, false }
 func (failingStore) Put(string, *sim.Result) error  { return errors.New("disk full") }
 
-// TestWriteErrorsSurfaceInStats: write-behind Put failures must not
-// vanish — the suite's cache stats carry an advisory count the exps
-// summary prints.
+// TestWriteErrorsSurfaceInStats: failed store Puts must not vanish —
+// the suite's cache stats carry an advisory count the exps summary
+// prints.
 func TestWriteErrorsSurfaceInStats(t *testing.T) {
 	counting := &countingStore{inner: failingStore{}, met: &runnerMetrics{}}
 	s := &Suite{
@@ -74,7 +74,6 @@ func TestWriteErrorsSurfaceInStats(t *testing.T) {
 	if _, err := s.Run(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal); err != nil {
 		t.Fatal(err)
 	}
-	s.Flush()
 	st, ok := s.CacheStats()
 	if !ok {
 		t.Fatal("cached suite reported no stats")
@@ -106,7 +105,7 @@ func remoteTestWorker(t *testing.T, fail func(sim.Config) bool) (*httptest.Serve
 			return
 		}
 		if fail != nil && fail(cfg) {
-			http.Error(w, `{"error":"injected worker failure"}`, http.StatusInternalServerError)
+			http.Error(w, `{"error":{"code":"internal","message":"injected worker failure"}}`, http.StatusInternalServerError)
 			return
 		}
 		res, err := sim.Run(cfg)
@@ -142,7 +141,7 @@ func TestRemoteSuiteMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []string{"table1", "fig4"}
-	rsRemote, err := remote.RunExperiments(ids, Progress{})
+	rsRemote, err := remote.RunExperimentsContext(context.Background(), ids, Progress{})
 	if err != nil {
 		t.Fatalf("remote run failed: %v", err)
 	}
@@ -153,7 +152,7 @@ func TestRemoteSuiteMatchesLocal(t *testing.T) {
 		t.Fatal("worker executed nothing; the remote path was bypassed")
 	}
 
-	rsLocal, err := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 4}).RunExperiments(ids, Progress{})
+	rsLocal, err := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 4}).RunExperimentsContext(context.Background(), ids, Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestRemotePeerFailureStaysInFailureDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.RunExperiments([]string{"table1", "fig4"}, Progress{})
+	rs, err := s.RunExperimentsContext(context.Background(), []string{"table1", "fig4"}, Progress{})
 	if err == nil {
 		t.Fatal("run with a failing worker reported success")
 	}

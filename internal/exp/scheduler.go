@@ -23,15 +23,14 @@ type resultStore interface {
 // (singleflight) through a dist.Executor — the pluggable "where does
 // this run" policy: a local semaphore-bounded pool, remote expsd
 // workers, or a sharded combination. It is safe for concurrent use:
-// experiments rendered in parallel, or a Prefetch racing lazy Run
-// calls, all collapse onto the same in-flight execution. With a store
-// attached, run() reads through it (memory tier → disk → execute) and
-// writes freshly executed results behind the waiters' backs, so
-// in-process dedup and cross-process persistence compose. The
-// executor may be shared with other schedulers through a Runner,
-// bounding executions in flight across every job in the process; the
-// singleflight map, fan-out cap, simulation tally and store wrapper
-// stay per-scheduler.
+// experiments rendered in parallel, or a prefetch racing lazy Run
+// calls, all collapse onto the same in-flight execution. run is the
+// one place a config is resolved, so it does all of the engine's
+// per-simulation bookkeeping in sequence: read the store, execute,
+// persist a fresh result, count it. The executor may be shared with
+// other schedulers through a Runner, bounding executions in flight
+// across every job in the process; the singleflight map, fan-out cap,
+// simulation tally and store wrapper stay per-scheduler.
 type scheduler struct {
 	exec  dist.Executor
 	limit int            // fan-out cap below the executor's bound; <= 0 means none
@@ -41,8 +40,7 @@ type scheduler struct {
 	mu      sync.Mutex
 	entries map[string]*schedEntry
 
-	sims    atomic.Int64   // in-process simulations, counted by dist.Local (see run)
-	pending sync.WaitGroup // in-flight write-behind store Puts
+	sims atomic.Int64 // in-process simulations (see run)
 }
 
 // schedEntry is one singleflight slot. done is closed once res/err are
@@ -79,13 +77,14 @@ func (s *scheduler) workers() int {
 
 // run returns the cached result for cfg, executing the simulation if
 // this is the first caller for its key. Concurrent callers with the
-// same key share one execution and one result. Only successes stay
-// cached: a failed (or panicked) entry is evicted before its waiters
-// wake, so the error reaches everyone already joined on it while the
-// next call for the same key retries fresh instead of replaying a
-// poisoned entry — transient failures heal in-process. Cancelling ctx
-// fails the call while it waits (for an in-flight duplicate or for
-// executor capacity); an execution already started is not interrupted.
+// same key share one execution and one result, which is persisted and
+// counted before any of them wakes. Only successes stay cached: a
+// failed (or panicked) entry is evicted before its waiters wake, so
+// the error reaches everyone already joined on it while the next call
+// for the same key retries fresh instead of replaying a poisoned entry
+// — transient failures heal in-process. Cancelling ctx fails the call
+// while it waits (for an in-flight duplicate or for executor
+// capacity); an execution already started is not interrupted.
 func (s *scheduler) run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	key := cfg.Key()
 	s.mu.Lock()
@@ -131,30 +130,24 @@ func (s *scheduler) run(ctx context.Context, cfg sim.Config) (*sim.Result, error
 				return
 			}
 		}
-		// dist.Local adds to s.sims if, and only if, the simulation
-		// runs successfully in this process; however the executor is
+		// dist.Local bumps ran if, and only if, the simulation runs
+		// successfully in this process; however the executor is
 		// wrapped, remote attempts never reach it.
-		e.res, e.err = s.exec.Execute(dist.WithTally(ctx, &s.sims), cfg)
-		if e.err == nil {
-			if s.store != nil {
-				// Write behind: waiters unblock on done while the
-				// entry persists concurrently. flush() joins these
-				// before the process reports completion.
-				s.pending.Add(1)
-				res := e.res
-				go func() {
-					defer s.pending.Done()
-					_ = s.store.Put(key, res) // failures are tallied in the store's WriteErrors
-				}()
-			}
+		var ran atomic.Int64
+		e.res, e.err = s.exec.Execute(dist.WithTally(ctx, &ran), cfg)
+		if e.err != nil {
+			return
+		}
+		if s.store != nil {
+			_ = s.store.Put(key, e.res) // failures are counted as write errors
+		}
+		if ran.Load() > 0 {
+			s.sims.Add(1)
+			s.met.sims.Inc()
 		}
 	}()
 	return e.res, e.err
 }
-
-// flush blocks until every write-behind store Put has settled. It does
-// not prevent new Puts; callers quiesce run() traffic first.
-func (s *scheduler) flush() { s.pending.Wait() }
 
 // prefetch warms the cache for cfgs concurrently, bounded by the
 // executor's capacity. Duplicate keys are dropped up front so no

@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mediasmt/internal/core"
+	"mediasmt/internal/dist"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
@@ -50,7 +53,7 @@ func TestPrefetchDedupAcrossExperiments(t *testing.T) {
 	}
 	// Prefetch dedups up front: progress counts unique configs only.
 	var calls int
-	if err := s.Prefetch(cfgs, func(done, total int, key string, err error) {
+	if err := s.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) {
 		calls++
 		if total != 16 {
 			t.Errorf("progress total = %d, want 16 unique configs", total)
@@ -105,7 +108,7 @@ func TestCacheKeyScaleRegression(t *testing.T) {
 func suiteOutputs(t *testing.T, workers int, ids []string) string {
 	t.Helper()
 	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: workers})
-	rs, err := s.RunExperiments(ids, Progress{})
+	rs, err := s.RunExperimentsContext(context.Background(), ids, Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestConfigsCoverExperiments(t *testing.T) {
 			if len(cfgs) == 0 {
 				t.Fatal("declared no configs")
 			}
-			if err := s.Prefetch(cfgs, nil); err != nil {
+			if err := s.PrefetchContext(context.Background(), cfgs, nil); err != nil {
 				t.Fatal(err)
 			}
 			warm := s.Simulations()
@@ -204,10 +207,58 @@ func TestSchedulerPanicBecomesError(t *testing.T) {
 // TestRunExperimentsUnknownID: unknown ids fail before any simulation.
 func TestRunExperimentsUnknownID(t *testing.T) {
 	s := NewSuite(Options{Scale: 0.05, Seed: 7})
-	if _, err := s.RunExperiments([]string{"fig4", "nope"}, Progress{}); err == nil {
+	if _, err := s.RunExperimentsContext(context.Background(), []string{"fig4", "nope"}, Progress{}); err == nil {
 		t.Fatal("unknown experiment id must error")
 	}
 	if s.Simulations() != 0 {
 		t.Error("id validation must happen before simulations start")
+	}
+}
+
+// slowStore is a resultStore that misses every Get and whose Put
+// sleeps before it records the key, so a Put still in flight when its
+// caller returns would show.
+type slowStore struct {
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func (s *slowStore) Get(string) (*sim.Result, bool) { return nil, false }
+
+func (s *slowStore) Put(key string, _ *sim.Result) error {
+	time.Sleep(50 * time.Millisecond)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keys[key] = true
+	return nil
+}
+
+func (s *slowStore) has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keys[key]
+}
+
+// TestResultPersistedBeforeReturn: a fresh result is in the store, and
+// counted as a write, by the time RunConfigContext returns, so no
+// caller has to wait for persistence after the engine is done.
+func TestResultPersistedBeforeReturn(t *testing.T) {
+	store := &slowStore{keys: make(map[string]bool)}
+	counting := &countingStore{inner: store, met: &runnerMetrics{}}
+	run := func(cfg sim.Config) (*sim.Result, error) { return &sim.Result{Cfg: cfg}, nil }
+	s := &Suite{
+		opts:  Options{Scale: 0.02, Seed: 7},
+		store: counting,
+		sched: newScheduler(dist.NewLocalFunc(1, run), 0, counting, nil),
+	}
+	cfg := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal)
+	if _, err := s.RunConfigContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !store.has(cfg.Key()) {
+		t.Error("RunConfigContext returned before its result was persisted")
+	}
+	if st, _ := s.CacheStats(); st.Writes != 1 || s.Simulations() != 1 {
+		t.Errorf("after return: %d writes, %d simulations, want 1 and 1", st.Writes, s.Simulations())
 	}
 }

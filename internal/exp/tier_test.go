@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,7 +184,7 @@ func TestConcurrentSuitesShareTier(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rs, err := runnerSuite(t, r).RunExperiments(ids, Progress{})
+				rs, err := runnerSuite(t, r).RunExperimentsContext(context.Background(), ids, Progress{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mediasmt/internal/cache"
 )
 
 // JobRecord is one journalled submission: everything needed to re-run
@@ -36,8 +37,9 @@ type JobRecord struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// journalTmpPrefix marks in-flight journal writes, mirroring the
-// cache's temp-file discipline; Load never reads them.
+// journalTmpPrefix marks in-flight journal writes (cache.WriteAtomic
+// temp files); Load never reads them, and OpenJournal sweeps the ones
+// a killed process left behind.
 const journalTmpPrefix = ".job-"
 
 // seqFile persists the submission counter's high-water mark so job
@@ -49,7 +51,7 @@ const seqFile = "_seq"
 // a restarted expsd re-admits what it was asked to do: a record is
 // appended at submission and removed when the job settles, making the
 // directory's contents exactly the unsettled jobs. Writes are atomic
-// (temp file + rename, like internal/cache), reads are
+// (cache.WriteAtomic, the result cache's own write), reads are
 // corruption-tolerant (a truncated or unparsable record is skipped,
 // never an error), and all methods are safe for concurrent use by the
 // one process that owns the directory.
@@ -58,7 +60,9 @@ type Journal struct {
 	seqMu sync.Mutex // serializes bumpSeq's read-compare-write of _seq
 }
 
-// OpenJournal opens (creating as needed) a journal rooted at dir.
+// OpenJournal opens (creating as needed) a journal rooted at dir and
+// removes the temp files of writes a killed process never renamed
+// (cache.SweepTemp: only ones old enough to have no writer left).
 func OpenJournal(dir string) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("journal: empty directory")
@@ -66,6 +70,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	cache.SweepTemp(dir, journalTmpPrefix)
 	return &Journal{dir: dir}, nil
 }
 
@@ -88,8 +93,8 @@ func (jl *Journal) Append(rec JobRecord) error {
 	if err != nil {
 		return fmt.Errorf("journal: encode record: %w", err)
 	}
-	if err := jl.writeAtomic(jl.path(rec.ID), data); err != nil {
-		return err
+	if err := cache.WriteAtomic(jl.path(rec.ID), journalTmpPrefix, data); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return jl.bumpSeq(rec.Seq)
 }
@@ -169,24 +174,7 @@ func (jl *Journal) bumpSeq(seq int64) error {
 			return nil
 		}
 	}
-	return jl.writeAtomic(path, []byte(strconv.FormatInt(seq, 10)))
-}
-
-// writeAtomic is the cache's temp-file-plus-rename discipline: a
-// reader (or a post-crash Load) sees the whole record or none of it.
-func (jl *Journal) writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(jl.dir, journalTmpPrefix+"*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: write record: %w", cmp.Or(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := cache.WriteAtomic(path, journalTmpPrefix, []byte(strconv.FormatInt(seq, 10))); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil

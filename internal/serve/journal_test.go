@@ -72,6 +72,46 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenJournalSweepsOrphans: a kill between a journal write's temp
+// file and its rename leaves a .job-* file that Load skips. OpenJournal
+// removes one an hour old, keeps a fresh one a live writer may still
+// rename, and Load still returns the records.
+func TestOpenJournalSweepsOrphans(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Append(JobRecord{ID: "job-1", Seq: 1, Experiments: []string{"table1"}}); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, journalTmpPrefix+"orphan")
+	fresh := filepath.Join(dir, journalTmpPrefix+"fresh")
+	for _, p := range []string{orphan, fresh} {
+		if err := os.WriteFile(p, []byte(`{"id":"job-`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-time.Hour - time.Minute)
+	if err := os.Chtimes(orphan, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if jl, err = OpenJournal(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("hour-old orphan survived OpenJournal (stat err %v)", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
+	}
+	recs, maxSeq, err := jl.Load()
+	if err != nil || len(recs) != 1 || recs[0].ID != "job-1" || maxSeq != 1 {
+		t.Errorf("Load after the sweep = %v, %d, %v; want [job-1], 1", recs, maxSeq, err)
+	}
+}
+
 // TestJournalConcurrentAppendsKeepSeq: the server appends outside its
 // own lock, so concurrent submissions race on the _seq high-water
 // mark. Once every job settles, _seq must still equal the highest

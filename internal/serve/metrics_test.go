@@ -10,12 +10,16 @@ import (
 	"testing"
 
 	"mediasmt/internal/cache"
+	"mediasmt/internal/core"
+	"mediasmt/internal/dist"
 	"mediasmt/internal/exp"
+	"mediasmt/internal/mem"
 	"mediasmt/internal/metrics"
+	"mediasmt/internal/sim"
 )
 
-// newInstrumentedServer builds a service whose runner and server share
-// one registry — the wiring cmd/expsd uses.
+// newInstrumentedServer builds a service whose pool, runner and server
+// share one registry — the wiring cmd/expsd uses.
 func newInstrumentedServer(t *testing.T, workers, maxJobs int) (*httptest.Server, *metrics.Registry) {
 	t.Helper()
 	c, err := cache.Open(t.TempDir())
@@ -23,7 +27,7 @@ func newInstrumentedServer(t *testing.T, workers, maxJobs int) (*httptest.Server
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	runner := exp.NewRunner(workers, c).Instrument(reg)
+	runner := exp.NewRunnerExecutor(dist.NewLocal(workers).Instrument(reg), c).Instrument(reg)
 	s := New(Config{Runner: runner, MaxJobs: maxJobs, Metrics: reg})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -169,5 +173,42 @@ func TestJobsStatusFilter(t *testing.T) {
 	}
 	if running := list("?status=running"); len(running) != 0 {
 		t.Errorf("status=running list %+v, want empty", running)
+	}
+}
+
+// TestWorkerEndpointCountsOnce: /v1/sims counts a simulation where the
+// engine resolves it, so a cold request then a warm repeat leave one
+// execution in both the engine's and the pool's counter, and the
+// status view's cache_stats equal the mediasmt_cache_* counters.
+func TestWorkerEndpointCountsOnce(t *testing.T) {
+	ts, reg := newInstrumentedServer(t, 2, 8)
+	cfg := sim.Config{ISA: core.ISAMMX, Threads: 1, Policy: core.PolicyRR, Memory: mem.ModeIdeal, Scale: 0.02, Seed: 7}
+	for _, run := range []string{"cold", "warm"} {
+		if code, raw := postSim(t, ts, encodedConfig(t, cfg), cache.Fingerprint()); code != http.StatusOK {
+			t.Fatalf("%s request: status %d: %s", run, code, raw)
+		}
+	}
+	counter := func(name string) int64 { return reg.Counter(name, "").Value() }
+	if executed, pool := counter("mediasmt_sims_executed_total"), counter("mediasmt_pool_sims_total"); executed != 1 || pool != 1 {
+		t.Errorf("sims_executed_total = %d, pool_sims_total = %d, want 1 and 1", executed, pool)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v StatusView
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CacheStatsView{
+		Hits:   counter("mediasmt_cache_hits_total"),
+		Misses: counter("mediasmt_cache_misses_total"),
+		Writes: counter("mediasmt_cache_writes_total"),
+	}
+	if v.CacheStats == nil || *v.CacheStats != want || want != (CacheStatsView{Hits: 1, Misses: 1, Writes: 1}) {
+		t.Errorf("cache_stats = %+v, counters = %+v, want both 1 hit / 1 miss / 1 write", v.CacheStats, want)
 	}
 }

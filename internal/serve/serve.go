@@ -7,7 +7,8 @@
 // bounded memory tier over it (so a warm repeat reads memory, not
 // disk). Each job keeps the engine's fault-isolation semantics:
 // partial failures report the offending config keys instead of
-// suppressing the surviving tables.
+// suppressing the surviving tables. The Runner persists and counts
+// every simulation it resolves, for jobs and /v1/sims alike.
 //
 // # HTTP API v1
 //
@@ -87,11 +88,12 @@ type Config struct {
 	// included); 0 means DefaultMaxJobs.
 	MaxJobs int
 	// Metrics, when non-nil, is served on GET /v1/metrics and receives
-	// the server's own instruments (sims executed, job admissions, SSE
-	// subscriber bookkeeping). The caller typically registers the
-	// runner and executor on the same registry so one scrape covers
-	// the whole process. Nil disables both — the endpoint then serves
-	// an empty snapshot and every instrument is a no-op.
+	// the server's own instruments (job admissions, journal and SSE
+	// subscriber bookkeeping). The caller registers the runner, which
+	// owns the simulation and cache counters, and the executor on the
+	// same registry so one scrape covers the whole process. Nil
+	// disables both — the endpoint then serves an empty snapshot and
+	// every instrument is a no-op.
 	Metrics *metrics.Registry
 	// Journal, when non-nil, makes the job queue durable: every
 	// submission is journalled until it settles, and New re-admits the
@@ -118,10 +120,6 @@ const eventBuffer = 256
 // serveMetrics is the server's own instrument set. The struct always
 // exists; with a nil registry every instrument is nil and no-ops.
 type serveMetrics struct {
-	// sims shares its name with the exp.Runner aggregate: the worker
-	// endpoint executes outside the experiment loop, so it adds its
-	// executions to the same mediasmt_sims_executed_total series.
-	sims          *metrics.Counter
 	jobsSubmitted *metrics.Counter
 	jobsRejected  *metrics.Counter
 	jobsRecovered *metrics.Counter
@@ -174,7 +172,6 @@ func New(cfg Config) *Server {
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.met = serveMetrics{
-			sims:          reg.Counter("mediasmt_sims_executed_total", "simulations executed successfully by the experiment engine"),
 			jobsSubmitted: reg.Counter("mediasmt_jobs_submitted_total", "jobs admitted into the store"),
 			jobsRejected:  reg.Counter("mediasmt_jobs_rejected_total", "submissions refused because the store was full of in-flight jobs"),
 			jobsRecovered: reg.Counter("mediasmt_jobs_recovered_total", "journalled jobs re-admitted after a restart"),
@@ -321,13 +318,9 @@ func (s *Server) handleSimExecute(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(dist.ForwardedHeader) != "" {
 		ctx = dist.NoForward(ctx)
 	}
+	// A fresh result is persisted and counted before this returns.
 	res, runErr := suite.RunConfigContext(ctx, cfg)
-	suite.Flush() // results must be durable before the coordinator sees them
 	s.simsExecuted.Add(suite.Simulations())
-	// The experiment engine only rolls suite executions into
-	// mediasmt_sims_executed_total when a full experiment run settles;
-	// this single-config path settles here, so the server adds them.
-	s.met.sims.Add(suite.Simulations())
 	if runErr != nil {
 		writeError(w, http.StatusUnprocessableEntity, ErrSimFailed, "%v", runErr)
 		return
@@ -452,7 +445,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 	rs, err := suite.RunExperimentsContext(ctx, j.ids, prog)
 	j.finish(rs, err)
-	// Settled (results flushed to the cache inside the suite): the
+	// Settled (every executed result is already in the cache): the
 	// journal record has done its job and must go, or a restart would
 	// re-admit finished work.
 	s.settleJournal(j.id)
@@ -693,8 +686,8 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheStatsView is the status payload's process-lifetime cache
-// bookkeeping (what exps' stderr summary prints per run); a hit the
-// Runner's memory tier answers counts as a hit.
+// bookkeeping (what exps' stderr summary prints per run): the
+// Runner's CacheStats, equal to the mediasmt_cache_* counters.
 type CacheStatsView struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -143,7 +144,7 @@ func TestSubmitPollResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := exp.NewSuite(exp.Options{Scale: 0.02, Seed: 7, Workers: 2, Cache: refCache})
-	refSet, err := ref.RunExperiments([]string{"table1", "fig4"}, exp.Progress{})
+	refSet, err := ref.RunExperimentsContext(context.Background(), []string{"table1", "fig4"}, exp.Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}

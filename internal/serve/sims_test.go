@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -215,7 +216,7 @@ func TestCoordinatorOverWorkerServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := suite.RunExperiments([]string{"fig4"}, exp.Progress{})
+		rs, err := suite.RunExperimentsContext(context.Background(), []string{"fig4"}, exp.Progress{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func TestWrappedExecutorCountsLikeBare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := suite.RunExperiments([]string{"fig4"}, exp.Progress{})
+			rs, err := suite.RunExperimentsContext(context.Background(), []string{"fig4"}, exp.Progress{})
 			if err != nil {
 				t.Fatal(err)
 			}

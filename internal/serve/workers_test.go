@@ -91,8 +91,8 @@ func TestWorkersAPI(t *testing.T) {
 	if code != http.StatusOK || v.Changed {
 		t.Fatalf("deregister unknown: code %d changed %v, want 200 unchanged", code, v.Changed)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("registry has %d members, want 1", m.Len())
+	if len(m.Snapshot()) != 1 {
+		t.Fatalf("registry has %d members, want 1", len(m.Snapshot()))
 	}
 }
 

@@ -39,14 +39,6 @@ func (m *Mix) Pct(c isa.Class) float64 {
 	return 100 * float64(m.Equiv[c]) / float64(m.TotalEq)
 }
 
-// RawPct returns the raw-count percentage of a class.
-func (m *Mix) RawPct(c isa.Class) float64 {
-	if m.Total == 0 {
-		return 0
-	}
-	return 100 * float64(m.Counts[c]) / float64(m.Total)
-}
-
 // CountMix runs a program to completion (resetting it before and
 // after) and returns its instruction mix. It is the dry pass used to
 // compute Table 3 and the per-benchmark EIPC conversion factors.
