@@ -6,7 +6,9 @@
 //	go build -o mediavet ./cmd/mediavet
 //	go vet -vettool=$PWD/mediavet ./...
 //
-// and it also runs standalone on package patterns:
+// Run on package patterns, it re-execs that same go vet command with
+// itself as the tool, so both forms report the same findings and exit
+// non-zero on any (standalone mode exits 2):
 //
 //	go run ./cmd/mediavet ./...
 //

@@ -3,10 +3,10 @@
 // type-checked package and report position-anchored diagnostics, with
 // package-level facts flowing along import edges so cross-package
 // invariants (one metric name = one kind) survive separate analysis of
-// each package. Two drivers share it: a standalone whole-module loader
-// (RunStandalone, also backing the analysistest harness) and a
-// unitchecker speaking cmd/go's vet config protocol, so the mediavet
-// binary plugs into `go vet -vettool=` — see cmd/mediavet.
+// each package. One driver runs them: a unitchecker speaking cmd/go's
+// vet config protocol, so the mediavet binary plugs into
+// `go vet -vettool=`. mediavet's standalone mode and the analysistest
+// harness both run go vet with a tool built on it — see cmd/mediavet.
 //
 // The suite-wide escape hatch is the comment directive
 //
@@ -29,7 +29,7 @@ import (
 // Analyzer is one named invariant check over a type-checked package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in the boolean
-	// enable/disable flag the drivers expose (-simdeterminism=false).
+	// enable/disable flag the driver exposes (-simdeterminism=false).
 	Name string
 	// Doc is a one-paragraph description: the invariant guarded and
 	// why it matters.

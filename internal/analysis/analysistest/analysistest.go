@@ -1,7 +1,7 @@
-// Package analysistest runs one analyzer over a fixture module and
-// matches its diagnostics against expectations embedded in the
-// fixture source, in the style of golang.org/x/tools'
-// go/analysis/analysistest:
+// Package analysistest runs one analyzer over a fixture module through
+// the driver CI runs, `go vet -vettool`, and matches its diagnostics
+// against expectations embedded in the fixture source, in the style of
+// golang.org/x/tools' go/analysis/analysistest:
 //
 //	r, _ := http.Get(url) // want `http.Error bypasses`
 //
@@ -10,6 +10,11 @@
 // comment alone on a line states expectations for the line below it.
 // Every diagnostic must be wanted and every want must be matched.
 //
+// The test binary itself is the vet tool, so each analyzer's tests
+// need a TestMain that hands the binary to Main:
+//
+//	func TestMain(m *testing.M) { analysistest.Main(m, simdeterminism.Analyzer) }
+//
 // Fixtures live under testdata/src/mediasmt — a self-contained module
 // named like the real one, so analyzers' package-path gates see the
 // paths they will see in production.
@@ -17,9 +22,9 @@ package analysistest
 
 import (
 	"fmt"
-	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -33,28 +38,82 @@ import (
 // import paths the analyzers guard.
 const module = "mediasmt"
 
-// Run applies a to the fixture module under testdata and reports any
-// mismatch between diagnostics and `// want` expectations on t.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, patterns ...string) {
+// toolEnv, set in the environment of the commands Command builds,
+// makes the test binary act as the vet tool instead of running tests.
+const toolEnv = "MEDIAVET_ANALYSISTEST_TOOL"
+
+// Main is the body of an analyzer test binary's TestMain. When
+// Command's environment marks the binary as the vet tool, it runs
+// mediavet's driver (analysis.Main) with a as the only analyzer;
+// otherwise it runs the tests.
+func Main(m *testing.M, a *analysis.Analyzer) {
+	if os.Getenv(toolEnv) != "" {
+		os.Exit(analysis.Main(module, []*analysis.Analyzer{a}, os.Args[1:]))
+	}
+	os.Exit(m.Run())
+}
+
+// Command returns name run with args in the fixture module under
+// testdata, with this test binary as the vet tool of Main's analyzer,
+// outside any workspace and without the caller's GOFLAGS. GORACE drops
+// the race runtime's one-second exit sleep, which a race-built tool
+// would pay once per package go vet hands it.
+func Command(testdata, name string, args ...string) *exec.Cmd {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = filepath.Join(testdata, "src", module)
+	cmd.Env = append(cmd.Environ(), toolEnv+"=1", "GOWORK=off", "GOFLAGS=", "GORACE=atexit_sleep_ms=0")
+	return cmd
+}
+
+// diagRx parses the driver's documented diagnostic line,
+// file:line:col: message (mediavet:analyzer).
+var diagRx = regexp.MustCompile(`^(.+?):(\d+):\d+: (.*) \(mediavet:(\w+)\)$`)
+
+// Run vets the patterns of the fixture module under testdata with
+// `go vet -vettool=<test binary>` and reports on t any mismatch
+// between the diagnostics and the `// want` expectations. Any line of
+// go vet's output that is neither a diagnostic nor a `# pkg` header
+// fails the test.
+func Run(t *testing.T, testdata string, patterns ...string) {
 	t.Helper()
-	moduleDir := filepath.Join(testdata, "src", module)
+	moduleDir, err := filepath.Abs(filepath.Join(testdata, "src", module))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(filepath.Join(moduleDir, "go.mod")); err != nil {
 		t.Fatalf("fixture module missing: %v", err)
 	}
-	diags, fset, err := analysis.RunStandalone(moduleDir, module, patterns, []*analysis.Analyzer{a}, nil)
+	exe, err := os.Executable()
 	if err != nil {
-		t.Fatalf("analysis failed: %v", err)
+		t.Fatal(err)
 	}
 	wants, err := collectWants(moduleDir)
 	if err != nil {
 		t.Fatalf("parse want comments: %v", err)
 	}
 
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if !claim(wants, pos, d.Message) {
-			t.Errorf("%s: unexpected diagnostic: %s (mediavet:%s)", pos, d.Message, d.Analyzer)
+	out, vetErr := Command(testdata, "go", append([]string{"vet", "-vettool=" + exe}, patterns...)...).CombinedOutput()
+	diags := 0
+	for _, text := range strings.Split(string(out), "\n") {
+		if text == "" || strings.HasPrefix(text, "# ") {
+			continue
 		}
+		m := diagRx.FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("go vet printed %q, not a diagnostic (%v); full output:\n%s", text, vetErr, out)
+		}
+		diags++
+		file := m[1]
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(moduleDir, file) // go vet shortens paths under its working directory
+		}
+		line, _ := strconv.Atoi(m[2])
+		if !claim(wants, file, line, m[3]) {
+			t.Errorf("%s: unexpected diagnostic: %s (mediavet:%s)", file, m[3], m[4])
+		}
+	}
+	if vetErr != nil && diags == 0 {
+		t.Fatalf("go vet failed without diagnostics: %v\n%s", vetErr, out)
 	}
 	for _, w := range wants {
 		if !w.matched {
@@ -74,9 +133,9 @@ type want struct {
 }
 
 // claim marks the first unmatched want covering the diagnostic.
-func claim(wants []*want, pos token.Position, message string) bool {
+func claim(wants []*want, file string, line int, message string) bool {
 	for _, w := range wants {
-		if w.matched || w.line != pos.Line || w.file != filepath.Clean(pos.Filename) {
+		if w.matched || w.line != line || w.file != filepath.Clean(file) {
 			continue
 		}
 		if w.re.MatchString(message) {

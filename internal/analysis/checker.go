@@ -3,49 +3,35 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// unit is one type-checked package ready for analysis.
-type unit struct {
-	fset  *token.FileSet
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-// runAnalyzers applies every enabled analyzer to u, sharing facts, and
-// returns the surviving diagnostics sorted by position: mediavet:ignore
+// runAnalyzers applies every enabled analyzer to the package base
+// carries (Fset, Files, Pkg, TypesInfo and the fact store), and returns
+// the surviving diagnostics sorted by position: mediavet:ignore
 // suppressions are applied, malformed directives are themselves
-// reported, and each analyzer's fact exports land in facts for
-// downstream packages.
-func runAnalyzers(u *unit, analyzers []*Analyzer, facts *factStore) ([]Diagnostic, error) {
-	ignores, malformed := scanIgnores(u.fset, u.files)
+// reported, and each analyzer's fact exports land in the fact store
+// for downstream packages.
+func runAnalyzers(base Pass, analyzers []*Analyzer) ([]Diagnostic, error) {
+	ignores, malformed := scanIgnores(base.Fset, base.Files)
 	diags := malformed
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      u.fset,
-			Files:     u.files,
-			Pkg:       u.pkg,
-			TypesInfo: u.info,
-			facts:     facts,
-		}
+		pass := base
+		pass.Analyzer = a
 		pass.report = func(d Diagnostic) {
-			pos := u.fset.Position(d.Pos)
+			pos := base.Fset.Position(d.Pos)
 			if ignores.suppressed(pos.Filename, pos.Line) {
 				return
 			}
 			diags = append(diags, d)
 		}
-		if err := a.Run(pass); err != nil {
+		if err := a.Run(&pass); err != nil {
 			return nil, err
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
-		pi, pj := u.fset.Position(diags[i].Pos), u.fset.Position(diags[j].Pos)
+		pi, pj := base.Fset.Position(diags[i].Pos), base.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
 		}
@@ -73,12 +59,8 @@ func NonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 	return out
 }
 
-// enabledAnalyzers applies the per-analyzer boolean flags (nil map =
-// everything on).
+// enabledAnalyzers applies the per-analyzer boolean flags.
 func enabledAnalyzers(analyzers []*Analyzer, enabled map[string]bool) []*Analyzer {
-	if enabled == nil {
-		return analyzers
-	}
 	out := analyzers[:0:0]
 	for _, a := range analyzers {
 		if on, ok := enabled[a.Name]; !ok || on {

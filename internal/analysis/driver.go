@@ -3,23 +3,26 @@ package analysis
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 )
 
-// Main is the entry point shared by cmd/mediavet's two personalities:
+// Main is the entry point shared by cmd/mediavet's two personalities,
+// which run one driver:
 //
 //   - `go vet -vettool=mediavet ./...` — cmd/go first probes the tool
 //     with -V=full (version/build-ID handshake for result caching) and
 //     -flags (JSON flag inventory), then invokes it once per package
 //     with a generated vet.cfg path as the only positional argument;
-//   - `mediavet [patterns]` — standalone mode: load the matching
-//     packages of the module in the current directory and analyze them
-//     all in one process.
+//   - `mediavet [patterns]` — standalone mode: re-exec
+//     `go vet -vettool=<this binary>` on the patterns (default ./...),
+//     passing each disabled analyzer on as -<name>=false.
 //
 // module scopes the suite: only packages inside it are analyzed.
 // Returns the process exit code.
@@ -27,25 +30,16 @@ func Main(module string, analyzers []*Analyzer, args []string) int {
 	fs := flag.NewFlagSet("mediavet", flag.ContinueOnError)
 	versionFlag := fs.String("V", "", "print version and exit (vet tool protocol)")
 	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (vet tool protocol)")
-	jsonFlag := fs.Bool("json", false, "emit diagnostics as JSON")
 	toggles := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		toggles[a.Name] = fs.Bool(a.Name, true, doc)
+		toggles[a.Name] = fs.Bool(a.Name, true, synopsis(a))
 	}
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: mediavet [flags] [package patterns | vet.cfg]\n\n"+
 			"mediavet checks the mediasmt tree against its simulator invariants.\n"+
-			"Run it directly on package patterns, or through go vet -vettool.\n\nAnalyzers:\n")
+			"Run it on package patterns (it re-execs go vet), or through go vet -vettool.\n\nAnalyzers:\n")
 		for _, a := range analyzers {
-			doc := a.Doc
-			if i := strings.IndexByte(doc, '\n'); i >= 0 {
-				doc = doc[:i]
-			}
-			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, doc)
+			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, synopsis(a))
 		}
 		fmt.Fprintf(fs.Output(), "\nFlags:\n")
 		fs.PrintDefaults()
@@ -72,32 +66,37 @@ func Main(module string, analyzers []*Analyzer, args []string) int {
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return runUnit(rest[0], module, analyzers, enabled)
 	}
+	return vet(analyzers, enabled, rest)
+}
 
-	diags, fset, err := RunStandalone(".", module, rest, analyzers, enabled)
+// vet is standalone mode: `go vet` with this binary as the vet tool,
+// so a direct run reports exactly what CI's vettool step reports.
+// go vet prints the diagnostics; vet exits 2 when go vet fails.
+func vet(analyzers []*Analyzer, enabled map[string]bool, patterns []string) int {
+	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mediavet: %v\n", err)
 		return 1
 	}
-	if len(diags) == 0 {
-		return 0
-	}
-	if *jsonFlag {
-		type jsonDiag struct {
-			Pos      string `json:"posn"`
-			Message  string `json:"message"`
-			Analyzer string `json:"analyzer"`
+	args := []string{"vet", "-vettool=" + exe}
+	for _, a := range analyzers {
+		if !enabled[a.Name] {
+			args = append(args, "-"+a.Name+"=false")
 		}
-		out := make([]jsonDiag, len(diags))
-		for i, d := range diags {
-			out[i] = jsonDiag{Pos: fset.Position(d.Pos).String(), Message: d.Message, Analyzer: d.Analyzer}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
-	} else {
-		printDiagnostics(os.Stderr, fset, diags)
 	}
-	return 2
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			fmt.Fprintf(os.Stderr, "mediavet: %v\n", err)
+		}
+		return 2
+	}
+	return 0
 }
 
 // printVersion answers cmd/go's -V=full handshake. The line must read
@@ -126,14 +125,16 @@ func printFlagDefs(w io.Writer, analyzers []*Analyzer) {
 		Bool  bool
 		Usage string
 	}
-	defs := []flagDef{{Name: "json", Bool: true, Usage: "emit diagnostics as JSON"}}
+	defs := make([]flagDef, 0, len(analyzers))
 	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: doc})
+		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: synopsis(a)})
 	}
 	data, _ := json.Marshal(defs)
 	fmt.Fprintf(w, "%s\n", data)
+}
+
+// synopsis is the first line of a's Doc: its flag usage.
+func synopsis(a *Analyzer) string {
+	doc, _, _ := strings.Cut(a.Doc, "\n")
+	return doc
 }

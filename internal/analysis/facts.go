@@ -9,10 +9,9 @@ import (
 )
 
 // factStore holds package facts keyed by (package path, analyzer,
-// concrete fact type). The standalone driver keeps one store for the
-// whole module; the unitchecker fills one from the dependency vetx
-// files cmd/go hands it and serializes the current package's exports
-// back out.
+// concrete fact type). The unitchecker fills one from the dependency
+// vetx files cmd/go hands it and serializes the current package's
+// exports back out.
 type factStore struct {
 	m map[factKey]Fact
 }

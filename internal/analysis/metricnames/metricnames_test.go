@@ -7,7 +7,8 @@ import (
 	"mediasmt/internal/analysis/metricnames"
 )
 
+func TestMain(m *testing.M) { analysistest.Main(m, metricnames.Analyzer) }
+
 func TestMetricNames(t *testing.T) {
-	analysistest.Run(t, "testdata", metricnames.Analyzer,
-		"mediasmt/internal/enc", "mediasmt/internal/obs2")
+	analysistest.Run(t, "testdata", "mediasmt/internal/enc", "mediasmt/internal/obs2")
 }

@@ -7,7 +7,8 @@ import (
 	"mediasmt/internal/analysis/simdeterminism"
 )
 
+func TestMain(m *testing.M) { analysistest.Main(m, simdeterminism.Analyzer) }
+
 func TestSimDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", simdeterminism.Analyzer,
-		"mediasmt/internal/sim", "mediasmt/internal/notcovered")
+	analysistest.Run(t, "testdata", "mediasmt/internal/sim", "mediasmt/internal/notcovered")
 }

@@ -106,8 +106,7 @@ func runUnit(cfgFile, module string, analyzers []*Analyzer, enabled map[string]b
 		return 1
 	}
 
-	u := &unit{fset: fset, files: files, pkg: pkg, info: info}
-	diags, err := runAnalyzers(u, analyzers, facts)
+	diags, err := runAnalyzers(Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, facts: facts}, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mediavet: %v\n", err)
 		return 1

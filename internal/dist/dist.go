@@ -62,28 +62,6 @@ type Executor interface {
 	Workers() int
 }
 
-// Func adapts a plain function into an Executor bounded at workers
-// concurrent calls (the bound is advertised, not enforced — the
-// engine's fan-out respects Workers). Tests use it to model transient
-// failures and instrumented executors.
-func Func(workers int, fn func(context.Context, sim.Config) (*sim.Result, error)) Executor {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &funcExecutor{workers: workers, fn: fn}
-}
-
-type funcExecutor struct {
-	workers int
-	fn      func(context.Context, sim.Config) (*sim.Result, error)
-}
-
-func (f *funcExecutor) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	return f.fn(ctx, cfg)
-}
-
-func (f *funcExecutor) Workers() int { return f.workers }
-
 // tallyKey marks a context whose in-process simulations are counted.
 type tallyKey struct{}
 

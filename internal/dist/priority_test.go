@@ -39,7 +39,7 @@ func TestPriorityOrdersContendedWork(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint64
 	proceed := make(chan struct{})
-	inner := Func(1, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	inner := NewLocalFunc(1, func(cfg sim.Config) (*sim.Result, error) {
 		mu.Lock()
 		order = append(order, cfg.Seed)
 		mu.Unlock()
@@ -105,7 +105,7 @@ func TestPriorityOrdersContendedWork(t *testing.T) {
 func TestPriorityCancelWhileQueued(t *testing.T) {
 	proceed := make(chan struct{})
 	started := make(chan uint64, 8)
-	inner := Func(1, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	inner := NewLocalFunc(1, func(cfg sim.Config) (*sim.Result, error) {
 		started <- cfg.Seed
 		<-proceed
 		return stubResult(cfg), nil

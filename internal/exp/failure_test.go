@@ -160,12 +160,11 @@ func TestPrefetchAggregatesAllErrors(t *testing.T) {
 func TestSchedulerRetryAfterTransientError(t *testing.T) {
 	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 2})
 	var calls atomic.Int32
-	realExec := s.sched.exec
-	s.sched.exec = dist.Func(2, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	s.sched.exec = dist.NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("transient executor failure")
 		}
-		return realExec.Execute(ctx, cfg)
+		return sim.Run(cfg)
 	})
 	cfg := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal)
 	if _, err := s.RunConfig(cfg); err == nil || !strings.Contains(err.Error(), "transient") {
