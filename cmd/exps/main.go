@@ -40,15 +40,15 @@
 // exits.
 //
 // With -remote, exps acts as a distributed coordinator over the
-// listed worker expsd processes, through the same work-stealing pool
-// an expsd coordinator runs (dist.StealPool): simulations shard
-// across the workers by config key, an idle worker steals queued
-// work, a straggler is re-run on a second worker, and -j bounds the
-// requests in flight. A config whose worker is down or times out runs
-// locally instead, so the run completes with every worker gone. The
-// -json "simulations" count covers local executions only: it stays 0
-// while the workers serve every config, because their counters own
-// those executions. Everything else is unchanged: the same scheduler
+// listed worker expsd processes, through the same pool an expsd
+// coordinator runs (dist.StealPool): each simulation goes to the
+// worker with the fewest requests in flight, and -j bounds how many
+// are in flight in all. Workers are health-checked as in expsd; a
+// config whose worker is down, times out or stops answering health
+// checks runs locally instead, so the run completes with every worker
+// gone. The -json "simulations" count covers local executions only: it
+// stays 0 while the workers serve every config, because their counters
+// own those executions. Everything else is unchanged: the same scheduler
 // dedups configs, the same cache persists fetched results locally,
 // the same failure-domain partitioning maps a simulation failure
 // onto exactly the experiments referencing that config, and the
@@ -83,7 +83,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the structured result set as JSON on stdout")
 	csvOut := flag.Bool("csv", false, "emit per-simulation metrics as CSV on stdout")
 	verbose := flag.Bool("v", false, "log each completed simulation to stderr")
-	remote := flag.String("remote", "", "comma-separated worker expsd URLs; simulations shard across the workers and fall back to local execution when a worker fails")
+	remote := flag.String("remote", "", "comma-separated worker expsd URLs; each simulation goes to the worker with the fewest requests in flight and falls back to local execution when that worker fails")
 	remoteTimeout := flag.Duration("remote-timeout", dist.DefaultRequestTimeout, "per-request timeout against a -remote worker")
 	cacheDir := flag.String("cache-dir", cache.DefaultDir(), "on-disk result cache directory ('' disables)")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache")
@@ -138,10 +138,10 @@ func main() {
 	}
 
 	// The executor is the "where do simulations run" policy: the local
-	// worker pool by default; with -remote, a steal pool over the
-	// listed workers with that local pool as its failover. Everything
-	// downstream — scheduler, cache, failure domains, emitters — is
-	// identical either way.
+	// worker pool by default; with -remote, a dist.StealPool over the
+	// listed workers, health-checked, with that local pool as its
+	// failover. Everything downstream — scheduler, cache, failure
+	// domains, emitters — is identical either way.
 	// -metrics instruments the whole stack on one registry: each
 	// finished simulation's stall and memory totals (obs.SimRunner),
 	// pool or peer activity (dist) and engine aggregates (exp). reg
@@ -164,11 +164,16 @@ func main() {
 			members.Add(p)
 		}
 		steal := dist.NewStealPool(members, local, dist.StealOptions{
-			Remote:         dist.RemoteOptions{Timeout: *remoteTimeout, Metrics: reg},
-			WorkersPerPeer: *workers,
-			Metrics:        reg,
+			Remote:  dist.RemoteOptions{Timeout: *remoteTimeout, Metrics: reg},
+			Metrics: reg,
 		})
-		exec, closeExec = steal, steal.Close
+		health := dist.NewHealthChecker(members, dist.HealthOptions{})
+		health.Start()
+		exec = steal
+		closeExec = func() {
+			health.Stop()
+			steal.Close()
+		}
 	}
 	runner := exp.NewRunnerExecutor(exec, store)
 	runner.Instrument(reg)

@@ -53,16 +53,16 @@
 // POST /v1/workers and repeats it every -register-interval as a
 // heartbeat; the coordinator health-checks registered workers every
 // -peer-health-interval and drops the ones that stop answering, so
-// dead peers stop receiving shards. The coordinator's jobs shard
-// simulations across the live workers by config key (keeping each
-// worker's cache hot on its share); an idle worker steals queued work
-// from the longest backlog, stragglers are speculatively re-executed
-// on another worker (first result wins), and any retryable failure
-// falls over to local execution. Jobs carry an optional priority:
-// under contention higher classes are admitted first, FIFO within a
-// class. A worker on a different simulator version answers 409 and
-// its results never mix in. Job views still report exact per-job
-// counts, with "simulations" meaning local executions only.
+// dead peers stop receiving work. The coordinator sends each
+// simulation to the live worker with the fewest requests in flight
+// (the config key's home worker wins ties, keeping an idle fleet's
+// caches hot on their share); a dropped worker's requests in flight,
+// and any other retryable failure, fall over to local execution.
+// Jobs carry an optional priority: under contention higher classes
+// are admitted first, FIFO within a class. A worker on a different
+// simulator version answers 409 and its results never mix in. Job
+// views still report exact per-job counts, with "simulations" meaning
+// local executions only.
 //
 // SIGINT/SIGTERM shut the listener down gracefully, deregister from
 // the coordinator, and cancel simulations not yet started; completed
@@ -168,17 +168,17 @@ func main() {
 
 	// One registry covers the whole process — each finished
 	// simulation's stall and memory totals (obs.SimRunner), pool
-	// saturation and steal/speculation traffic (dist), engine
+	// saturation, peer requests and failovers (dist), engine
 	// aggregates (exp) and the HTTP layer (serve) — and is scraped from
 	// GET /v1/metrics.
 	//
 	// The executor stack, inside out: a local pool bounds this
-	// process's simulations; the steal pool shards over dynamically
-	// registered workers, rebalancing queues when a peer idles and
-	// duplicating stragglers; the priority gate admits contended work
-	// highest class first. With no workers registered the steal pool
-	// degenerates to the local pool — coordinator and standalone mode
-	// are the same wiring.
+	// process's simulations; the StealPool sends each simulation to the
+	// dynamically registered worker with the fewest requests in flight
+	// and keeps no queue of its own; the priority gate, the one place
+	// work waits, admits contended work highest class first. With no
+	// workers registered the StealPool degenerates to the local pool —
+	// coordinator and standalone mode are the same wiring.
 	reg := metrics.New()
 	members := dist.NewMembers().Instrument(reg)
 	local := dist.NewLocalFunc(*workers, obs.SimRunner(reg)).Instrument(reg)
@@ -240,7 +240,8 @@ func main() {
 	}
 
 	// Tell the coordinator we are leaving before jobs are cancelled, so
-	// it stops sharding to us while we drain.
+	// it stops sending us work and runs what it had in flight here
+	// itself.
 	if registerURL != "" {
 		deregister(registerURL, advertiseURL)
 	}

@@ -83,10 +83,11 @@
 // Where a simulation runs is a pluggable policy (internal/dist):
 // every expsd is a worker (POST /v1/sims executes one config through
 // its pool and cache). Both coordinators run one stack, a
-// work-stealing dist.StealPool that shards simulations across workers
-// by config key and runs a config locally when its worker fails: an
-// expsd coordinator over the workers that register with it, and
-// `exps -remote URL[,URL...]` over the workers it lists. A job counts
+// dist.StealPool that sends each simulation to the health-checked
+// worker with the fewest requests in flight and runs a config locally
+// when its worker fails or leaves: an expsd coordinator over the
+// workers that register with it, and `exps -remote URL[,URL...]` over
+// the workers it lists. A job counts
 // only the simulations dist.Local runs for it, through a tally carried
 // on the job's context, so while the workers serve every config the
 // coordinator honestly reports 0 local simulations, whatever wraps its

@@ -3,24 +3,23 @@
 // the Executor interface instead of calling sim.Run directly, so the
 // same scheduler — singleflight dedup, read-through cache, failure
 // isolation — drives a local worker pool (Local), one remote expsd
-// worker (Remote), a work-stealing pool over a registry of workers
-// with local failover (StealPool over Members), or any of those under
-// a priority admission gate (Priority).
+// worker (Remote), a pool over a registry of workers with local
+// failover (StealPool over Members), or any of those under a priority
+// admission gate (Priority).
 //
-// Every front end that distributes runs the same StealPool: expsd
-// fills its Members as workers self-register (POST /v1/workers), with
-// a HealthChecker evicting peers that stop answering so dead workers
-// stop receiving shards; exps -remote fills its Members once from the
-// flag. StealPool shards work across the members by config key to
-// keep each worker's cache hot, lets an idle worker steal from the
-// longest backlog, speculatively re-executes stragglers on a second
-// worker once they outlive an adaptive latency threshold — first
-// result wins, which is safe because simulations are deterministic
-// and cache-keyed — and runs a config locally when its worker fails.
-// Priority admits contended work highest class first (WithPriority on
-// the context, FIFO within a class) and re-reads the inner executor's
-// capacity on every release, so workers registering mid-queue admit
-// waiting jobs without new traffic.
+// Every front end that distributes runs the same StealPool over a
+// Members registry with a HealthChecker evicting peers that stop
+// answering: expsd fills the registry as workers self-register
+// (POST /v1/workers), exps -remote fills it once from the flag.
+// StealPool has one dispatch rule: each config goes to the live worker
+// with the fewest of the pool's requests in flight, its config-key
+// hash home winning ties, and runs locally when that worker fails or
+// leaves. The pool queues nothing; work waits where its caller bounds
+// it. Priority is that bound in expsd: it admits contended work
+// highest class first (WithPriority on the context, FIFO within a
+// class) and re-reads the inner executor's capacity on every release,
+// so workers registering mid-queue admit waiting jobs without new
+// traffic.
 //
 // The split mirrors the paper's own argument one level up: DLP inside
 // a core, TLP across hardware contexts, and now process-level
@@ -66,10 +65,9 @@ type Executor interface {
 type tallyKey struct{}
 
 // WithTally returns a context under which Local adds each simulation
-// it runs successfully to n. Work a StealPool sends to a peer —
-// sharded, stolen or speculative — never reaches Local, so n counts
-// exactly the caller's simulations in this process: failover,
-// NoForward and peerless runs included.
+// it runs successfully to n. Work a StealPool sends to a peer never
+// reaches Local, so n counts exactly the caller's simulations in this
+// process: failover, NoForward and peerless runs included.
 func WithTally(ctx context.Context, n *atomic.Int64) context.Context {
 	return context.WithValue(ctx, tallyKey{}, n)
 }
@@ -94,10 +92,10 @@ func forwardingDisabled(ctx context.Context) bool {
 	return v
 }
 
-// hashKey maps a canonical config key onto a stable shard index
-// domain. FNV-1a is enough: keys are long and distinct, and the only
-// requirement is that every coordinator sends the same key to the
-// same peer so worker-side singleflight and caches stay hot.
+// hashKey maps a canonical config key onto a StealPool's home-member
+// index domain. FNV-1a is enough: keys are long and distinct, and the
+// only requirement is that every coordinator breaks ties toward the
+// same peer for the same key, so worker-side caches stay hot.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))

@@ -138,7 +138,7 @@ func TestLocalPanicReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestHashKeyStable: sharding must be a pure function of the key —
+// TestHashKeyStable: the home tie-break must be a pure function of the key —
 // coordinators agree on each config's home peer across processes.
 func TestHashKeyStable(t *testing.T) {
 	k := testConfig(1).Key()

@@ -21,16 +21,16 @@ const (
 	DefaultHealthInterval = 5 * time.Second
 	// healthThreshold is how many consecutive failed probes evict a
 	// worker: one lost probe is routine (GC pause, connection reset),
-	// two in a row means shards are better off elsewhere.
+	// two in a row means its work is better off elsewhere.
 	healthThreshold = 2
 )
 
-// Members is the worker-membership registry a StealPool shards over.
-// In expsd workers self-register (POST /v1/workers in internal/serve)
-// and a HealthChecker evicts the ones that stop answering; exps
-// -remote adds its listed workers once. Executors that subscribe
-// (StealPool) re-shard work as the set changes. All methods are safe
-// for concurrent use.
+// Members is the worker-membership registry a StealPool dispatches
+// over. In expsd workers self-register (POST /v1/workers in
+// internal/serve); exps -remote adds its listed workers once. In both,
+// a HealthChecker evicts the ones that stop answering. Executors that
+// subscribe (StealPool) follow the set as it changes. All methods are
+// safe for concurrent use.
 type Members struct {
 	mu   sync.Mutex
 	urls map[string]bool
@@ -107,8 +107,7 @@ func (m *Members) Remove(url string) bool {
 	return true
 }
 
-// Snapshot returns the current members in sorted order — the stable
-// shard domain every subscriber and coordinator agrees on.
+// Snapshot returns the current members in sorted order.
 func (m *Members) Snapshot() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -147,7 +146,7 @@ type HealthOptions struct {
 
 // HealthChecker periodically probes every member's /v1/healthz and
 // evicts workers that fail two consecutive sweeps, so dead peers stop
-// receiving shards without any operator action. Eviction is not
+// receiving work without any operator action. Eviction is not
 // permanent: a worker that comes back re-registers itself through its
 // own heartbeat.
 type HealthChecker struct {

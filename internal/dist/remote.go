@@ -38,10 +38,10 @@ const (
 	// generous; coordinators running reduced scales may tighten it.
 	DefaultRequestTimeout = 10 * time.Minute
 	// DefaultWorkersPerPeer is a Remote's advertised concurrency when
-	// RemoteOptions.Workers is zero, and a StealPool's request loops
-	// per member when StealOptions.WorkersPerPeer is zero: requests
-	// are I/O-bound on the coordinator, so a few in flight per peer
-	// keeps the peer's own pool busy without flooding it.
+	// RemoteOptions.Workers is zero, and what each live member adds to
+	// a StealPool's Workers: requests are I/O-bound on the
+	// coordinator, so a few in flight per peer keeps the peer's own
+	// pool busy without flooding it.
 	DefaultWorkersPerPeer = 4
 	// maxResponseBody bounds a worker response; an encoded result is
 	// a few KB, so anything larger is a misbehaving peer.
@@ -108,7 +108,7 @@ func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
 	r := &Remote{peer: peer, client: client, timeout: timeout, workers: workers}
 	if reg := o.Metrics; reg != nil {
 		r.requests = reg.Counter("mediasmt_peer_requests_total", "worker requests issued, by peer", metrics.L("peer", peer))
-		r.failures = reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures), by peer", metrics.L("peer", peer))
+		r.failures = reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures or cancelled requests), by peer", metrics.L("peer", peer))
 		r.latency = reg.Histogram("mediasmt_peer_request_seconds", "worker request wall time, by peer", nil, metrics.L("peer", peer))
 	}
 	return r, nil
@@ -171,8 +171,10 @@ func (r *Remote) Execute(ctx context.Context, cfg sim.Config) (res *sim.Result, 
 	start := time.Now()
 	defer func() {
 		r.latency.Observe(time.Since(start).Seconds())
+		// A request the caller gave up on (a cancelled job, a member
+		// that left its StealPool) is not the peer's failure.
 		var pe *PeerError
-		if errors.As(err, &pe) {
+		if errors.As(err, &pe) && ctx.Err() == nil {
 			r.failures.Inc()
 		}
 	}()

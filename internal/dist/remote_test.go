@@ -17,8 +17,10 @@ import (
 
 // workerStub is an httptest worker speaking the /v1/sims wire format:
 // it checks the fingerprint header, decodes the config and answers
-// with a stub result (or whatever behavior the test injects).
-func workerStub(t *testing.T, behavior func(w http.ResponseWriter, cfg sim.Config) bool) *httptest.Server {
+// with a stub result (or whatever behavior the test injects; the
+// request is there so a behavior can hold its answer until the
+// coordinator hangs up).
+func workerStub(t *testing.T, behavior func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != SimsPath || r.Method != http.MethodPost {
@@ -39,7 +41,7 @@ func workerStub(t *testing.T, behavior func(w http.ResponseWriter, cfg sim.Confi
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if behavior != nil && behavior(w, cfg) {
+		if behavior != nil && behavior(w, r, cfg) {
 			return
 		}
 		data, err := sim.EncodeResult(stubResult(cfg))
@@ -82,7 +84,7 @@ func TestRemoteRoundTrip(t *testing.T) {
 func TestRemoteTimeoutFailsOver(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	hang := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	hang := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		<-release
 		return true
 	})
@@ -127,7 +129,7 @@ func TestRemoteFingerprint409(t *testing.T) {
 // simulation and it failed — deterministic, so the error keeps the
 // simulation's message and is not retryable.
 func TestRemoteSimFailureDoesNotRetry(t *testing.T) {
-	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	failing := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		http.Error(w, `{"error":{"code":"sim_failed","message":"sim: hit MaxCycles=1000 with 3/8 programs complete"}}`, http.StatusUnprocessableEntity)
 		return true
 	})
@@ -154,7 +156,7 @@ func TestRemoteSimFailureDoesNotRetry(t *testing.T) {
 // the loop guard for daemons registered as each other's workers
 // (TestStealPoolNoForward covers the pool's local execution).
 func TestNoForwardTerminatesAtThisProcess(t *testing.T) {
-	peer := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	peer := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		t.Error("forwarded simulation reached a peer again")
 		return false
 	})

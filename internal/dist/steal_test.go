@@ -3,9 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -15,37 +13,7 @@ import (
 	"mediasmt/internal/sim"
 )
 
-// stealWorkerStub is workerStub with the raw request exposed, so
-// behaviors can hold a response until the coordinator cancels
-// (req.Context()) — the shape of a straggling or dying peer.
-func stealWorkerStub(t *testing.T, behavior func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg, err := sim.DecodeConfig(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if behavior != nil && behavior(w, req, cfg) {
-			return
-		}
-		data, err := sim.EncodeResult(stubResult(cfg))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(data)
-	}))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-// homedConfigs picks n distinct configs whose shard home (over the
+// homedConfigs picks n distinct configs whose key-hash home (over the
 // sorted live URLs) is wantURL — the deterministic way to aim work at
 // a specific test peer.
 func homedConfigs(t *testing.T, live []string, wantURL string, n int) []sim.Config {
@@ -71,10 +39,19 @@ func stubLocalPool(workers int) *Local {
 }
 
 // TestStealPoolShardsToPeers: with live members every config executes
-// remotely (the caller's tally stays 0) and results round-trip; with no
-// members at all the pool degrades to local execution.
+// remotely (the caller's tally stays 0), results round-trip, and a
+// config sent to idle peers goes to its key-hash home; with no members
+// at all the pool degrades to local execution.
 func TestStealPoolShardsToPeers(t *testing.T) {
-	a, b := workerStub(t, nil), workerStub(t, nil)
+	var served [2]atomic.Int64
+	count := func(idx int) func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+		return func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+			served[idx].Add(1)
+			return false
+		}
+	}
+	a, b := workerStub(t, count(0)), workerStub(t, count(1))
+	urls := []string{a.URL, b.URL}
 	m := NewMembers()
 	m.Add(a.URL)
 	m.Add(b.URL)
@@ -82,15 +59,18 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 	defer p.Close()
 	var tally atomic.Int64
 	ctx := WithTally(context.Background(), &tally)
-	for threads := 1; threads <= 8; threads *= 2 {
-		cfg := testConfig(threads)
+	cfgs := append(homedConfigs(t, urls, a.URL, 2), homedConfigs(t, urls, b.URL, 3)...)
+	for _, cfg := range cfgs {
 		res, err := p.Execute(ctx, cfg)
 		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
+			t.Fatalf("seed %d: %v", cfg.Seed, err)
 		}
-		if res.Cycles != 42 || res.Cfg.Key() != cfg.Key() {
-			t.Errorf("threads=%d: wrong result %+v", threads, res)
+		if res.Cycles != 42 || res.Cfg.Key() != cfg.Normalize().Key() {
+			t.Errorf("seed %d: wrong result %+v", cfg.Seed, res)
 		}
+	}
+	if ga, gb := served[0].Load(), served[1].Load(); ga != 2 || gb != 3 {
+		t.Errorf("peers served %d and %d configs, want their homes' 2 and 3", ga, gb)
 	}
 	if got := tally.Load(); got != 0 {
 		t.Errorf("remote execution counted %d local simulations", got)
@@ -110,7 +90,7 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 // locally without touching any peer — the pool's half of the loop
 // guard for daemons registered as each other's workers.
 func TestStealPoolNoForward(t *testing.T) {
-	peer := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	peer := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		t.Error("forwarded simulation reached a peer again")
 		return false
 	})
@@ -135,11 +115,11 @@ func TestStealPoolNoForward(t *testing.T) {
 func TestStealPoolFailoverPolicy(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	hang := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	hang := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		<-release
 		return true
 	})
-	failing := workerStub(t, func(w http.ResponseWriter, cfg sim.Config) bool {
+	failing := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		http.Error(w, `{"error":{"code":"sim_failed","message":"sim: hit MaxCycles"}}`, http.StatusUnprocessableEntity)
 		return true
 	})
@@ -154,7 +134,6 @@ func TestStealPoolFailoverPolicy(t *testing.T) {
 			reg := metrics.New()
 			p := NewStealPool(m, stubLocalPool(1), StealOptions{
 				Remote:  RemoteOptions{Timeout: 100 * time.Millisecond},
-				SpecMin: time.Minute,
 				Metrics: reg,
 			})
 			defer p.Close()
@@ -177,230 +156,206 @@ func TestStealPoolFailoverPolicy(t *testing.T) {
 	}
 }
 
-// TestStealPoolIdlePeerSteals: when one peer's only loop is stuck on
-// a slow request and work piles up on that peer's shard queue, the
-// idle peer's loop takes it — the steals counter proves the path and
-// every config still completes remotely.
-func TestStealPoolIdlePeerSteals(t *testing.T) {
-	var claimed atomic.Bool
-	entered := make(chan int, 1)
-	release := make(chan struct{})
+// TestStealPoolSplitsIdlePeers: concurrent configs that all hash home
+// to one of two idle peers are split evenly across both, because each
+// goes to the peer with the fewest requests in flight. The stubs hold
+// every request until all have arrived, so no request finishes before
+// the last is dispatched.
+func TestStealPoolSplitsIdlePeers(t *testing.T) {
+	const n = 4
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	var served [2]atomic.Int64
 	mk := func(idx int) func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		return func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
-			// The cluster's first request hangs (wherever it lands);
-			// everything after answers normally.
-			if claimed.CompareAndSwap(false, true) {
-				entered <- idx
-				select {
-				case <-release:
-				case <-req.Context().Done():
-				}
+			served[idx].Add(1)
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second): // a request never sent: the counts below fail
 			}
 			return false
 		}
 	}
-	a, b := stealWorkerStub(t, mk(0)), stealWorkerStub(t, mk(1))
-	urls := []string{a.URL, b.URL}
+	a, b := workerStub(t, mk(0)), workerStub(t, mk(1))
 	m := NewMembers()
 	m.Add(a.URL)
 	m.Add(b.URL)
-	reg := metrics.New()
-	p := NewStealPool(m, stubLocalPool(1), StealOptions{
-		WorkersPerPeer: 1,
-		SpecMin:        time.Minute, // speculation out of the picture
-		Metrics:        reg,
-	})
+	p := NewStealPool(m, stubLocalPool(1), StealOptions{})
 	defer p.Close()
 	var tally atomic.Int64
 	ctx := WithTally(context.Background(), &tally)
 
-	results := make(chan error, 3)
-	go func() {
-		_, err := p.Execute(ctx, seededConfig(1))
-		results <- err
-	}()
-	slowURL := urls[<-entered] // this peer's loop is now stuck
-	// Aim more work at the stuck peer's shard queue; only the idle
-	// peer can serve it, and only by stealing.
-	for _, cfg := range homedConfigs(t, urls, slowURL, 2) {
+	errs := make(chan error, n)
+	for _, cfg := range homedConfigs(t, []string{a.URL, b.URL}, a.URL, n) {
 		go func(cfg sim.Config) {
 			_, err := p.Execute(ctx, cfg)
-			results <- err
+			errs <- err
 		}(cfg)
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	// At least the two aimed configs were stolen (the first config may
-	// itself have been stolen before its home loop claimed it, so the
-	// count is a floor, not an exact value).
-	if got := reg.Counter("mediasmt_steals_total", "").Value(); got < 2 {
-		t.Errorf("steals_total = %d, want >= 2", got)
-	}
-	close(release)
-	if err := <-results; err != nil {
-		t.Fatal(err)
+	if ga, gb := served[0].Load(), served[1].Load(); ga != n/2 || gb != n/2 {
+		t.Errorf("home peer served %d and the other %d, want %d each", ga, gb, n/2)
 	}
 	if got := tally.Load(); got != 0 {
-		t.Errorf("stolen work executed locally (%d), want all remote", got)
+		t.Errorf("%d configs ran locally, want all remote", got)
 	}
 }
 
-// TestStealPoolSpeculatesStragglers: an attempt stuck past the
-// adaptive threshold is duplicated on another peer; the duplicate's
-// result settles the config (a speculative win) and the straggling
-// request is cancelled instead of holding the caller.
-func TestStealPoolSpeculatesStragglers(t *testing.T) {
+// TestStealPoolAvoidsBusyPeer: while one peer's request hangs, configs
+// homed on that peer go to the idle one instead of waiting behind it,
+// and none runs locally.
+func TestStealPoolAvoidsBusyPeer(t *testing.T) {
 	var claimed atomic.Bool
-	entered := make(chan struct{}, 1)
-	hangFirst := func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
-		// The primary attempt (the cluster's first request) hangs until
-		// the coordinator hangs up; the duplicate answers normally.
-		if claimed.CompareAndSwap(false, true) {
-			entered <- struct{}{}
-			<-req.Context().Done()
-			return true
+	entered := make(chan int, 1)
+	release := make(chan struct{})
+	var served [2]atomic.Int64
+	mk := func(idx int) func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+		return func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+			served[idx].Add(1)
+			// The cluster's first request hangs (wherever it lands);
+			// everything after answers normally.
+			if claimed.CompareAndSwap(false, true) {
+				entered <- idx
+				<-release
+			}
+			return false
 		}
-		return false
 	}
-	a, b := stealWorkerStub(t, hangFirst), stealWorkerStub(t, hangFirst)
+	a, b := workerStub(t, mk(0)), workerStub(t, mk(1))
+	urls := []string{a.URL, b.URL}
 	m := NewMembers()
 	m.Add(a.URL)
 	m.Add(b.URL)
-	reg := metrics.New()
-	p := NewStealPool(m, stubLocalPool(1), StealOptions{
-		WorkersPerPeer: 1,
-		SpecMin:        30 * time.Millisecond,
-		Metrics:        reg,
-	})
+	p := NewStealPool(m, stubLocalPool(1), StealOptions{})
 	defer p.Close()
-
 	var tally atomic.Int64
-	res, err := p.Execute(WithTally(context.Background(), &tally), testConfig(1))
-	if err != nil {
-		t.Fatalf("straggler was not rescued: %v", err)
+	ctx := WithTally(context.Background(), &tally)
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.Execute(ctx, seededConfig(1))
+		first <- err
+	}()
+	busy := <-entered
+	for _, cfg := range homedConfigs(t, urls, urls[busy], 2) {
+		if _, err := p.Execute(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.Cycles != 42 {
-		t.Errorf("speculative result wrong: %+v", res)
+	if got := served[busy].Load(); got != 1 {
+		t.Errorf("busy peer received %d requests, want only the hung one", got)
 	}
-	<-entered // the primary attempt really did hang first
-	if got := reg.Counter("mediasmt_spec_attempts_total", "").Value(); got != 1 {
-		t.Errorf("spec_attempts_total = %d, want 1", got)
+	if got := served[1-busy].Load(); got != 2 {
+		t.Errorf("idle peer served %d configs homed on the busy one, want 2", got)
 	}
-	if got := reg.Counter("mediasmt_spec_wins_total", "").Value(); got != 1 {
-		t.Errorf("spec_wins_total = %d, want 1", got)
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
-	if tally.Load() != 0 {
-		t.Error("speculation must stay remote, not fail over locally")
+	if got := tally.Load(); got != 0 {
+		t.Errorf("%d configs ran locally, want all remote", got)
 	}
 }
 
-// TestStealPoolDeadPeerRehomesAndFailsOver: evicting the only peer
-// re-homes its queued work (settling it retryably, so it completes
-// locally) and a failing in-flight attempt falls over to local too;
-// Workers() shrinks with the membership.
-func TestStealPoolDeadPeerRehomesAndFailsOver(t *testing.T) {
+// TestStealPoolLeavingPeerFailsOver: removing a member (the health
+// checker's verdict) cancels its in-flight request, which fails over
+// to local execution at once, without the stub ever answering; the
+// cancellation is not counted as the peer's failure, and Workers()
+// shrinks with the membership.
+func TestStealPoolLeavingPeerFailsOver(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	peer := stealWorkerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+	defer close(release)
+	peer := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
 		entered <- struct{}{}
 		select {
 		case <-release:
 		case <-req.Context().Done():
 		}
-		http.Error(w, `{"error":{"code":"not_ready","message":"shutting down"}}`, http.StatusServiceUnavailable)
 		return true
 	})
 	m := NewMembers()
 	m.Add(peer.URL)
 	reg := metrics.New()
-	p := NewStealPool(m, stubLocalPool(2), StealOptions{
-		WorkersPerPeer: 1,
-		SpecMin:        time.Minute,
-		Metrics:        reg,
-	})
+	p := NewStealPool(m, stubLocalPool(2), StealOptions{Remote: RemoteOptions{Metrics: reg}, Metrics: reg})
 	defer p.Close()
-	if got := p.Workers(); got != 2+1 {
-		t.Errorf("Workers with one member = %d, want 3", got)
+	if got := p.Workers(); got != 2+DefaultWorkersPerPeer {
+		t.Errorf("Workers with one member = %d, want %d", got, 2+DefaultWorkersPerPeer)
 	}
 	var tally atomic.Int64
-	ctx := WithTally(context.Background(), &tally)
-
-	results := make(chan error, 2)
-	go func() { // in-flight on the peer
-		_, err := p.Execute(ctx, seededConfig(1))
-		results <- err
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Execute(WithTally(context.Background(), &tally), seededConfig(1))
+		done <- err
 	}()
 	<-entered
-	go func() { // queued behind it (the peer's single loop is busy)
-		_, err := p.Execute(ctx, seededConfig(2))
-		results <- err
-	}()
-	waitFor(t, "second config to queue", func() bool {
-		return reg.Gauge("mediasmt_steal_queue_depth", "").Value() == 1
-	})
-
-	m.Remove(peer.URL) // the health checker's verdict
-	if err := <-results; err != nil {
-		t.Fatalf("re-homed config did not fail over locally: %v", err)
+	m.Remove(peer.URL)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("in-flight config did not fail over locally: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("removing the member did not cancel its in-flight request")
 	}
-	close(release) // the in-flight attempt now fails with 503 → local failover
-	if err := <-results; err != nil {
-		t.Fatalf("failed attempt did not fail over locally: %v", err)
+	if got := tally.Load(); got != 1 {
+		t.Errorf("local failovers executed %d, want 1", got)
 	}
-	if got := tally.Load(); got != 2 {
-		t.Errorf("local failovers executed %d, want 2", got)
+	if got := reg.Counter("mediasmt_steal_failovers_total", "").Value(); got != 1 {
+		t.Errorf("steal_failovers_total = %d, want 1", got)
 	}
-	if got := reg.Counter("mediasmt_steal_failovers_total", "").Value(); got != 2 {
-		t.Errorf("steal_failovers_total = %d, want 2", got)
+	if got := peerCounter(reg, "mediasmt_peer_failures_total", peer.URL); got != 0 {
+		t.Errorf("peer_failures_total = %d for a member that left, want 0", got)
 	}
 	if got := p.Workers(); got != 2 {
 		t.Errorf("Workers after eviction = %d, want the local pool's 2", got)
 	}
 }
 
-// TestStealPoolCloseSettlesQueue: Close retires the loops and settles
-// queued work retryably, so callers complete locally instead of
-// hanging on a dead pool.
-func TestStealPoolCloseSettlesQueue(t *testing.T) {
+// TestStealPoolCloseRunsLocally: after Close, configs run locally,
+// and a request already in flight still completes remotely.
+func TestStealPoolCloseRunsLocally(t *testing.T) {
+	var claimed atomic.Bool
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	defer close(release)
-	peer := stealWorkerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
-		entered <- struct{}{}
-		select {
-		case <-release:
-		case <-req.Context().Done():
+	peer := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+		if claimed.CompareAndSwap(false, true) { // only the first request hangs
+			entered <- struct{}{}
+			<-release
 		}
 		return false
 	})
 	m := NewMembers()
 	m.Add(peer.URL)
-	reg := metrics.New()
-	p := NewStealPool(m, stubLocalPool(2), StealOptions{WorkersPerPeer: 1, SpecMin: time.Minute, Metrics: reg})
+	p := NewStealPool(m, stubLocalPool(2), StealOptions{})
 	var tally atomic.Int64
 	ctx := WithTally(context.Background(), &tally)
 
-	results := make(chan error, 2)
+	inflight := make(chan error, 1)
 	go func() {
 		_, err := p.Execute(ctx, seededConfig(1))
-		results <- err
+		inflight <- err
 	}()
 	<-entered
-	go func() {
-		_, err := p.Execute(ctx, seededConfig(2))
-		results <- err
-	}()
-	waitFor(t, "second config to queue", func() bool {
-		return reg.Gauge("mediasmt_steal_queue_depth", "").Value() == 1
-	})
 	p.Close()
-	if err := <-results; err != nil {
-		t.Fatalf("queued config did not complete after Close: %v", err)
+	if _, err := p.Execute(ctx, seededConfig(2)); err != nil {
+		t.Fatalf("config after Close did not run locally: %v", err)
 	}
-	if tally.Load() < 1 {
-		t.Error("queued work did not fall over to local execution")
+	if got := tally.Load(); got != 1 {
+		t.Errorf("local simulations after Close = %d, want 1", got)
+	}
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Fatalf("in-flight request did not complete after Close: %v", err)
+	}
+	if got := tally.Load(); got != 1 {
+		t.Errorf("the in-flight request ran locally too (tally %d), want it served remotely", got)
 	}
 }

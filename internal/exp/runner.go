@@ -88,8 +88,8 @@ func NewRunner(workers int, store *cache.Cache) *Runner {
 }
 
 // NewRunnerExecutor builds a runner over an explicit executor —
-// dist.NewLocal for in-process pools, dist.NewStealPool to shard
-// across worker expsd processes with local failover.
+// dist.NewLocal for in-process pools, dist.NewStealPool to spread
+// work across worker expsd processes with local failover.
 func NewRunnerExecutor(exec dist.Executor, store *cache.Cache) *Runner {
 	r := &Runner{exec: exec, cache: store, table3: newMemo[table3Key, string](table3Capacity), met: &runnerMetrics{}}
 	if store != nil {

@@ -224,11 +224,11 @@ func TestRemotePeerFailureStaysInFailureDomain(t *testing.T) {
 // TestSuiteWorkersCapsExecutorBound: a suite fans out to
 // min(Options.Workers, executor Workers()), 0 meaning the executor's
 // bound, and reads the bound live, so a StealPool's grows with its
-// membership.
+// membership (dist.DefaultWorkersPerPeer, 4, per member).
 func TestSuiteWorkersCapsExecutorBound(t *testing.T) {
 	members := dist.NewMembers()
 	members.Add("http://127.0.0.1:1") // never contacted: only Workers is read
-	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{WorkersPerPeer: 3})
+	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{})
 	t.Cleanup(steal.Close)
 	for _, c := range []struct {
 		name    string
@@ -239,9 +239,9 @@ func TestSuiteWorkersCapsExecutorBound(t *testing.T) {
 		{"local/default", dist.NewLocal(4), 0, 4},
 		{"local/below", dist.NewLocal(4), 2, 2},
 		{"local/above", dist.NewLocal(4), 9, 4},
-		{"steal/default", steal, 0, 5},
+		{"steal/default", steal, 0, 6},
 		{"steal/below", steal, 3, 3},
-		{"steal/above", steal, 9, 5},
+		{"steal/above", steal, 9, 6},
 	} {
 		s, err := NewRunnerExecutor(c.exec, nil).NewSuite(Options{Workers: c.workers})
 		if err != nil {
@@ -257,8 +257,8 @@ func TestSuiteWorkersCapsExecutorBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	members.Add("http://127.0.0.1:2")
-	if got := s.Workers(); got != 2+3+3 {
-		t.Errorf("Suite.Workers() after a second member = %d, want 8", got)
+	if got := s.Workers(); got != 2+4+4 {
+		t.Errorf("Suite.Workers() after a second member = %d, want 10", got)
 	}
 }
 

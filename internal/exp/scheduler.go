@@ -22,7 +22,7 @@ type resultStore interface {
 // scheduler executes simulations at most once per canonical config key
 // (singleflight) through a dist.Executor — the pluggable "where does
 // this run" policy: a local semaphore-bounded pool, remote expsd
-// workers, or a sharded combination. It is safe for concurrent use:
+// workers, or a pool over both. It is safe for concurrent use:
 // experiments rendered in parallel, or a prefetch racing lazy Run
 // calls, all collapse onto the same in-flight execution. run is the
 // one place a config is resolved, so it does all of the engine's

@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -88,5 +89,24 @@ func TestEventsStreamEndsAfterSettle(t *testing.T) {
 	}
 	if !strings.HasSuffix(strings.TrimRight(body, "\n"), "}") {
 		t.Errorf("stream did not end cleanly after done:\n%s", body)
+	}
+}
+
+// TestJobSettlesAtomically: a job that reads as settled in its status
+// view has already closed finished, so the job store can evict it. A
+// client that saw its jobs settle must never meet a store still full of
+// "in-flight" jobs.
+func TestJobSettlesAtomically(t *testing.T) {
+	for trial := 0; trial < 500; trial++ {
+		j := newJob("job-1", []string{"table1"}, exp.Options{}, 0, nil)
+		go j.finish(&exp.ResultSet{}, nil)
+		for j.view().Status != JobOK {
+			runtime.Gosched() // let finish run when GOMAXPROCS is 1
+		}
+		select {
+		case <-j.finished:
+		default:
+			t.Fatalf("trial %d: status ok before finished was closed", trial)
+		}
 	}
 }

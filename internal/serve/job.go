@@ -67,6 +67,12 @@ func newJob(id string, ids []string, opts exp.Options, priority int, dropped *me
 // job must never block on a stalled client, and the client can
 // reconnect to replay the full history.
 func (j *job) publish(name string, payload any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.publishLocked(name, payload)
+}
+
+func (j *job) publishLocked(name string, payload any) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		// Unmarshalable payloads are a programming error; degrade to the
@@ -74,8 +80,6 @@ func (j *job) publish(name string, payload any) {
 		data, _ = json.Marshal(ErrorEnvelope{Error: ErrorBody{Code: ErrInternal, Message: err.Error()}})
 	}
 	ev := sseEvent{name: name, data: data}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.history = append(j.history, ev)
 	for ch := range j.subs {
 		select {
@@ -129,9 +133,12 @@ func (j *job) setRunning() {
 }
 
 // finish records the outcome, emits the final done event (carrying the
-// same view GET /v1/jobs/{id} serves) and closes every subscriber.
+// same view GET /v1/jobs/{id} serves) and closes every subscriber, all
+// in one critical section: a job that reads as settled has already
+// closed finished, so the job store may evict it.
 func (j *job) finish(rs *exp.ResultSet, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.rs = rs
 	if err != nil {
 		j.status = JobFailed
@@ -139,17 +146,12 @@ func (j *job) finish(rs *exp.ResultSet, err error) {
 	} else {
 		j.status = JobOK
 	}
-	j.mu.Unlock()
-
-	j.publish("done", j.view())
-
-	j.mu.Lock()
+	j.publishLocked("done", j.viewLocked())
 	close(j.finished)
 	for ch := range j.subs {
 		delete(j.subs, ch)
 		close(ch)
 	}
-	j.mu.Unlock()
 }
 
 // FailedExperiment is the status view's per-experiment failure record:
@@ -195,6 +197,10 @@ type JobView struct {
 func (j *job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+func (j *job) viewLocked() JobView {
 	v := JobView{
 		ID:          j.id,
 		Status:      j.status,

@@ -206,7 +206,7 @@ func TestCoordinatorOverWorkerServer(t *testing.T) {
 	ts := newTestServer(t, 2, 8)
 	members := dist.NewMembers()
 	members.Add(ts.URL)
-	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{WorkersPerPeer: 2})
+	steal := dist.NewStealPool(members, dist.NewLocal(2), dist.StealOptions{})
 	t.Cleanup(steal.Close)
 	runner := exp.NewRunnerExecutor(steal, nil)
 
