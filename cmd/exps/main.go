@@ -48,7 +48,7 @@
 // checks runs locally instead, so the run completes with every worker
 // gone. The -json "simulations" count covers local executions only: it
 // stays 0 while the workers serve every config, because their counters
-// own those executions. Everything else is unchanged: the same scheduler
+// own those executions. Everything else is unchanged: the same suite
 // dedups configs, the same cache persists fetched results locally,
 // the same failure-domain partitioning maps a simulation failure
 // onto exactly the experiments referencing that config, and the
@@ -117,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "exps: -json and -csv are mutually exclusive")
 		os.Exit(2)
 	}
-	if err := validateFlags(*scale, *seed, *workers, *maxCycles); err != nil {
+	if err := validateFlags(*scale, *seed, *workers, *maxCycles, *remoteTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "exps: %v\n", err)
 		os.Exit(2)
 	}
@@ -140,7 +140,7 @@ func main() {
 	// The executor is the "where do simulations run" policy: the local
 	// worker pool by default; with -remote, a dist.StealPool over the
 	// listed workers, health-checked, with that local pool as its
-	// failover. Everything downstream — scheduler, cache, failure
+	// failover. Everything downstream — suite, cache, failure
 	// domains, emitters — is identical either way.
 	// -metrics instruments the whole stack on one registry: each
 	// finished simulation's stall and memory totals (obs.SimRunner),

@@ -1,16 +1,18 @@
 package main
 
 import (
+	"time"
+
 	"mediasmt/internal/cliflags"
 	"mediasmt/internal/exp"
 )
 
-// validateFlags rejects flag values that NewSuite / sim.Normalize would
-// otherwise silently coerce to their defaults: a run must either do
+// validateFlags rejects flag values that NewSuite, sim.Normalize or the
+// dist options would otherwise silently coerce to their defaults: a run must either do
 // what the flags say or refuse, never mislabel itself. The bounds live
 // in internal/cliflags, shared with smtsim and the expsd request
 // decoder; only the flag names are local.
-func validateFlags(scale float64, seed uint64, workers int, maxCycles int64) error {
+func validateFlags(scale float64, seed uint64, workers int, maxCycles int64, remoteTimeout time.Duration) error {
 	if err := cliflags.Scale("-scale", scale); err != nil {
 		return err
 	}
@@ -20,7 +22,10 @@ func validateFlags(scale float64, seed uint64, workers int, maxCycles int64) err
 	if err := cliflags.Workers("-j", workers); err != nil {
 		return err
 	}
-	return cliflags.MaxCycles("-max-cycles", maxCycles)
+	if err := cliflags.MaxCycles("-max-cycles", maxCycles); err != nil {
+		return err
+	}
+	return cliflags.Duration("-remote-timeout", remoteTimeout)
 }
 
 // exitCode maps a finished run onto the process exit code:

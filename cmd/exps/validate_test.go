@@ -4,30 +4,34 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"mediasmt/internal/exp"
 )
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		scale     float64
-		seed      uint64
-		workers   int
-		maxCycles int64
-		wantErr   string // empty = valid
+		name          string
+		scale         float64
+		seed          uint64
+		workers       int
+		maxCycles     int64
+		remoteTimeout time.Duration
+		wantErr       string // empty = valid
 	}{
-		{"defaults", 1.0, 12345, 8, 0, ""},
-		{"auto workers", 0.05, 7, 0, 1000, ""},
-		{"negative scale", -1, 12345, 8, 0, "-scale"},
-		{"zero scale", 0, 12345, 8, 0, "-scale"},
-		{"zero seed", 1.0, 0, 8, 0, "-seed"},
-		{"negative workers", 1.0, 12345, -2, 0, "-j"},
-		{"negative max-cycles", 1.0, 12345, 8, -5, "-max-cycles"},
+		{"defaults", 1.0, 12345, 8, 0, 10 * time.Minute, ""},
+		{"auto workers", 0.05, 7, 0, 1000, time.Second, ""},
+		{"negative scale", -1, 12345, 8, 0, time.Second, "-scale"},
+		{"zero scale", 0, 12345, 8, 0, time.Second, "-scale"},
+		{"zero seed", 1.0, 0, 8, 0, time.Second, "-seed"},
+		{"negative workers", 1.0, 12345, -2, 0, time.Second, "-j"},
+		{"negative max-cycles", 1.0, 12345, 8, -5, time.Second, "-max-cycles"},
+		{"zero remote-timeout", 1.0, 12345, 8, 0, 0, "-remote-timeout"},
+		{"negative remote-timeout", 1.0, 12345, 8, 0, -time.Second, "-remote-timeout"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.scale, c.seed, c.workers, c.maxCycles)
+			err := validateFlags(c.scale, c.seed, c.workers, c.maxCycles, c.remoteTimeout)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

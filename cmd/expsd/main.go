@@ -123,6 +123,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "expsd: non-positive -max-jobs %d (want > 0)\n", *maxJobs)
 		os.Exit(2)
 	}
+	if err := errors.Join(
+		cliflags.Duration("-register-interval", *registerInterval),
+		cliflags.Duration("-peer-timeout", *peerTimeout),
+		cliflags.Duration("-peer-health-interval", *healthInterval),
+	); err != nil {
+		fmt.Fprintf(os.Stderr, "expsd: %v\n", err)
+		os.Exit(2)
+	}
 	var registerURL, advertiseURL string
 	if *register != "" {
 		var err error

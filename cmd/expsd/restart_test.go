@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -297,6 +298,40 @@ func TestWorkerSelfRegistration(t *testing.T) {
 			t.Fatalf("worker still registered after SIGTERM: %v", workersOn())
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestNonPositiveDurationFlagsExit2: each duration flag refuses a
+// non-positive value before anything starts, with exit 2 and the flag
+// named on stderr. -register-interval 0 used to panic in the ticker
+// once the listener was up; the other two silently ran their defaults.
+func TestNonPositiveDurationFlagsExit2(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][]string{
+		{"-register-interval", "0", "-register", "http://127.0.0.1:1"},
+		{"-peer-timeout", "0"},
+		{"-peer-health-interval", "-1s"},
+	} {
+		t.Run(c[0], func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			args := append([]string{"-test.run=TestHelperExpsd", "--", "-addr", "127.0.0.1:0", "-no-cache", "-no-journal"}, c...)
+			cmd := exec.CommandContext(ctx, exe, args...)
+			cmd.Env = append(os.Environ(), "EXPSD_HELPER=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("expsd %v: %v, want exit status 2; stderr:\n%s", c, err, stderr.String())
+			}
+			if msg := stderr.String(); !strings.Contains(msg, c[0]) || strings.Contains(msg, "panic:") {
+				t.Errorf("expsd %v: stderr must name %s and not panic:\n%s", c, c[0], msg)
+			}
+		})
 	}
 }
 

@@ -14,10 +14,11 @@
 // `go tool pprof smtsim FILE`. Combine with -no-cache, or a cache hit
 // will profile nothing but the cache read.
 //
-// Results persist in the same on-disk cache cmd/exps uses (default
-// $XDG_CACHE_HOME/mediasmt): re-running an already-simulated
-// configuration reports from the cache instead of simulating, noted on
-// stderr. -no-cache forces a fresh simulation.
+// The simulation resolves through the experiment engine (exp.Suite),
+// the path cmd/exps and expsd take, so results persist in the same
+// on-disk cache (default $XDG_CACHE_HOME/mediasmt): re-running an
+// already-simulated configuration reports from the cache instead of
+// simulating, noted on stderr. -no-cache forces a fresh simulation.
 package main
 
 import (
@@ -26,9 +27,9 @@ import (
 	"os"
 
 	"mediasmt/internal/cache"
+	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/prof"
-	"mediasmt/internal/sim"
 )
 
 func main() {
@@ -56,36 +57,27 @@ func main() {
 		store = nil
 	}
 
-	key := cfg.Key()
-	var r *sim.Result
-	var cached bool
-	if store != nil {
-		r, cached = store.Get(key)
+	suite := exp.NewSuite(exp.Options{Scale: *scale, Seed: *seed, Workers: 1, Cache: store})
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smtsim: %v\n", err)
+		os.Exit(2)
 	}
-	if cached {
+	r, err := suite.RunConfig(cfg)
+	if perr := stopProf(); perr != nil {
+		fmt.Fprintf(os.Stderr, "smtsim: %v\n", perr)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smtsim: %v\n", err)
+		os.Exit(1)
+	}
+	if st, _ := suite.CacheStats(); st.Hits > 0 {
 		fmt.Fprintf(os.Stderr, "smtsim: result from cache (%s)\n", store.Dir())
 		if *cpuProfile != "" || *memProfile != "" {
 			fmt.Fprintln(os.Stderr, "smtsim: cache hit, no simulation to profile; re-run with -no-cache")
 		}
-	} else {
-		stopProf, err := prof.Start(*cpuProfile, *memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtsim: %v\n", err)
-			os.Exit(2)
-		}
-		r, err = sim.Run(cfg)
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintf(os.Stderr, "smtsim: %v\n", perr)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtsim: %v\n", err)
-			os.Exit(1)
-		}
-		if store != nil {
-			if err := store.Put(key, r); err != nil {
-				fmt.Fprintf(os.Stderr, "smtsim: cache write: %v\n", err)
-			}
-		}
+	} else if st.WriteErrors > 0 {
+		fmt.Fprintf(os.Stderr, "smtsim: cache write failed, result not persisted (%s)\n", store.Dir())
 	}
 
 	c, m := r.Core, r.Mem

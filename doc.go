@@ -75,8 +75,10 @@
 // on it), plus pool saturation, per-peer request latencies, and engine
 // counters that reconcile exactly with the exps summary
 // (mediasmt_sims_executed_total is the summary's simulation count):
-// the engine writes and counts each fresh result before any caller
-// sees it, for jobs and /v1/sims requests alike.
+// exp.Suite.run is the one place any front end resolves a config —
+// exps, expsd jobs and /v1/sims, smtsim — and it writes and counts
+// each fresh result, and counts each cache event, before any caller
+// sees it.
 // expsd always serves its registry on /v1/metrics; exps -metrics dumps
 // the JSON snapshot to stderr.
 //
@@ -113,7 +115,8 @@
 // map iteration), internal/serve must speak the v1 error envelope,
 // metric registrations must be constant snake_case names with
 // conventional suffixes and no cross-package kind clashes, and
-// sim.Run/RunReference stay behind the dist.Executor seam. Suppress a
+// sim.Run/RunReference stay behind the dist.Executor seam (only
+// internal/dist and internal/obs call them). Suppress a
 // finding with `//mediavet:ignore <reason>`. The analyzers check
 // build-time properties only; a behavioural change still needs the
 // sim.Version bump above.

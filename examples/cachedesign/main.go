@@ -11,9 +11,12 @@ import (
 	"log"
 
 	"mediasmt/internal/core"
+	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
+
+var suite = exp.NewSuite(exp.Options{Scale: 0.5})
 
 func main() {
 	fmt.Println("hierarchy comparison at 8 threads (best fetch policies):")
@@ -40,15 +43,9 @@ func main() {
 }
 
 func run(k core.ISAKind, pol core.Policy, mode mem.Mode, mcfg *mem.Config) *sim.Result {
-	//mediavet:ignore examples demonstrate the one-shot sim API; campaigns go through dist.Executor
-	r, err := sim.Run(sim.Config{
-		ISA:         k,
-		Threads:     8,
-		Policy:      pol,
-		Memory:      mode,
-		Scale:       0.5,
-		MemOverride: mcfg,
-	})
+	cfg := suite.Config(k, 8, pol, mode)
+	cfg.MemOverride = mcfg
+	r, err := suite.RunConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,11 +12,12 @@ import (
 	"log"
 
 	"mediasmt/internal/core"
+	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
-	"mediasmt/internal/sim"
 )
 
 func main() {
+	suite := exp.NewSuite(exp.Options{Scale: 0.5})
 	for _, isaKind := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
 		fmt.Printf("SMT+%s, conventional hierarchy:\n", isaKind)
 		var rr float64
@@ -24,14 +25,7 @@ func main() {
 			if isaKind == core.ISAMMX && pol == core.PolicyOCOUNT {
 				continue // OCOUNT reads the stream-length register: MOM only
 			}
-			//mediavet:ignore examples demonstrate the one-shot sim API; campaigns go through dist.Executor
-			r, err := sim.Run(sim.Config{
-				ISA:     isaKind,
-				Threads: 8,
-				Policy:  pol,
-				Memory:  mem.ModeConventional,
-				Scale:   0.5,
-			})
+			r, err := suite.Run(isaKind, 8, pol, mem.ModeConventional)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -11,9 +11,12 @@ import (
 	"log"
 
 	"mediasmt/internal/core"
+	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
+
+var suite = exp.NewSuite(exp.Options{Scale: 0.5})
 
 func main() {
 	fmt.Println("MPEG-4 station: 8 concurrent media streams (Table 2 workload)")
@@ -33,14 +36,7 @@ func main() {
 }
 
 func run(k core.ISAKind, threads int, mode mem.Mode) *sim.Result {
-	//mediavet:ignore examples demonstrate the one-shot sim API; campaigns go through dist.Executor
-	r, err := sim.Run(sim.Config{
-		ISA:     k,
-		Threads: threads,
-		Policy:  core.PolicyRR,
-		Memory:  mode,
-		Scale:   0.5,
-	})
+	r, err := suite.Run(k, threads, core.PolicyRR, mode)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,19 +8,13 @@ import (
 	"log"
 
 	"mediasmt/internal/core"
+	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
-	"mediasmt/internal/sim"
 )
 
 func main() {
-	//mediavet:ignore examples demonstrate the one-shot sim API; campaigns go through dist.Executor
-	res, err := sim.Run(sim.Config{
-		ISA:     core.ISAMOM,
-		Threads: 4,
-		Policy:  core.PolicyICOUNT,
-		Memory:  mem.ModeConventional,
-		Scale:   0.5, // half of the default workload for a fast demo
-	})
+	suite := exp.NewSuite(exp.Options{Scale: 0.5}) // half of the default workload for a fast demo
+	res, err := suite.Run(core.ISAMOM, 4, core.PolicyICOUNT, mem.ModeConventional)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 // call re-opens the hole: it dodges worker capacity bounds, the
 // result cache, the instrumentation counters and the distributed
 // byte-identity guarantees all at once. Only internal/dist (the seam
-// itself), internal/obs (the instrumented runner) and cmd/smtsim (the
-// single-simulation debugging CLI) may touch sim.Run/sim.RunReference
-// directly; everything else injects an Executor.
+// itself) and internal/obs (the instrumented runner) may touch
+// sim.Run/sim.RunReference directly; everything else, the
+// single-simulation CLI and the examples included, injects an Executor
+// or resolves through exp.Suite.
 package execseam
 
 import (
@@ -22,7 +23,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "execseam",
 	Doc: "restrict direct sim.Run/sim.RunReference use to the executor seam's own packages\n\n" +
-		"Everything outside internal/dist, internal/obs and cmd/smtsim must execute simulations\n" +
+		"Everything outside internal/dist and internal/obs must execute simulations\n" +
 		"through a dist.Executor so capacity bounds, caching, instrumentation and distribution\n" +
 		"policies apply to every simulation in the process.",
 	Run: run,
@@ -37,7 +38,6 @@ var allowed = []string{
 	simPath, // the definitions themselves
 	"mediasmt/internal/dist",
 	"mediasmt/internal/obs",
-	"mediasmt/cmd/smtsim",
 }
 
 // guarded are the sim entry points that execute a simulation.

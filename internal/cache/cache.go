@@ -1,6 +1,6 @@
 // Package cache is a content-addressed, on-disk store of simulation
 // results, keyed on sim.Config.Key(). It gives the experiment engine
-// cross-process persistence: the scheduler's in-process singleflight
+// cross-process persistence: each exp.Suite's in-process singleflight
 // dedups simulations within one run, and this cache carries the
 // results across runs, so a repeated `exps` invocation executes zero
 // simulations.

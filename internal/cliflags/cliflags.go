@@ -18,6 +18,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"mediasmt/internal/core"
 	"mediasmt/internal/sim"
@@ -55,6 +56,16 @@ func Workers(name string, v int) error {
 func MaxCycles(name string, v int64) error {
 	if v < 0 {
 		return fmt.Errorf("negative %s %d (want > 0, or 0 for the simulator default)", name, v)
+	}
+	return nil
+}
+
+// Duration rejects non-positive intervals and timeouts: a ticker
+// panics on one, and the dist options silently replace one with their
+// default.
+func Duration(name string, v time.Duration) error {
+	if v <= 0 {
+		return fmt.Errorf("non-positive %s %v (want > 0)", name, v)
 	}
 	return nil
 }

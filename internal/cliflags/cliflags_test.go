@@ -3,6 +3,7 @@ package cliflags
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mediasmt/internal/core"
 )
@@ -49,6 +50,27 @@ func TestMaxCycles(t *testing.T) {
 	}
 	if err := MaxCycles("max_cycles", -5); err == nil || !strings.Contains(err.Error(), "max_cycles") {
 		t.Errorf("MaxCycles(-5) = %v, want error naming max_cycles", err)
+	}
+}
+
+func TestDuration(t *testing.T) {
+	for _, c := range []struct {
+		v  time.Duration
+		ok bool
+	}{
+		{time.Nanosecond, true},
+		{500 * time.Millisecond, true},
+		{10 * time.Minute, true},
+		{0, false},
+		{-time.Second, false},
+	} {
+		err := Duration("-peer-timeout", c.v)
+		if c.ok && err != nil {
+			t.Errorf("Duration(%v) = %v, want nil", c.v, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "-peer-timeout")) {
+			t.Errorf("Duration(%v) = %v, want error naming -peer-timeout", c.v, err)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package dist makes "where a simulation runs" a pluggable policy.
 // The experiment engine (internal/exp) schedules simulations through
 // the Executor interface instead of calling sim.Run directly, so the
-// same scheduler — singleflight dedup, read-through cache, failure
-// isolation — drives a local worker pool (Local), one remote expsd
-// worker (Remote), a pool over a registry of workers with local
+// same resolver (exp.Suite) — singleflight dedup, read-through cache,
+// failure isolation — drives a local worker pool (Local), one remote
+// expsd worker (Remote), a pool over a registry of workers with local
 // failover (StealPool over Members), or any of those under a priority
 // admission gate (Priority).
 //
@@ -23,8 +23,8 @@
 //
 // The split mirrors the paper's own argument one level up: DLP inside
 // a core, TLP across hardware contexts, and now process-level
-// parallelism across machines — the dispatch fabric (the scheduler)
-// is cleanly separated from the compute kernels (the executors), so
+// parallelism across machines — the dispatch fabric (the engine's
+// resolver) is cleanly separated from the compute kernels (the executors), so
 // scaling out never touches the engine's semantics.
 //
 // Executors keep no per-caller state. Local is the one place a

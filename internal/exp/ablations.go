@@ -23,7 +23,7 @@ func init() {
 }
 
 // overrideConfig builds a full config with core/memory overrides. The
-// canonical key covers the overrides, so these share the scheduler's
+// canonical key covers the overrides, so these share the suite's
 // cache without colliding with the default-parameter runs. An override
 // equal to the defaults is dropped so the sweep point at the paper's
 // value keys identically to — and dedups against — the corresponding

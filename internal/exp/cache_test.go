@@ -39,7 +39,7 @@ func renderAll(t *testing.T, s *Suite, ids []string) (string, *ResultSet) {
 
 // TestWarmCacheRunsZeroSimulations is the tentpole property: a second
 // suite over a warm cache directory — a fresh process, as far as the
-// scheduler can tell — executes zero simulations and renders artifacts
+// suite can tell — executes zero simulations and renders artifacts
 // byte-identical to the cold run.
 func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
@@ -75,20 +75,20 @@ func TestWarmCacheRunsZeroSimulations(t *testing.T) {
 	}
 }
 
-// TestWarmCachePrefetch: PrefetchContext must warm from disk without
+// TestWarmCachePrefetch: prefetch must warm from disk without
 // executing, and lazy RunConfig calls after it stay free.
 func TestWarmCachePrefetch(t *testing.T) {
 	dir := t.TempDir()
 	s1 := cachedSuite(t, dir, 4)
 	cfgs := s1.fig4Configs()
-	if err := s1.PrefetchContext(context.Background(), cfgs, nil); err != nil {
-		t.Fatal(err)
+	if errs := s1.prefetch(context.Background(), cfgs, nil); errs != nil {
+		t.Fatal(joinKeyErrors(errs))
 	}
 
 	s2 := cachedSuite(t, dir, 4)
 	var progressed int
-	if err := s2.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) { progressed++ }); err != nil {
-		t.Fatal(err)
+	if errs := s2.prefetch(context.Background(), cfgs, func(done, total int, key string, err error) { progressed++ }); errs != nil {
+		t.Fatal(joinKeyErrors(errs))
 	}
 	if got := s2.Simulations(); got != 0 {
 		t.Errorf("prefetch over warm cache executed %d simulations, want 0", got)
@@ -105,7 +105,7 @@ func TestWarmCachePrefetch(t *testing.T) {
 }
 
 // TestCorruptCacheEntryReExecutes: a corrupted entry must silently
-// degrade to a cache miss — the scheduler re-runs the simulation and
+// degrade to a cache miss — the suite re-runs the simulation and
 // heals the slot with a fresh write.
 func TestCorruptCacheEntryReExecutes(t *testing.T) {
 	dir := t.TempDir()

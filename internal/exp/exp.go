@@ -6,16 +6,17 @@
 // (hierarchy comparison) and the headline speedup numbers, plus the
 // ablation studies listed in DESIGN.md.
 //
-// A Suite's scheduler resolves each config once, in sequence: read the
-// Runner's store, execute on a miss, then persist and count the fresh
-// result before any caller sees it.
+// A Suite resolves each config once, in one function and in sequence:
+// read the Runner's store, execute on a miss, then persist and count
+// the fresh result before any caller sees it.
 package exp
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"mediasmt/internal/cache"
 	"mediasmt/internal/core"
@@ -43,7 +44,7 @@ type Options struct {
 	// partial-failure path on demand.
 	MaxCycles int64
 	// Cache, when non-nil, persists simulation results on disk across
-	// processes: the scheduler reads through it before executing and
+	// processes: the suite reads through it before executing and
 	// writes each fresh result to it. Results are keyed on the same
 	// canonical sim.Config.Key() as the in-memory singleflight map, so
 	// a second suite over a warm cache executes zero simulations while
@@ -53,15 +54,21 @@ type Options struct {
 	Cache *cache.Cache
 }
 
-// Suite runs experiments through a concurrent scheduler: simulation
-// results are cached on the full configuration key so that experiments
-// sharing configurations (Figure 5 and Table 4, for example) pay for
-// each simulation once, even when requested concurrently.
+// Suite is one job's resolver: simulation results are cached on the
+// full configuration key so that experiments sharing configurations
+// (Figure 5 and Table 4, for example) pay for each simulation once,
+// even when requested concurrently. It runs through its Runner's
+// executor, store and metrics, and keeps its own singleflight map and
+// tallies.
 type Suite struct {
 	opts   Options
-	store  *countingStore // per-suite cache counters; nil when uncached
-	sched  *scheduler
-	table3 *memo[table3Key, string] // the Runner's, shared across suites
+	runner *Runner
+
+	mu      sync.Mutex
+	entries map[string]*entry
+
+	sims  atomic.Int64 // in-process simulations (see run)
+	tally cacheTally   // this suite's cache events
 }
 
 // NewSuite builds a standalone suite over a private Runner. Zero-valued
@@ -97,9 +104,9 @@ func (s *Suite) Config(isa core.ISAKind, threads int, pol core.Policy, mode mem.
 	}
 }
 
-// RunConfig executes one simulation through the scheduler, deduplicated
-// and cached on the canonical config key. A fresh result is persisted
-// and counted before the call returns. Safe for concurrent use.
+// RunConfig resolves one simulation, deduplicated and cached on the
+// canonical config key. A fresh result is persisted and counted before
+// the call returns. Safe for concurrent use.
 func (s *Suite) RunConfig(cfg sim.Config) (*sim.Result, error) {
 	return s.RunConfigContext(context.Background(), cfg)
 }
@@ -110,7 +117,7 @@ func (s *Suite) RunConfig(cfg sim.Config) (*sim.Result, error) {
 // interruptible) — its result still lands in the cache for the next
 // caller.
 func (s *Suite) RunConfigContext(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	r, err := s.sched.run(ctx, cfg)
+	r, err := s.run(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", cfg.Key(), err)
 	}
@@ -122,40 +129,32 @@ func (s *Suite) Run(isa core.ISAKind, threads int, pol core.Policy, mode mem.Mod
 	return s.RunConfig(s.Config(isa, threads, pol, mode))
 }
 
-// PrefetchContext warms the result cache for cfgs using the suite's
-// worker pool; duplicate keys are dropped up front, so onDone, if
-// non-nil, observes progress over unique configs. Every config is
-// attempted — one failure never skips the rest — and onDone fires for
-// failures too (with the error), so progress always reaches total.
-// Configs not yet started when ctx is cancelled fail with the context
-// error. The returned error is nil when everything resolved, otherwise
-// an errors.Join naming every failed key in sorted order.
-func (s *Suite) PrefetchContext(ctx context.Context, cfgs []sim.Config, onDone func(done, total int, key string, err error)) error {
-	return joinKeyErrors(s.sched.prefetch(ctx, cfgs, onDone))
-}
-
 // Simulations reports how many simulations the suite executed
 // successfully in this process (cache hits, failed runs and runs on
 // remote workers excluded). dist.Local marks each run on its call's
-// tally, and the scheduler counts the marked ones, so the number is
-// exact whatever wraps the executor and however many suites share it.
-func (s *Suite) Simulations() int64 { return s.sched.simulations() }
+// tally, and the suite counts the marked ones, so the number is exact
+// whatever wraps the executor and however many suites share it.
+func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // CacheStats snapshots this suite's hit/miss/write counters against
 // the persistent cache; ok is false when the suite runs uncached. The
 // counters are per-suite even when the underlying store is shared
 // across jobs through a Runner.
 func (s *Suite) CacheStats() (st cache.Stats, ok bool) {
-	if s.store == nil {
-		return cache.Stats{}, false
-	}
-	return s.store.stats(), true
+	return s.tally.stats(), s.runner.tier != nil
 }
 
 // Workers reports the concurrency bound the suite schedules under:
 // min(Options.Workers, the executor's Workers()), or the executor's
-// bound when Options.Workers is 0.
-func (s *Suite) Workers() int { return s.sched.workers() }
+// bound when Options.Workers is 0. It is read on every prefetch,
+// because a StealPool's bound moves with membership.
+func (s *Suite) Workers() int {
+	n := s.runner.exec.Workers()
+	if s.opts.Workers > 0 && s.opts.Workers < n {
+		return s.opts.Workers
+	}
+	return n
+}
 
 // Experiment is one regenerable artifact. Configs, when non-nil,
 // declares every simulation the experiment needs so a suite can fan
@@ -255,13 +254,6 @@ var threadCounts = []int{1, 2, 4, 8}
 
 // policies are the paper's fetch policies in presentation order.
 var policies = []core.Policy{core.PolicyRR, core.PolicyICOUNT, core.PolicyOCOUNT, core.PolicyBALANCE}
-
-// sortedCacheKeys helps tests introspect what a suite has run.
-func (s *Suite) sortedCacheKeys() []string {
-	keys := s.sched.keys()
-	sort.Strings(keys)
-	return keys
-}
 
 // configSet builds the cross product of the given axes at the suite's
 // scale and seed, in a deterministic order.

@@ -63,14 +63,14 @@ func TestFig4RunsAndCaches(t *testing.T) {
 		t.Errorf("fig4 output malformed:\n%s", out)
 	}
 	// 4 thread counts x 2 ISAs = 8 cached simulations.
-	if got := len(s.sortedCacheKeys()); got != 8 {
+	if got := len(s.completed()); got != 8 {
 		t.Errorf("cache holds %d results, want 8", got)
 	}
 	// Re-running must not grow the cache.
 	if _, err := s.Fig4(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.sortedCacheKeys()); got != 8 {
+	if got := len(s.completed()); got != 8 {
 		t.Errorf("cache grew to %d on re-run", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestRunCacheKeysDistinct(t *testing.T) {
 	if _, err := s.Run(core.ISAMOM, 1, core.PolicyRR, mem.ModeIdeal); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.sortedCacheKeys()) != 2 {
+	if len(s.completed()) != 2 {
 		t.Error("distinct configurations must cache separately")
 	}
 }

@@ -104,11 +104,11 @@ type table3Key struct {
 // does real work, so the Runner memoizes its text per seed and scale.
 func (s *Suite) Table3() (string, error) {
 	k := table3Key{s.opts.Seed, s.opts.Scale}
-	if out, ok := s.table3.get(k); ok {
+	if out, ok := s.runner.table3.get(k); ok {
 		return out, nil
 	}
 	out := s.renderTable3()
-	s.table3.put(k, out)
+	s.runner.table3.put(k, out)
 	return out, nil
 }
 

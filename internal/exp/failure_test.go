@@ -126,7 +126,7 @@ func TestPrefetchAggregatesAllErrors(t *testing.T) {
 	cfgs = append(cfgs, bad2)
 
 	var settled, failed int
-	err := s.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) {
+	errs := s.prefetch(context.Background(), cfgs, func(done, total int, key string, err error) {
 		settled++
 		if total != len(good)+2 {
 			t.Errorf("progress total = %d, want %d", total, len(good)+2)
@@ -138,12 +138,12 @@ func TestPrefetchAggregatesAllErrors(t *testing.T) {
 			failed++
 		}
 	})
-	if err == nil {
-		t.Fatal("prefetch with failing configs returned nil error")
+	if len(errs) != 2 {
+		t.Errorf("prefetch returned %d errors, want 2: %v", len(errs), joinKeyErrors(errs))
 	}
 	for _, k := range []string{bad1.Key(), bad2.Key()} {
-		if !strings.Contains(err.Error(), k) {
-			t.Errorf("multi-error missing failed key %s:\n%v", k, err)
+		if errs[k] == nil {
+			t.Errorf("errors missing failed key %s:\n%v", k, joinKeyErrors(errs))
 		}
 	}
 	if settled != len(good)+2 || failed != 2 {
@@ -158,14 +158,16 @@ func TestPrefetchAggregatesAllErrors(t *testing.T) {
 // retryable in-process — the second call re-executes instead of
 // replaying a poisoned singleflight entry.
 func TestSchedulerRetryAfterTransientError(t *testing.T) {
-	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 2})
 	var calls atomic.Int32
-	s.sched.exec = dist.NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) {
+	s, err := NewRunnerExecutor(dist.NewLocalFunc(2, func(cfg sim.Config) (*sim.Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("transient executor failure")
 		}
 		return sim.Run(cfg)
-	})
+	}), nil).NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal)
 	if _, err := s.RunConfig(cfg); err == nil || !strings.Contains(err.Error(), "transient") {
 		t.Fatalf("first call returned err=%v, want transient failure", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -281,5 +282,86 @@ func TestSimsCountedAsTheyResolve(t *testing.T) {
 	if o.rs.Simulations != 2 || executed != o.rs.Simulations || pool != o.rs.Simulations {
 		t.Errorf("at the end: simulations = %d, sims_executed_total = %d, pool_sims_total = %d, want all 2",
 			o.rs.Simulations, executed, pool)
+	}
+}
+
+// flakyDisk is an in-memory disk whose Puts fail for MOM configs.
+type flakyDisk struct {
+	mu sync.Mutex
+	m  map[string]*sim.Result
+}
+
+func (d *flakyDisk) Get(key string) (*sim.Result, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r, ok := d.m[key]
+	return r, ok
+}
+
+func (d *flakyDisk) Put(key string, r *sim.Result) error {
+	if r.Cfg.ISA == core.ISAMOM {
+		return errors.New("disk full")
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.m[key] = r
+	return nil
+}
+
+// TestCacheCountsAddUp: three suites resolve the same configs at once
+// on one instrumented Runner whose disk refuses some writes, cold and
+// then warm. After each phase the Runner's CacheStats equals the sum
+// of every suite's and the four mediasmt_cache_* counters, and each
+// suite counts one Get per config and one Put per miss.
+func TestCacheCountsAddUp(t *testing.T) {
+	reg := metrics.New()
+	run := func(cfg sim.Config) (*sim.Result, error) { return &sim.Result{Cfg: cfg}, nil }
+	r := diskRunner(dist.NewLocalFunc(2, run), &flakyDisk{m: make(map[string]*sim.Result)}).Instrument(reg)
+	var suites []*Suite
+	for phase, want := range []func(cache.Stats) bool{
+		func(st cache.Stats) bool { return st.Writes > 0 && st.WriteErrors > 0 }, // cold
+		func(st cache.Stats) bool { return st.Hits > 0 },                         // warm
+	} {
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			s := runnerSuite(t, r)
+			suites = append(suites, s)
+			cfgs := s.configSet([]core.ISAKind{core.ISAMMX, core.ISAMOM}, []int{1, 2}, []core.Policy{core.PolicyRR}, []mem.Mode{mem.ModeIdeal})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if errs := s.prefetch(context.Background(), cfgs, nil); errs != nil {
+					t.Error(joinKeyErrors(errs))
+				}
+			}()
+		}
+		wg.Wait()
+		var sum cache.Stats
+		for _, s := range suites {
+			st, _ := s.CacheStats()
+			if st.Hits+st.Misses != 4 || st.Writes+st.WriteErrors != st.Misses {
+				t.Errorf("phase %d: suite stats %+v, want 4 Gets and one Put per miss", phase, st)
+			}
+			sum.Hits += st.Hits
+			sum.Misses += st.Misses
+			sum.Writes += st.Writes
+			sum.WriteErrors += st.WriteErrors
+		}
+		got, ok := r.CacheStats()
+		if !ok || got != sum {
+			t.Errorf("phase %d: runner stats %+v (ok %v), suites sum to %+v", phase, got, ok, sum)
+		}
+		counters := cache.Stats{
+			Hits:        counterVal(reg, "mediasmt_cache_hits_total"),
+			Misses:      counterVal(reg, "mediasmt_cache_misses_total"),
+			Writes:      counterVal(reg, "mediasmt_cache_writes_total"),
+			WriteErrors: counterVal(reg, "mediasmt_cache_write_errors_total"),
+		}
+		if counters != got {
+			t.Errorf("phase %d: mediasmt_cache_* counters %+v, runner stats %+v", phase, counters, got)
+		}
+		if !want(got) {
+			t.Errorf("phase %d: runner stats %+v miss the events this phase must produce", phase, got)
+		}
 	}
 }

@@ -156,7 +156,7 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 
 // SimRecords snapshots every completed simulation, ordered by key.
 func (s *Suite) SimRecords() []SimRecord {
-	results := s.sched.completed()
+	results := s.completed()
 	keys := make([]string, 0, len(results))
 	for k := range results {
 		keys = append(keys, k)
@@ -248,7 +248,7 @@ func (s *Suite) RunExperimentListContext(ctx context.Context, exps []Experiment,
 			cfgs = append(cfgs, declared[i]...)
 		}
 	}
-	prefErrs := s.sched.prefetch(ctx, cfgs, prog.Sim)
+	prefErrs := s.prefetch(ctx, cfgs, prog.Sim)
 	rs.FailedSims = len(prefErrs)
 
 	var errs []error
@@ -295,9 +295,9 @@ func (s *Suite) RunExperimentListContext(ctx context.Context, exps []Experiment,
 		res.Seconds = time.Since(t0).Seconds()
 		if res.Status == StatusFailed {
 			rs.Failed++
-			s.sched.met.expFailed.Inc()
+			s.runner.met.expFailed.Inc()
 		} else {
-			s.sched.met.expOK.Inc()
+			s.runner.met.expOK.Inc()
 		}
 		rs.Experiments = append(rs.Experiments, res)
 		if prog.Experiment != nil {

@@ -26,12 +26,12 @@ import (
 // Runner; a coordinator front-end (exps -remote, an expsd with
 // registered workers) builds the Runner over a dist.StealPool instead.
 type Runner struct {
-	exec   dist.Executor  // shared execution policy, used as is by every suite
-	cache  *cache.Cache   // shared persistent layer; nil runs uncached
-	tier   *tier          // bounded memory over cache; nil when cache is
-	store  *countingStore // every suite's traffic to tier; nil when cache is
+	exec   dist.Executor // shared execution policy, used as is by every suite
+	cache  *cache.Cache  // shared persistent layer; nil runs uncached
+	tier   *tier         // bounded memory over cache; nil when cache is
 	table3 *memo[table3Key, string]
-	met    *runnerMetrics
+	met    runnerMetrics
+	tally  cacheTally // every suite's cache events
 }
 
 // Capacities of the Runner's memory stores. A sim.Result is 688 bytes
@@ -42,17 +42,36 @@ const (
 	table3Capacity = 16
 )
 
+// cacheEvent indexes the outcome of one store Get or Put.
+type cacheEvent int
+
+const (
+	cacheHit cacheEvent = iota
+	cacheMiss
+	cacheWrite
+	cacheWriteErr
+	cacheEvents // how many kinds there are
+)
+
+// cacheTally counts cache events by kind.
+type cacheTally [cacheEvents]atomic.Int64
+
+func (t *cacheTally) stats() cache.Stats {
+	return cache.Stats{
+		Hits:        t[cacheHit].Load(),
+		Misses:      t[cacheMiss].Load(),
+		Writes:      t[cacheWrite].Load(),
+		WriteErrors: t[cacheWriteErr].Load(),
+	}
+}
+
 // runnerMetrics aggregates engine activity across every suite the
-// runner derives. The struct always exists; its instruments are nil
-// (no-op) until Instrument attaches a registry, so suites update them
-// unconditionally.
+// runner derives. Its instruments are nil (no-op) until Instrument
+// attaches a registry, so suites update them unconditionally.
 type runnerMetrics struct {
 	sims        *metrics.Counter
 	simFailures *metrics.Counter
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
-	cacheWrites *metrics.Counter
-	cacheWrErrs *metrics.Counter
+	cache       [cacheEvents]*metrics.Counter
 	suites      *metrics.Counter
 	expOK       *metrics.Counter
 	expFailed   *metrics.Counter
@@ -66,16 +85,18 @@ func (r *Runner) Instrument(reg *metrics.Registry) *Runner {
 	if reg == nil {
 		return r
 	}
-	*r.met = runnerMetrics{
+	r.met = runnerMetrics{
 		sims:        reg.Counter("mediasmt_sims_executed_total", "simulations executed successfully by the experiment engine"),
 		simFailures: reg.Counter("mediasmt_sim_failures_total", "simulation executions that returned an error or panicked"),
-		cacheHits:   reg.Counter("mediasmt_cache_hits_total", "result-cache hits across all suites"),
-		cacheMisses: reg.Counter("mediasmt_cache_misses_total", "result-cache misses across all suites"),
-		cacheWrites: reg.Counter("mediasmt_cache_writes_total", "result-cache writes across all suites"),
-		cacheWrErrs: reg.Counter("mediasmt_cache_write_errors_total", "failed result-cache writes across all suites"),
-		suites:      reg.Counter("mediasmt_suites_total", "suites derived from this runner"),
-		expOK:       reg.Counter("mediasmt_experiments_total", "experiments finished, by status", metrics.L("status", "ok")),
-		expFailed:   reg.Counter("mediasmt_experiments_total", "experiments finished, by status", metrics.L("status", "failed")),
+		cache: [cacheEvents]*metrics.Counter{
+			cacheHit:      reg.Counter("mediasmt_cache_hits_total", "result-cache hits across all suites"),
+			cacheMiss:     reg.Counter("mediasmt_cache_misses_total", "result-cache misses across all suites"),
+			cacheWrite:    reg.Counter("mediasmt_cache_writes_total", "result-cache writes across all suites"),
+			cacheWriteErr: reg.Counter("mediasmt_cache_write_errors_total", "failed result-cache writes across all suites"),
+		},
+		suites:    reg.Counter("mediasmt_suites_total", "suites derived from this runner"),
+		expOK:     reg.Counter("mediasmt_experiments_total", "experiments finished, by status", metrics.L("status", "ok")),
+		expFailed: reg.Counter("mediasmt_experiments_total", "experiments finished, by status", metrics.L("status", "failed")),
 	}
 	return r
 }
@@ -91,10 +112,9 @@ func NewRunner(workers int, store *cache.Cache) *Runner {
 // dist.NewLocal for in-process pools, dist.NewStealPool to spread
 // work across worker expsd processes with local failover.
 func NewRunnerExecutor(exec dist.Executor, store *cache.Cache) *Runner {
-	r := &Runner{exec: exec, cache: store, table3: newMemo[table3Key, string](table3Capacity), met: &runnerMetrics{}}
+	r := &Runner{exec: exec, cache: store, table3: newMemo[table3Key, string](table3Capacity)}
 	if store != nil {
 		r.tier = &tier{disk: store, mem: newMemo[string, *sim.Result](tierCapacity)}
-		r.store = &countingStore{inner: r.tier, met: r.met}
 	}
 	return r
 }
@@ -110,10 +130,7 @@ func (r *Runner) Cache() *cache.Cache { return r.cache }
 // place, as the mediasmt_cache_* counters. A hit the memory tier
 // answers is a hit. ok is false when the runner is uncached.
 func (r *Runner) CacheStats() (st cache.Stats, ok bool) {
-	if r.store == nil {
-		return cache.Stats{}, false
-	}
-	return r.store.stats(), true
+	return r.tally.stats(), r.tier != nil
 }
 
 // NewSuite derives a job-scoped suite from the runner. The suite
@@ -137,57 +154,16 @@ func (r *Runner) NewSuite(opts Options) (*Suite, error) {
 	if opts.Seed == 0 {
 		opts.Seed = sim.DefaultSeed
 	}
-	var counting *countingStore
-	var store resultStore
-	if r.store != nil {
-		counting = &countingStore{inner: r.store, met: &runnerMetrics{}} // r.store feeds the process counters
-		store = counting
-	}
 	r.met.suites.Inc()
-	return &Suite{opts: opts, store: counting, sched: newScheduler(r.exec, opts.Workers, store, r.met), table3: r.table3}, nil
+	return &Suite{opts: opts, runner: r, entries: make(map[string]*entry)}, nil
 }
 
-// countingStore counts the hits, misses, writes and failed writes it
-// passes to inner, also in met. Each suite counts its own traffic in
-// one, layered over the Runner's, which sums every suite's: per-job
-// statistics stay exact when jobs share one cache.
-type countingStore struct {
-	inner                           resultStore
-	met                             *runnerMetrics // never nil; a suite's is the zero value, counting nothing
-	hits, misses, writes, writeErrs atomic.Int64
-}
-
-func (c *countingStore) Get(key string) (*sim.Result, bool) {
-	r, ok := c.inner.Get(key)
-	if ok {
-		c.hits.Add(1)
-		c.met.cacheHits.Inc()
-	} else {
-		c.misses.Add(1)
-		c.met.cacheMisses.Inc()
-	}
-	return r, ok
-}
-
-func (c *countingStore) Put(key string, r *sim.Result) error {
-	err := c.inner.Put(key, r)
-	if err == nil {
-		c.writes.Add(1)
-		c.met.cacheWrites.Inc()
-	} else {
-		c.writeErrs.Add(1)
-		c.met.cacheWrErrs.Inc()
-	}
-	return err
-}
-
-func (c *countingStore) stats() cache.Stats {
-	return cache.Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Writes:      c.writes.Load(),
-		WriteErrors: c.writeErrs.Load(),
-	}
+// resultStore is the disk under the Runner's tier: internal/cache.Cache
+// in production, a failing or slow stand-in in tests. Get must treat
+// any unusable entry as a miss; Put errors are advisory.
+type resultStore interface {
+	Get(key string) (*sim.Result, bool)
+	Put(key string, r *sim.Result) error
 }
 
 // tier is the Runner's bounded memory layer over its disk cache. Get

@@ -61,15 +61,21 @@ type failingStore struct{}
 func (failingStore) Get(string) (*sim.Result, bool) { return nil, false }
 func (failingStore) Put(string, *sim.Result) error  { return errors.New("disk full") }
 
+// diskRunner builds a runner over exec whose memory tier sits on disk,
+// a test store standing in for the on-disk cache.
+func diskRunner(exec dist.Executor, disk resultStore) *Runner {
+	r := NewRunnerExecutor(exec, nil)
+	r.tier = &tier{disk: disk, mem: newMemo[string, *sim.Result](tierCapacity)}
+	return r
+}
+
 // TestWriteErrorsSurfaceInStats: failed store Puts must not vanish —
 // the suite's cache stats carry an advisory count the exps summary
 // prints.
 func TestWriteErrorsSurfaceInStats(t *testing.T) {
-	counting := &countingStore{inner: failingStore{}, met: &runnerMetrics{}}
-	s := &Suite{
-		opts:  Options{Scale: 0.05, Seed: 7},
-		store: counting,
-		sched: newScheduler(dist.NewLocal(2), 0, counting, nil),
+	s, err := diskRunner(dist.NewLocal(2), failingStore{}).NewSuite(Options{Scale: 0.05, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Run(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal); err != nil {
 		t.Fatal(err)
@@ -293,8 +299,8 @@ func TestConcurrentSuitesShareOneGate(t *testing.T) {
 		wg.Add(1)
 		go func(prio int) {
 			defer wg.Done()
-			if err := s.PrefetchContext(dist.WithPriority(context.Background(), prio), cfgs, nil); err != nil {
-				t.Error(err)
+			if errs := s.prefetch(dist.WithPriority(context.Background(), prio), cfgs, nil); errs != nil {
+				t.Error(joinKeyErrors(errs))
 			}
 		}(j.prio)
 	}

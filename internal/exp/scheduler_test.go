@@ -53,13 +53,13 @@ func TestPrefetchDedupAcrossExperiments(t *testing.T) {
 	}
 	// Prefetch dedups up front: progress counts unique configs only.
 	var calls int
-	if err := s.PrefetchContext(context.Background(), cfgs, func(done, total int, key string, err error) {
+	if errs := s.prefetch(context.Background(), cfgs, func(done, total int, key string, err error) {
 		calls++
 		if total != 16 {
 			t.Errorf("progress total = %d, want 16 unique configs", total)
 		}
-	}); err != nil {
-		t.Fatal(err)
+	}); errs != nil {
+		t.Fatal(joinKeyErrors(errs))
 	}
 	if calls != 16 {
 		t.Errorf("progress fired %d times, want 16", calls)
@@ -150,8 +150,8 @@ func TestConfigsCoverExperiments(t *testing.T) {
 			if len(cfgs) == 0 {
 				t.Fatal("declared no configs")
 			}
-			if err := s.PrefetchContext(context.Background(), cfgs, nil); err != nil {
-				t.Fatal(err)
+			if errs := s.prefetch(context.Background(), cfgs, nil); errs != nil {
+				t.Fatal(joinKeyErrors(errs))
 			}
 			warm := s.Simulations()
 			if _, err := e.Run(s); err != nil {
@@ -244,12 +244,10 @@ func (s *slowStore) has(key string) bool {
 // caller has to wait for persistence after the engine is done.
 func TestResultPersistedBeforeReturn(t *testing.T) {
 	store := &slowStore{keys: make(map[string]bool)}
-	counting := &countingStore{inner: store, met: &runnerMetrics{}}
 	run := func(cfg sim.Config) (*sim.Result, error) { return &sim.Result{Cfg: cfg}, nil }
-	s := &Suite{
-		opts:  Options{Scale: 0.02, Seed: 7},
-		store: counting,
-		sched: newScheduler(dist.NewLocalFunc(1, run), 0, counting, nil),
+	s, err := diskRunner(dist.NewLocalFunc(1, run), store).NewSuite(Options{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeIdeal)
 	if _, err := s.RunConfigContext(context.Background(), cfg); err != nil {

@@ -158,7 +158,7 @@ func run(cfg Config, kind engineKind) (*Result, error) {
 
 	// Resolve every program up front so a bad Programs override is a
 	// config error attributed to this run, not a panic inside the
-	// scheduler's worker.
+	// engine's worker.
 	benches := make([]*workload.Benchmark, len(order))
 	for i, name := range order {
 		b, err := workload.Get(name)
