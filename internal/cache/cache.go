@@ -126,9 +126,6 @@ func OpenAt(dir, fingerprint string) (*Cache, error) {
 // Dir reports the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
-// Fingerprint reports the fingerprint this handle reads and writes.
-func (c *Cache) Fingerprint() string { return c.fp }
-
 // hashName maps an arbitrary string to a fixed-length, path-safe name.
 func hashName(s string) string {
 	sum := sha256.Sum256([]byte(s))

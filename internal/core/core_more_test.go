@@ -11,7 +11,7 @@ import (
 func TestFPDivideUnpipelined(t *testing.T) {
 	// Back-to-back independent divides must serialize on the single
 	// divide unit (II == latency), unlike independent FP adds.
-	mkProg := func(op isa.Opcode) trace.Program {
+	mkProg := func(op isa.Opcode) *trace.Script {
 		body := []trace.Slot{
 			{Op: op, Dst: isa.FPReg(1), Src1: isa.FPReg(2), Src2: isa.FPReg(3)},
 			{Op: op, Dst: isa.FPReg(4), Src1: isa.FPReg(5), Src2: isa.FPReg(6)},

@@ -129,7 +129,7 @@ func TestPhysFileAllocRelease(t *testing.T) {
 }
 
 // aluProgram builds n independent integer adds.
-func aluProgram(n int64) trace.Program {
+func aluProgram(n int64) *trace.Script {
 	body := []trace.Slot{
 		{Op: isa.ADDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2), Src2: isa.IntReg(3)},
 		{Op: isa.ADDQ, Dst: isa.IntReg(4), Src1: isa.IntReg(5), Src2: isa.IntReg(6)},
@@ -140,7 +140,7 @@ func aluProgram(n int64) trace.Program {
 }
 
 // chainProgram builds a serial dependency chain of length 4*n.
-func chainProgram(n int64) trace.Program {
+func chainProgram(n int64) *trace.Script {
 	body := []trace.Slot{
 		{Op: isa.ADDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(1), Src2: isa.IntReg(2)},
 		{Op: isa.ADDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(1), Src2: isa.IntReg(2)},
@@ -233,7 +233,7 @@ func TestPipelineStoresDrainBeforeCompletion(t *testing.T) {
 }
 
 func TestPipelineMispredictCostsCycles(t *testing.T) {
-	mk := func(taken trace.TakenFn) trace.Program {
+	mk := func(taken trace.TakenFn) *trace.Script {
 		body := []trace.Slot{
 			{Op: isa.ADDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2), Src2: isa.IntReg(3)},
 			{Op: isa.CMPEQ, Dst: isa.IntReg(4), Src1: isa.IntReg(1), Src2: isa.IntReg(5)},
@@ -259,7 +259,7 @@ func TestPipelineMispredictCostsCycles(t *testing.T) {
 	}
 }
 
-func momStreamProgram(n int64, slen uint8) trace.Program {
+func momStreamProgram(n int64, slen uint8) *trace.Script {
 	body := []trace.Slot{
 		{Op: isa.VPADDW, Dst: isa.MOMReg(1), Src1: isa.MOMReg(2), Src2: isa.MOMReg(3)},
 	}

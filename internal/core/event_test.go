@@ -12,7 +12,7 @@ import (
 // loadProgram builds n load-use pairs with cache-missing strides, so a
 // single-thread run has long provably idle spans for the event path to
 // skip.
-func loadProgram(n int64, base uint64) trace.Program {
+func loadProgram(n int64, base uint64) *trace.Script {
 	body := []trace.Slot{
 		{Op: isa.LDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2),
 			Addr: func(c *trace.Ctx) uint64 { return base + uint64(c.Iter)*4096 }},

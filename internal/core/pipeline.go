@@ -90,7 +90,7 @@ type threadState struct {
 	frontCount int // ICOUNT: fetched but not yet issued
 	opCount    int // OCOUNT: same, weighted by stream length
 
-	prog    trace.Program
+	prog    *trace.Script
 	factor  float64
 	pending trace.Inst
 
@@ -296,7 +296,7 @@ func (p *Processor) Now() int64 { return p.now }
 // EIPC conversion weight credited per committed instruction of this
 // program (the per-benchmark MMX/MOM instruction-count ratio; 1 for
 // MMX runs). The context must be drained.
-func (p *Processor) SetProgram(ctx int, prog trace.Program, factor float64) {
+func (p *Processor) SetProgram(ctx int, prog *trace.Script, factor float64) {
 	th := &p.threads[ctx]
 	if !p.ContextDrained(ctx) {
 		panic(fmt.Sprintf("core: SetProgram on busy context %d", ctx))

@@ -10,11 +10,12 @@
 // Every front end that distributes runs the same StealPool over a
 // Members registry with a HealthChecker evicting peers that stop
 // answering: expsd fills the registry as workers self-register
-// (POST /v1/workers), exps -remote fills it once from the flag.
-// StealPool has one dispatch rule: each config goes to the live worker
-// with the fewest of the pool's requests in flight, its config-key
-// hash home winning ties, and runs locally when that worker fails or
-// leaves. The pool queues nothing; work waits where its caller bounds
+// (POST /v1/workers), exps -remote fills it once from the flag. The
+// registry keeps one record per worker, and the pool and the checker
+// read and update those records in place. StealPool has one dispatch
+// rule: each config goes to the live worker with the fewest of the
+// pool's requests in flight, its config-key hash home winning ties,
+// and runs locally when that worker fails or leaves. The pool queues nothing; work waits where its caller bounds
 // it. Priority is that bound in expsd: it admits contended work
 // highest class first (WithPriority on the context, FIFO within a
 // class) and re-reads the inner executor's capacity on every release,

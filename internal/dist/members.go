@@ -4,7 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -28,21 +28,34 @@ const (
 // Members is the worker-membership registry a StealPool dispatches
 // over. In expsd workers self-register (POST /v1/workers in
 // internal/serve); exps -remote adds its listed workers once. In both,
-// a HealthChecker evicts the ones that stop answering. Executors that
-// subscribe (StealPool) follow the set as it changes. All methods are
-// safe for concurrent use.
+// a HealthChecker evicts the ones that stop answering. Each worker is
+// one record, which the pool and the checker update in place. All
+// methods are safe for concurrent use.
 type Members struct {
-	mu   sync.Mutex
-	urls map[string]bool
-	subs []func(url string, added bool)
+	mu      sync.Mutex
+	workers []*worker // sorted by URL: a StealPool's key-hash domain
 
 	// no-op when uninstrumented
 	liveG            *metrics.Gauge
 	toLiveC, toDeadC *metrics.Counter
 }
 
+// worker is one registered worker's record: the Remote a StealPool
+// builds on its first request, the pool's requests in flight on it
+// (counted down by requests that outlive the record), the checker's
+// consecutive failed probes, and a context cancelled when it leaves.
+// Members.mu guards it; a worker that registers again gets a new one.
+type worker struct {
+	url      string
+	remote   *Remote
+	inflight int
+	failures int
+	left     context.Context
+	leave    context.CancelFunc
+}
+
 // NewMembers builds an empty registry.
-func NewMembers() *Members { return &Members{urls: make(map[string]bool)} }
+func NewMembers() *Members { return &Members{} }
 
 // Instrument attaches a membership gauge and health-transition
 // counters. A nil registry is a no-op. Call once, before registration
@@ -67,10 +80,16 @@ func cleanURL(url string) string {
 	return strings.TrimRight(strings.TrimSpace(url), "/")
 }
 
+// findLocked returns the index of url's record, or where it would go.
+func (m *Members) findLocked(url string) (int, bool) {
+	return slices.BinarySearchFunc(m.workers, url, func(w *worker, url string) int {
+		return strings.Compare(w.url, url)
+	})
+}
+
 // Add registers a worker base URL and reports whether membership
 // changed; re-registering an existing member (the periodic heartbeat)
-// is a no-op. Subscribers run synchronously under the registry lock,
-// so a subscriber must not call back into Members.
+// is a no-op.
 func (m *Members) Add(url string) bool {
 	url = cleanURL(url)
 	if url == "" {
@@ -78,62 +97,44 @@ func (m *Members) Add(url string) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.urls[url] {
+	i, found := m.findLocked(url)
+	if found {
 		return false
 	}
-	m.urls[url] = true
-	m.liveG.Set(int64(len(m.urls)))
+	left, leave := context.WithCancel(context.Background())
+	m.workers = slices.Insert(m.workers, i, &worker{url: url, left: left, leave: leave})
+	m.liveG.Set(int64(len(m.workers)))
 	m.toLiveC.Inc()
-	for _, fn := range m.subs {
-		fn(url, true)
-	}
 	return true
 }
 
-// Remove evicts a worker and reports whether it was a member.
+// Remove evicts a worker, cancelling the pool's requests in flight on
+// it, and reports whether it was a member.
 func (m *Members) Remove(url string) bool {
-	url = cleanURL(url)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.urls[url] {
-		return false
+	i, found := m.findLocked(cleanURL(url))
+	if found {
+		m.removeLocked(i)
 	}
-	delete(m.urls, url)
-	m.liveG.Set(int64(len(m.urls)))
+	return found
+}
+
+func (m *Members) removeLocked(i int) {
+	m.workers[i].leave()
+	m.workers = slices.Delete(m.workers, i, i+1)
+	m.liveG.Set(int64(len(m.workers)))
 	m.toDeadC.Inc()
-	for _, fn := range m.subs {
-		fn(url, false)
-	}
-	return true
 }
 
 // Snapshot returns the current members in sorted order.
 func (m *Members) Snapshot() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return snapshotLocked(m.urls)
-}
-
-// Subscribe registers fn for membership changes and immediately
-// replays the current members as additions, so a late subscriber
-// (an executor built after the first registrations) still sees every
-// member exactly once. fn runs under the registry lock: it must be
-// fast and must not call back into Members.
-func (m *Members) Subscribe(fn func(url string, added bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, fn)
-	for _, u := range snapshotLocked(m.urls) {
-		fn(u, true)
+	out := make([]string, len(m.workers))
+	for i, w := range m.workers {
+		out[i] = w.url
 	}
-}
-
-func snapshotLocked(urls map[string]bool) []string {
-	out := make([]string, 0, len(urls))
-	for u := range urls {
-		out = append(out, u)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -175,53 +176,46 @@ func (h *HealthChecker) Start() {
 		defer close(h.done)
 		ticker := time.NewTicker(h.interval)
 		defer ticker.Stop()
-		failures := make(map[string]int)
 		for {
 			select {
 			case <-h.stop:
 				return
 			case <-ticker.C:
 			}
-			h.sweep(failures)
+			h.sweep()
 		}
 	}()
 }
 
 // sweep probes every current member once, in parallel, and evicts the
-// ones whose consecutive-failure count reaches the threshold.
-func (h *HealthChecker) sweep(failures map[string]int) {
-	members := h.members.Snapshot()
-	// Forget counts for workers that are no longer members (evicted
-	// here, deregistered, or replaced) so a returning worker starts
-	// clean.
-	live := make(map[string]bool, len(members))
-	for _, u := range members {
-		live[u] = true
-	}
-	for u := range failures {
-		if !live[u] {
-			delete(failures, u)
-		}
-	}
-	results := make([]bool, len(members))
+// ones whose consecutive-failure count reaches the threshold. The
+// count lives on the record, so a worker that leaves and registers
+// again, even mid-sweep, starts from zero.
+func (h *HealthChecker) sweep() {
+	m := h.members
+	m.mu.Lock()
+	workers := slices.Clone(m.workers)
+	m.mu.Unlock()
+	ok := make([]bool, len(workers))
 	var wg sync.WaitGroup
-	for i, u := range members {
+	for i, w := range workers {
 		wg.Add(1)
-		go func(i int, u string) {
+		go func() {
 			defer wg.Done()
-			results[i] = h.probe(u)
-		}(i, u)
+			ok[i] = h.probe(w.url)
+		}()
 	}
 	wg.Wait()
-	for i, u := range members {
-		if results[i] {
-			delete(failures, u)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, w := range workers {
+		if ok[i] {
+			w.failures = 0
 			continue
 		}
-		failures[u]++
-		if failures[u] >= healthThreshold {
-			h.members.Remove(u)
-			delete(failures, u)
+		w.failures++
+		if j, found := m.findLocked(w.url); found && m.workers[j] == w && w.failures >= healthThreshold {
+			m.removeLocked(j)
 		}
 	}
 }

@@ -47,31 +47,6 @@ func TestMembersAddRemove(t *testing.T) {
 	}
 }
 
-// TestMembersSubscribeReplays: a late subscriber sees the existing
-// members as additions exactly once, then live changes as they come.
-func TestMembersSubscribeReplays(t *testing.T) {
-	m := NewMembers()
-	m.Add("http://a:1")
-	m.Add("http://b:1")
-	type ev struct {
-		url   string
-		added bool
-	}
-	var events []ev
-	m.Subscribe(func(url string, added bool) { events = append(events, ev{url, added}) })
-	m.Add("http://c:1")
-	m.Remove("http://a:1")
-	want := []ev{{"http://a:1", true}, {"http://b:1", true}, {"http://c:1", true}, {"http://a:1", false}}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, events[i], want[i])
-		}
-	}
-}
-
 // TestHealthCheckerEvictsDeadPeer: a worker that stops answering
 // /v1/healthz is removed after two consecutive failed sweeps,
 // while a healthy worker stays — and a single lost probe does not

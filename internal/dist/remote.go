@@ -93,6 +93,11 @@ func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
 	if peer == "" {
 		return nil, fmt.Errorf("dist: empty worker peer URL")
 	}
+	return newRemote(peer, o), nil
+}
+
+// newRemote builds the Remote for a cleaned, non-empty worker URL.
+func newRemote(peer string, o RemoteOptions) *Remote {
 	client := o.Client
 	if client == nil {
 		client = &http.Client{}
@@ -111,7 +116,7 @@ func NewRemote(peers []string, o RemoteOptions) (*Remote, error) {
 		r.failures = reg.Counter("mediasmt_peer_failures_total", "worker requests that failed (peer errors, not simulation failures or cancelled requests), by peer", metrics.L("peer", peer))
 		r.latency = reg.Histogram("mediasmt_peer_request_seconds", "worker request wall time, by peer", nil, metrics.L("peer", peer))
 	}
-	return r, nil
+	return r
 }
 
 // SimFailure reports that a worker executed the simulation and the

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"context"
-	"slices"
-	"strings"
-	"sync"
+	"sync/atomic"
 
 	"mediasmt/internal/metrics"
 	"mediasmt/internal/sim"
@@ -21,17 +19,6 @@ type StealOptions struct {
 	Metrics *metrics.Registry
 }
 
-// member is one live worker: its executor, the pool's requests in
-// flight on it (guarded by StealPool.mu, and counted down by requests
-// that outlive the member), and a context cancelled when it leaves.
-type member struct {
-	url      string
-	remote   *Remote
-	inflight int
-	left     context.Context
-	leave    context.CancelFunc
-}
-
 // StealPool dispatches each simulation to the live member of a dynamic
 // registry with the fewest of the pool's requests in flight — the
 // paper's ICOUNT rule one level up — and the config's key-hash home
@@ -45,68 +32,51 @@ type member struct {
 // reach Local, so only they count in the caller's WithTally tally;
 // remote runs count on their worker.
 type StealPool struct {
+	members   *Members
 	local     *Local
 	ropts     RemoteOptions
 	failoverC *metrics.Counter // no-op when uninstrumented
-
-	mu     sync.Mutex
-	closed bool
-	live   []*member // sorted by URL: the key-hash domain
+	closed    atomic.Bool
 }
 
-// NewStealPool builds the pool over the membership registry (whose
-// future changes it subscribes to: workers registering grow the pool,
-// leaving workers' requests fail over) with local as the failover
-// executor (nil means a GOMAXPROCS-sized one).
+// NewStealPool builds the pool over members, whose worker records it
+// reads and updates on every dispatch, so a registry serves one pool.
+// Workers registering grow the pool; leaving workers' requests fail
+// over to local (nil means a GOMAXPROCS-sized one).
 func NewStealPool(members *Members, local *Local, o StealOptions) *StealPool {
 	if local == nil {
 		local = NewLocal(0)
 	}
-	p := &StealPool{local: local, ropts: o.Remote}
+	p := &StealPool{members: members, local: local, ropts: o.Remote}
 	if o.Metrics != nil {
 		p.failoverC = o.Metrics.Counter("mediasmt_steal_failovers_total",
 			"simulations executed locally after their remote attempt failed")
 	}
-	members.Subscribe(p.onMembership)
 	return p
 }
 
-// onMembership reacts to registry changes. It runs under the
-// registry's lock, so it must not call back into Members.
-func (p *StealPool) onMembership(url string, added bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, present := slices.BinarySearchFunc(p.live, url, func(m *member, url string) int {
-		return strings.Compare(m.url, url)
-	})
-	switch {
-	case added && !present:
-		rem, err := NewRemote([]string{url}, p.ropts)
-		if err != nil {
-			return // unroutable URL: leave the member unserved
-		}
-		left, leave := context.WithCancel(context.Background())
-		p.live = slices.Insert(p.live, i, &member{url: url, remote: rem, left: left, leave: leave})
-	case !added && present:
-		p.live[i].leave()
-		p.live = slices.Delete(p.live, i, i+1)
-	}
-}
-
 // pick claims a request slot on the live member with the fewest
-// requests in flight, cfg's key-hash home winning ties. It returns nil
-// when the pool is closed or has no live member.
-func (p *StealPool) pick(cfg sim.Config) *member {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.live) == 0 {
+// requests in flight, cfg's key-hash home winning ties, and builds the
+// member's Remote on its first request. It returns nil when the pool
+// is closed or has no live member.
+func (p *StealPool) pick(cfg sim.Config) *worker {
+	if p.closed.Load() {
 		return nil
 	}
-	best := p.live[int(hashKey(cfg.Key())%uint64(len(p.live)))]
-	for _, m := range p.live {
-		if m.inflight < best.inflight {
-			best = m
+	m := p.members
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.workers) == 0 {
+		return nil
+	}
+	best := m.workers[int(hashKey(cfg.Key())%uint64(len(m.workers)))]
+	for _, w := range m.workers {
+		if w.inflight < best.inflight {
+			best = w
 		}
+	}
+	if best.remote == nil {
+		best.remote = newRemote(best.url, p.ropts)
 	}
 	best.inflight++
 	return best
@@ -122,18 +92,18 @@ func (p *StealPool) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, e
 	if forwardingDisabled(ctx) {
 		return p.local.Execute(ctx, cfg)
 	}
-	m := p.pick(cfg)
-	if m == nil {
+	w := p.pick(cfg)
+	if w == nil {
 		return p.local.Execute(ctx, cfg)
 	}
 	rctx, cancel := context.WithCancel(ctx)
-	stop := context.AfterFunc(m.left, cancel)
-	res, err := m.remote.Execute(rctx, cfg)
+	stop := context.AfterFunc(w.left, cancel)
+	res, err := w.remote.Execute(rctx, cfg)
 	stop()
 	cancel()
-	p.mu.Lock()
-	m.inflight--
-	p.mu.Unlock()
+	p.members.mu.Lock()
+	w.inflight--
+	p.members.mu.Unlock()
 	if err != nil && retryable(err) && ctx.Err() == nil {
 		p.failoverC.Inc()
 		return p.local.Execute(ctx, cfg)
@@ -146,15 +116,11 @@ func (p *StealPool) Execute(ctx context.Context, cfg sim.Config) (*sim.Result, e
 // shrinks with membership; capacity-sensitive consumers (the engine's
 // fan-out, the priority gate) re-read it.
 func (p *StealPool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.local.Workers() + DefaultWorkersPerPeer*len(p.live)
+	p.members.mu.Lock()
+	defer p.members.mu.Unlock()
+	return p.local.Workers() + DefaultWorkersPerPeer*len(p.members.workers)
 }
 
 // Close makes later Execute calls run locally. Requests already in
 // flight finish on their own.
-func (p *StealPool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-}
+func (p *StealPool) Close() { p.closed.Store(true) }

@@ -86,6 +86,54 @@ func TestStealPoolShardsToPeers(t *testing.T) {
 	}
 }
 
+// TestStealPoolFollowsMembers: a pool built over an empty registry
+// runs locally until a worker registers, then dispatches to it; a
+// worker that leaves and registers again gets a fresh record — no
+// requests in flight, no failed probes — and receives work again.
+func TestStealPoolFollowsMembers(t *testing.T) {
+	var served atomic.Int64
+	peer := workerStub(t, func(w http.ResponseWriter, req *http.Request, cfg sim.Config) bool {
+		served.Add(1)
+		return false
+	})
+	m := NewMembers()
+	p := NewStealPool(m, stubLocalPool(1), StealOptions{})
+	defer p.Close()
+	var tally atomic.Int64
+	ctx := WithTally(context.Background(), &tally)
+	execute := func(seed uint64, wantServed, wantLocal int64) {
+		t.Helper()
+		if _, err := p.Execute(ctx, seededConfig(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if got, local := served.Load(), tally.Load(); got != wantServed || local != wantLocal {
+			t.Errorf("seed %d: worker served %d and %d ran locally, want %d and %d", seed, got, local, wantServed, wantLocal)
+		}
+	}
+	execute(1, 0, 1)
+	m.Add(peer.URL)
+	execute(2, 1, 1)
+
+	m.mu.Lock()
+	old := m.workers[0]
+	old.inflight, old.failures = 1, 1 // a request still out and a lost probe as it leaves
+	m.mu.Unlock()
+	m.Remove(peer.URL)
+	if old.left.Err() == nil {
+		t.Error("leaving did not cancel the record's requests")
+	}
+	m.Add(peer.URL)
+	m.mu.Lock()
+	rec := *m.workers[0]
+	fresh := m.workers[0] != old
+	m.mu.Unlock()
+	if !fresh || rec.inflight != 0 || rec.failures != 0 || rec.left.Err() != nil {
+		t.Errorf("rejoined worker reuses state: fresh=%v inflight=%d failures=%d left=%v",
+			fresh, rec.inflight, rec.failures, rec.left.Err())
+	}
+	execute(3, 2, 1)
+}
+
 // TestStealPoolNoForward: an already-forwarded simulation executes
 // locally without touching any peer — the pool's half of the loop
 // guard for daemons registered as each other's workers.

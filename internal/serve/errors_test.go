@@ -35,8 +35,8 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	defer s.Close()
 	// job-queued never starts: results against it are deterministically
 	// not ready. job-nors settled without a result set: the 500 path.
-	stuffJob(s, newJob("job-queued", []string{"table1"}, exp.Options{}, 0, nil))
-	nors := newJob("job-nors", []string{"table1"}, exp.Options{}, 0, nil)
+	stuffJob(s, newJob("job-queued", []string{"table1"}, exp.Options{}, 0))
+	nors := newJob("job-nors", []string{"table1"}, exp.Options{}, 0)
 	nors.finish(nil, errors.New("engine refused"))
 	stuffJob(s, nors)
 	ts := httptest.NewServer(s.Handler())
@@ -130,7 +130,7 @@ func mustThreads3(t *testing.T) []byte {
 func TestStoreFullEnvelope(t *testing.T) {
 	s := New(Config{Runner: exp.NewRunner(1, nil), MaxJobs: 1})
 	defer s.Close()
-	stuffJob(s, newJob("job-hog", []string{"table1"}, exp.Options{}, 0, nil)) // never settles
+	stuffJob(s, newJob("job-hog", []string{"table1"}, exp.Options{}, 0)) // never settles
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -1,75 +1,90 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"mediasmt/internal/exp"
-	"mediasmt/internal/metrics"
 )
 
-// TestLaggingSubscriberDropped pins the publish-side contract the SSE
-// handler depends on: a subscriber whose buffer is full is dropped —
-// its channel closed mid-stream, the drop counted — while the history
-// keeps every event for its reconnect.
-func TestLaggingSubscriberDropped(t *testing.T) {
-	reg := metrics.New()
-	dropped := reg.Counter("mediasmt_sse_dropped_subscribers_total", "")
-	j := newJob("job-1", []string{"table1"}, exp.Options{}, 0, dropped)
+// stalledClient is an SSE client that stops reading: the stream's
+// first Flush blocks until resume is closed.
+type stalledClient struct {
+	*httptest.ResponseRecorder
+	stalled, resume chan struct{}
+	once            sync.Once
+}
 
-	_, ch, done := j.subscribe(1)
-	if done || ch == nil {
-		t.Fatal("fresh job reported settled")
-	}
-	j.publish("sim", map[string]int{"n": 1}) // fills the 1-slot buffer
-	j.publish("sim", map[string]int{"n": 2}) // overflows: subscriber dropped
+func (c *stalledClient) Flush() {
+	c.once.Do(func() { close(c.stalled); <-c.resume })
+	c.ResponseRecorder.Flush()
+}
 
-	// The buffered event still drains, then the channel is closed —
-	// exactly what makes handleEvents' !open branch end the stream.
-	if ev, open := <-ch; !open || ev.name != "sim" {
-		t.Fatalf("first buffered event: open=%v name=%q", open, ev.name)
+// TestSlowStreamReadsEveryEvent: a stream that stalls at position 0
+// while the job publishes 1000 events and settles still delivers every
+// event exactly once, in order, ending with done. Publishing never
+// waits for it, and a live stream following the job meanwhile writes
+// the same bytes.
+func TestSlowStreamReadsEveryEvent(t *testing.T) {
+	const n = 1000
+	s := New(Config{Runner: exp.NewRunner(1, nil)})
+	defer s.Close()
+	j := newJob("job-1", []string{"table1"}, exp.Options{}, 0)
+	stuffJob(s, j)
+	stream := func(w http.ResponseWriter) <-chan struct{} {
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-1/events", nil))
+		}()
+		return served
 	}
-	if _, open := <-ch; open {
-		t.Fatal("channel still open after the subscriber lagged past its buffer")
+	c := &stalledClient{ResponseRecorder: httptest.NewRecorder(),
+		stalled: make(chan struct{}), resume: make(chan struct{})}
+	stalledDone := stream(c)
+	<-c.stalled
+	live := httptest.NewRecorder()
+	liveDone := stream(live)
+	for j.view().Subscribers < 2 {
+		runtime.Gosched()
 	}
-	if got := dropped.Value(); got != 1 {
-		t.Errorf("dropped counter = %d, want 1", got)
+	for i := 0; i < n; i++ {
+		j.publish("sim", map[string]int{"n": i})
 	}
-	// unsubscribe after the drop must not double-close.
-	j.unsubscribe(ch)
+	j.finish(&exp.ResultSet{}, nil)
+	close(c.resume)
+	<-stalledDone
+	<-liveDone
 
-	// A reconnecting subscriber replays the full history, nothing lost.
-	history, ch2, done := j.subscribe(4)
-	if done {
-		t.Fatal("job reported settled after publishes")
+	frames := strings.Split(strings.TrimSuffix(c.Body.String(), "\n\n"), "\n\n")
+	if len(frames) != n+1 {
+		t.Fatalf("stream delivered %d events, want %d", len(frames), n+1)
 	}
-	defer j.unsubscribe(ch2)
-	if len(history) != 2 {
-		t.Fatalf("replayed %d events, want 2", len(history))
-	}
-
-	// A healthy subscriber is untouched by another's drop.
-	j.publish("sim", map[string]int{"n": 3})
-	if got := dropped.Value(); got != 1 {
-		t.Errorf("dropped counter moved to %d without a lagging subscriber", got)
-	}
-	select {
-	case ev := <-ch2:
-		if ev.name != "sim" {
-			t.Errorf("healthy subscriber got %q", ev.name)
+	for i, f := range frames[:n] {
+		if want := fmt.Sprintf("event: sim\ndata: {\"n\":%d}", i); f != want {
+			t.Fatalf("event %d = %q, want %q", i, f, want)
 		}
-	default:
-		t.Error("healthy subscriber missed the live event")
+	}
+	if !strings.HasPrefix(frames[n], "event: done\n") {
+		t.Errorf("last event = %q, want done", frames[n])
+	}
+	if live.Body.String() != c.Body.String() {
+		t.Error("the live stream and the stalled one wrote different events")
+	}
+	if v := j.view(); v.Subscribers != 0 || v.Events != n+1 {
+		t.Errorf("after the streams ended: %d subscribers, %d events; want 0 and %d", v.Subscribers, v.Events, n+1)
 	}
 }
 
 // TestEventsStreamEndsAfterSettle reads the SSE stream to EOF: once
-// the job settles and publish/finish close the subscriber channels,
-// the handler must end the response body on its own — the closed-
-// channel branch the lagging drop shares.
+// the job settles and its done event is written, the handler must end
+// the response body on its own.
 func TestEventsStreamEndsAfterSettle(t *testing.T) {
 	ts := newTestServer(t, 2, 8)
 	v := submit(t, ts, `{"experiments":["table1"]}`)
@@ -98,7 +113,7 @@ func TestEventsStreamEndsAfterSettle(t *testing.T) {
 // "in-flight" jobs.
 func TestJobSettlesAtomically(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
-		j := newJob("job-1", []string{"table1"}, exp.Options{}, 0, nil)
+		j := newJob("job-1", []string{"table1"}, exp.Options{}, 0)
 		go j.finish(&exp.ResultSet{}, nil)
 		for j.view().Status != JobOK {
 			runtime.Gosched() // let finish run when GOMAXPROCS is 1

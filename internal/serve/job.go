@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mediasmt/internal/exp"
-	"mediasmt/internal/metrics"
 )
 
 // Job statuses. A job moves queued → running → ok|failed; "failed"
@@ -30,14 +29,14 @@ type job struct {
 	priority int
 	created  time.Time
 	cancel   context.CancelFunc
-	dropped  *metrics.Counter // server-wide lagging-subscriber count; nil no-ops
 
 	mu       sync.Mutex
 	status   string
 	rs       *exp.ResultSet
 	errMsg   string
-	history  []sseEvent // every event so far, replayed to late subscribers
-	subs     map[chan sseEvent]bool
+	history  []sseEvent    // every event so far, append-only: streams read it in place
+	streams  int           // SSE streams following the running job
+	wake     chan struct{} // made by a waiting stream, closed by the next publish
 	finished chan struct{} // closed when the job settles
 }
 
@@ -47,25 +46,21 @@ type sseEvent struct {
 	data []byte
 }
 
-func newJob(id string, ids []string, opts exp.Options, priority int, dropped *metrics.Counter) *job {
+func newJob(id string, ids []string, opts exp.Options, priority int) *job {
 	return &job{
 		id:       id,
 		ids:      ids,
 		opts:     opts,
 		priority: priority,
 		created:  time.Now().UTC(),
-		dropped:  dropped,
 		status:   JobQueued,
-		subs:     map[chan sseEvent]bool{},
 		finished: make(chan struct{}),
 	}
 }
 
-// publish appends an event to the job's history and fans it out to
-// live subscribers. A subscriber too slow to drain its buffer is
-// dropped (its channel closed mid-stream, before any done event): the
-// job must never block on a stalled client, and the client can
-// reconnect to replay the full history.
+// publish appends an event to the job's history and wakes the streams
+// waiting for it. It never blocks on a client: each stream catches up
+// from the history at its own pace.
 func (j *job) publish(name string, payload any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -79,49 +74,42 @@ func (j *job) publishLocked(name string, payload any) {
 		// same envelope shape every other error response uses.
 		data, _ = json.Marshal(ErrorEnvelope{Error: ErrorBody{Code: ErrInternal, Message: err.Error()}})
 	}
-	ev := sseEvent{name: name, data: data}
-	j.history = append(j.history, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(j.subs, ch)
-			close(ch)
-			j.dropped.Inc()
-		}
+	j.history = append(j.history, sseEvent{name: name, data: data})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
-// subscribe snapshots the history and registers a live channel in one
-// critical section, so a subscriber joining mid-run sees every event
-// exactly once. done reports whether the job had already settled (the
-// history then ends with its done event and there is nothing to wait
-// for).
-func (j *job) subscribe(buf int) (history []sseEvent, ch chan sseEvent, done bool) {
+// events returns the history from position n on and, while the job
+// runs, the channel the next publish closes. Once the job settled the
+// channel is nil and the events end with its done event.
+func (j *job) events(n int) ([]sseEvent, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history = append([]sseEvent(nil), j.history...)
-	select {
-	case <-j.finished:
-		return history, nil, true
-	default:
+	if j.settledLocked() {
+		return j.history[n:], nil
 	}
-	ch = make(chan sseEvent, buf)
-	j.subs[ch] = true
-	return history, ch, false
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return j.history[n:], j.wake
 }
 
-// unsubscribe detaches a live channel (client gone). Channels already
-// closed by publish (lagging) or finish (job settled) have left the
-// map, so unsubscribe never double-closes.
-func (j *job) unsubscribe(ch chan sseEvent) {
+// follow counts a stream in (+1) or out (-1) of the job's Subscribers.
+// A stream that finds the job settled is not counted and follow
+// reports false: the history is all it will send.
+func (j *job) follow(d int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.subs[ch] {
-		delete(j.subs, ch)
-		close(ch)
+	if d > 0 && j.settledLocked() {
+		return false
 	}
+	j.streams += d
+	return true
 }
+
+func (j *job) settledLocked() bool { return j.status == JobOK || j.status == JobFailed }
 
 // setRunning marks the transition out of the queue and announces it on
 // the event stream.
@@ -132,10 +120,10 @@ func (j *job) setRunning() {
 	j.publish("status", map[string]string{"id": j.id, "status": JobRunning})
 }
 
-// finish records the outcome, emits the final done event (carrying the
-// same view GET /v1/jobs/{id} serves) and closes every subscriber, all
-// in one critical section: a job that reads as settled has already
-// closed finished, so the job store may evict it.
+// finish records the outcome and emits the final done event (carrying
+// the same view GET /v1/jobs/{id} serves), which wakes every waiting
+// stream, all in one critical section: a job that reads as settled has
+// already closed finished, so the job store may evict it.
 func (j *job) finish(rs *exp.ResultSet, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -148,10 +136,6 @@ func (j *job) finish(rs *exp.ResultSet, err error) {
 	}
 	j.publishLocked("done", j.viewLocked())
 	close(j.finished)
-	for ch := range j.subs {
-		delete(j.subs, ch)
-		close(ch)
-	}
 }
 
 // FailedExperiment is the status view's per-experiment failure record:
@@ -176,8 +160,8 @@ type JobView struct {
 	Created     time.Time `json:"created"`
 	Error       string    `json:"error,omitempty"`
 	// Events is how many SSE events the job has published so far (a
-	// reconnecting subscriber replays exactly this many); Subscribers
-	// is how many live SSE channels are attached right now.
+	// reconnecting stream replays exactly this many); Subscribers is
+	// how many SSE streams that attached while it ran follow it now.
 	Events      int `json:"events"`
 	Subscribers int `json:"subscribers"`
 	// The remaining fields mirror the ResultSet bookkeeping and are
@@ -212,7 +196,7 @@ func (j *job) viewLocked() JobView {
 		Created:     j.created,
 		Error:       j.errMsg,
 		Events:      len(j.history),
-		Subscribers: len(j.subs),
+		Subscribers: j.streams,
 	}
 	if rs := j.rs; rs != nil {
 		v.Simulations = rs.Simulations

@@ -89,7 +89,7 @@ type Config struct {
 	MaxJobs int
 	// Metrics, when non-nil, is served on GET /v1/metrics and receives
 	// the server's own instruments (job admissions, journal and SSE
-	// subscriber bookkeeping). The caller registers the runner, which
+	// stream gauge). The caller registers the runner, which
 	// owns the simulation and cache counters, and the executor on the
 	// same registry so one scrape covers the whole process. Nil
 	// disables both — the endpoint then serves an empty snapshot and
@@ -112,11 +112,6 @@ type Config struct {
 // DefaultMaxJobs bounds the job store when Config.MaxJobs is zero.
 const DefaultMaxJobs = 64
 
-// eventBuffer is each SSE subscriber's channel capacity; a subscriber
-// lagging this many events behind is dropped (it can reconnect and
-// replay).
-const eventBuffer = 256
-
 // serveMetrics is the server's own instrument set. The struct always
 // exists; with a nil registry every instrument is nil and no-ops.
 type serveMetrics struct {
@@ -124,7 +119,6 @@ type serveMetrics struct {
 	jobsRejected  *metrics.Counter
 	jobsRecovered *metrics.Counter
 	journalErrs   *metrics.Counter
-	sseDropped    *metrics.Counter
 	sseSubs       *metrics.Gauge
 }
 
@@ -176,7 +170,6 @@ func New(cfg Config) *Server {
 			jobsRejected:  reg.Counter("mediasmt_jobs_rejected_total", "submissions refused because the store was full of in-flight jobs"),
 			jobsRecovered: reg.Counter("mediasmt_jobs_recovered_total", "journalled jobs re-admitted after a restart"),
 			journalErrs:   reg.Counter("mediasmt_journal_errors_total", "job journal writes or removals that failed (durability degraded, service continues)"),
-			sseDropped:    reg.Counter("mediasmt_sse_dropped_subscribers_total", "SSE subscribers dropped for lagging past their event buffer"),
 			sseSubs:       reg.Gauge("mediasmt_sse_subscribers", "SSE subscribers currently connected"),
 		}
 	}
@@ -205,7 +198,7 @@ func (s *Server) recoverJobs() {
 	for _, rec := range recs {
 		ids, err := resolveExperimentIDs(rec.Experiments)
 		opts := exp.Options{Scale: rec.Scale, Seed: rec.Seed, Workers: rec.Workers, MaxCycles: rec.MaxCycles}
-		j := newJob(rec.ID, ids, opts, rec.Priority, s.met.sseDropped)
+		j := newJob(rec.ID, ids, opts, rec.Priority)
 		if !rec.Created.IsZero() {
 			j.created = rec.Created
 		}
@@ -358,7 +351,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	seq := s.seq
-	j := newJob(fmt.Sprintf("job-%d", seq), ids, opts, prio, s.met.sseDropped)
+	j := newJob(fmt.Sprintf("job-%d", seq), ids, opts, prio)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.cancel = cancel
 	s.jobs[j.id] = j
@@ -534,10 +527,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams the job's progress as server-sent events. The
-// full history replays first — subscribing to a finished job yields
-// its complete event log and returns — then live events follow until
-// the job settles or the client disconnects.
+// handleEvents streams the job's progress as server-sent events. It
+// writes the job's history from its own position — all of it for a
+// finished job, then returns — and waits on the job's wake channel for
+// more until the job settles or the client disconnects. A slow client
+// only falls behind: the history keeps every event for it.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -553,30 +547,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 
-	history, ch, done := j.subscribe(eventBuffer)
-	if ch != nil {
+	if j.follow(1) {
 		s.met.sseSubs.Add(1)
 		defer s.met.sseSubs.Add(-1)
-		defer j.unsubscribe(ch)
+		defer j.follow(-1)
 	}
-	for _, ev := range history {
-		writeEvent(w, ev)
-	}
-	flusher.Flush()
-	if done {
-		return
-	}
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				// Job settled (done event already sent) or this client
-				// lagged past the buffer; either way the stream ends and
-				// a reconnect replays everything.
-				return
-			}
+	for n := 0; ; {
+		evs, wake := j.events(n)
+		for _, ev := range evs {
 			writeEvent(w, ev)
-			flusher.Flush()
+		}
+		flusher.Flush()
+		n += len(evs)
+		if wake == nil {
+			return // settled: the done event was the last one written
+		}
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}

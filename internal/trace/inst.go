@@ -7,7 +7,7 @@ package trace
 
 import "mediasmt/internal/isa"
 
-// Inst is one dynamic instruction as produced by a Program. It carries
+// Inst is one dynamic instruction as produced by a Script. It carries
 // everything the timing model needs: opcode, logical registers, the
 // effective address of memory operations, the MOM stream length and
 // stride, the branch outcome and the instruction's PC.
@@ -42,17 +42,4 @@ func (in *Inst) ElemCount() int {
 		return int(in.SLen)
 	}
 	return 1
-}
-
-// Program generates the dynamic instruction stream of one thread.
-// Implementations must be deterministic: Reset followed by the same
-// sequence of Next calls yields the same stream.
-type Program interface {
-	// Next fills in the next dynamic instruction and reports whether
-	// one was produced; false means the program has terminated.
-	Next(*Inst) bool
-	// Name identifies the program (for statistics and logging).
-	Name() string
-	// Reset rewinds the program to its initial state.
-	Reset()
 }

@@ -39,10 +39,10 @@ func (m *Mix) Pct(c isa.Class) float64 {
 	return 100 * float64(m.Equiv[c]) / float64(m.TotalEq)
 }
 
-// CountMix runs a program to completion (resetting it before and
-// after) and returns its instruction mix. It is the dry pass used to
-// compute Table 3 and the per-benchmark EIPC conversion factors.
-func CountMix(p Program) Mix {
+// CountMix runs a script to completion (resetting it before and after)
+// and returns its instruction mix. It is the dry pass used to compute
+// Table 3 and the per-benchmark EIPC conversion factors.
+func CountMix(p *Script) Mix {
 	p.Reset()
 	var m Mix
 	var in Inst

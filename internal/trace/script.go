@@ -50,11 +50,12 @@ type Phase struct {
 	PCBase uint64
 }
 
-// Script is a deterministic Program: a list of phases executed in
-// order, the whole list repeated Rounds times. It is the building block
-// for the media workload models.
+// Script generates the dynamic instruction stream of one thread: a
+// list of phases executed in order, the whole list repeated rounds
+// times. It is deterministic — Reset followed by the same sequence of
+// Next calls yields the same stream — and the building block for the
+// media workload models.
 type Script struct {
-	name   string
 	phases []Phase
 	rounds int64
 	seed   uint64
@@ -106,7 +107,7 @@ func NewScript(name string, seed uint64, rounds int64, phases []Phase) (*Script,
 			}
 		}
 	}
-	s := &Script{name: name, phases: phases, rounds: rounds, seed: seed}
+	s := &Script{phases: phases, rounds: rounds, seed: seed}
 	s.Reset()
 	return s, nil
 }
@@ -120,12 +121,6 @@ func MustScript(name string, seed uint64, rounds int64, phases []Phase) *Script 
 	}
 	return s
 }
-
-// Name returns the script's name.
-func (s *Script) Name() string { return s.name }
-
-// Rounds returns the configured number of rounds.
-func (s *Script) Rounds() int64 { return s.rounds }
 
 // Reset rewinds the script to its initial state.
 func (s *Script) Reset() {
@@ -150,7 +145,8 @@ func (s *Script) phaseIters() int64 {
 	return ph.Iters
 }
 
-// Next implements Program.
+// Next fills in the next dynamic instruction and reports whether one
+// was produced; false means the script has terminated.
 func (s *Script) Next(in *Inst) bool {
 	if s.done {
 		return false
