@@ -266,3 +266,28 @@ func TestIMissTableCoversMaxHWContexts(t *testing.T) {
 		t.Fatalf("FetchLine(thread %d) = %v, want FetchMiss", MaxHWContexts-1, r)
 	}
 }
+
+// TestDecoupledVectorLoadForwardsFromWriteBuffer covers the decoupled
+// vector path's write-buffer forward: a vector load whose L1 line has
+// a pending scalar store is served from the buffer at L1HitLat+1 and
+// is accounted as a vector load.
+func TestDecoupledVectorLoadForwardsFromWriteBuffer(t *testing.T) {
+	m := decSystem()
+	got := map[uint64]int64{}
+	if !m.Access(0, Request{Tag: 1, Addr: 0x30000, Store: true}) {
+		t.Fatal("scalar store rejected")
+	}
+	if !m.Access(0, Request{Tag: 2, Addr: 0x30008, Vector: true}) {
+		t.Fatal("vector load rejected")
+	}
+	drive(m, 0, 10, got)
+	want := int64(m.cfg.L1HitLat) + 1
+	if got[2] != want {
+		t.Errorf("forwarded vector load latency %d, want %d", got[2], want)
+	}
+	st := m.Stats()
+	if st.L1WBForwards != 1 || st.VecLoadCount != 1 || st.VecLoadLatSum != want {
+		t.Errorf("forwards=%d vec loads=%d vec latency sum=%d, want 1, 1 and %d",
+			st.L1WBForwards, st.VecLoadCount, st.VecLoadLatSum, want)
+	}
+}

@@ -65,10 +65,31 @@ func runBoth(t *testing.T, cfg Config) (*Result, *Result) {
 // TestEngineEquivalenceMatrix is the golden matrix: every combination
 // of ISA, thread count, fetch policy and memory mode the experiment
 // suite exercises, at a scale small enough to run the slow reference
-// engine for each.
+// engine for each, plus rows whose DRAM controller queue holds one or
+// two reads, so that L2 MSHRs wait for room and retry (a path the
+// default queue never takes).
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix runs the per-cycle reference engine; skipped with -short")
+	}
+	check := func(name string, cfg Config) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ref, ev := runBoth(t, cfg)
+			assertResultsIdentical(t, ref, ev)
+		})
+	}
+	for _, isa := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+		for _, mode := range []mem.Mode{mem.ModeConventional, mem.ModeDecoupled} {
+			for _, queueCap := range []int{1, 2} {
+				mcfg := mem.DefaultConfig(mode)
+				mcfg.DRAM.QueueCap = queueCap
+				check(fmt.Sprintf("%v-8T-%v-%v-dramq%d", isa, core.PolicyICOUNT, mode, queueCap), Config{
+					ISA: isa, Threads: 8, Policy: core.PolicyICOUNT, Memory: mode,
+					Scale: 0.02, Seed: 7, MaxCycles: 20_000_000, MemOverride: &mcfg,
+				})
+			}
+		}
 	}
 	for _, isa := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
 		for _, threads := range []int{1, 2, 4, 8} {
@@ -81,15 +102,9 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 					if pol != core.PolicyRR && threads != 8 {
 						continue
 					}
-					cfg := Config{
+					check(fmt.Sprintf("%v-%dT-%v-%v", isa, threads, pol, mode), Config{
 						ISA: isa, Threads: threads, Policy: pol, Memory: mode,
 						Scale: 0.02, Seed: 7, MaxCycles: 20_000_000,
-					}
-					name := fmt.Sprintf("%v-%dT-%v-%v", isa, threads, pol, mode)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						ref, ev := runBoth(t, cfg)
-						assertResultsIdentical(t, ref, ev)
 					})
 				}
 			}
