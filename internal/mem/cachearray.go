@@ -47,75 +47,68 @@ func (c *cacheArray) set(addr uint64) int {
 	return int((addr >> c.lineShift) & uint64(c.sets-1))
 }
 
-// lookup probes the array. When touch is true a hit updates LRU state.
-func (c *cacheArray) lookup(addr uint64, touch bool) bool {
+// way returns the slot of the way holding addr's line, or -1 when the
+// line is not resident.
+func (c *cacheArray) way(addr uint64) int {
 	la := c.lineAddr(addr)
 	base := c.set(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
+	for i := base; i < base+c.ways; i++ {
 		if c.valid[i] && c.tags[i] == la {
-			if touch {
-				c.clock++
-				c.stamp[i] = c.clock
-			}
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// lookup probes the array. When touch is true a hit updates LRU state.
+func (c *cacheArray) lookup(addr uint64, touch bool) bool {
+	i := c.way(addr)
+	if i >= 0 && touch {
+		c.clock++
+		c.stamp[i] = c.clock
+	}
+	return i >= 0
 }
 
 // markDirty sets the dirty bit of a resident line; it reports whether
 // the line was present.
 func (c *cacheArray) markDirty(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.set(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == la {
-			c.dirty[i] = true
-			c.clock++
-			c.stamp[i] = c.clock
-			return true
-		}
+	i := c.way(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.dirty[i] = true
+	c.clock++
+	c.stamp[i] = c.clock
+	return true
 }
 
 // fill installs a line, evicting the LRU way if needed. It returns the
 // evicted line address and whether it was valid and dirty.
 func (c *cacheArray) fill(addr uint64, dirty bool) (evicted uint64, wasValid, wasDirty bool) {
-	la := c.lineAddr(addr)
-	base := c.set(addr) * c.ways
-	victim := base
-	// Prefer an invalid way, otherwise evict the LRU way; refills of a
-	// line already present just refresh it.
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == la {
-			victim = i
-			goto install
-		}
-	}
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
-			goto install
-		}
-		if c.stamp[i] < c.stamp[victim] {
-			victim = i
-		}
-	}
-	evicted = c.tags[victim]
-	wasValid = c.valid[victim]
-	wasDirty = c.dirty[victim]
-install:
-	if c.valid[victim] && c.tags[victim] == la {
-		// Refresh: keep dirty state OR'd with the new fill.
+	victim := c.way(addr)
+	if victim >= 0 {
+		// Refills of a line already present just refresh it, keeping
+		// its dirty state OR'd with the new fill.
 		dirty = dirty || c.dirty[victim]
-		wasValid, wasDirty = false, false
+	} else {
+		// Prefer an invalid way, otherwise evict the LRU way.
+		base := c.set(addr) * c.ways
+		victim = base
+		for i := base; i < base+c.ways; i++ {
+			if !c.valid[i] {
+				victim = i
+				break
+			}
+			if c.stamp[i] < c.stamp[victim] {
+				victim = i
+			}
+		}
+		if c.valid[victim] {
+			evicted, wasValid, wasDirty = c.tags[victim], true, c.dirty[victim]
+		}
 	}
-	c.tags[victim] = la
+	c.tags[victim] = c.lineAddr(addr)
 	c.valid[victim] = true
 	c.dirty[victim] = dirty
 	c.clock++
@@ -125,43 +118,29 @@ install:
 
 // markPref flags a resident line as prefetcher-owned (tagged prefetch).
 func (c *cacheArray) markPref(addr uint64) {
-	la := c.lineAddr(addr)
-	base := c.set(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == la {
-			c.pref[i] = true
-			return
-		}
+	if i := c.way(addr); i >= 0 {
+		c.pref[i] = true
 	}
 }
 
 // takePref consumes the prefetch tag of a resident line, reporting
 // whether it was set (first demand hit on a prefetched line).
 func (c *cacheArray) takePref(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.set(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == la && c.pref[i] {
-			c.pref[i] = false
-			return true
-		}
+	i := c.way(addr)
+	if i < 0 || !c.pref[i] {
+		return false
 	}
-	return false
+	c.pref[i] = false
+	return true
 }
 
 // invalidate drops a line if present and reports whether it did.
 func (c *cacheArray) invalidate(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.set(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == la {
-			c.valid[i] = false
-			c.dirty[i] = false
-			return true
-		}
+	i := c.way(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.valid[i] = false
+	c.dirty[i] = false
+	return true
 }

@@ -2,28 +2,34 @@ package mem
 
 import "fmt"
 
-// CheckHorizons recomputes Real's L2-queue and completion horizons from
-// the queues underneath and reports a disagreement; other Systems keep
-// none.
+// CheckHorizons recomputes a system's maintained horizons from the
+// queues underneath and reports a disagreement: the completion horizon
+// of Real and Ideal, and Real's L2-queue horizon.
 func CheckHorizons(s System) error {
-	m, ok := s.(*Real)
-	if !ok {
-		return nil
-	}
-	l2q, done := NoEvent, NoEvent
-	for _, rq := range m.l2q {
-		at := rq.readyAt
-		if !rq.started {
-			at = m.l2Bank[(rq.addr>>m.l2LineShift)&uint64(m.cfg.L2Banks-1)]
+	var q *doneQueue
+	l2q, l2qNext := NoEvent, NoEvent
+	switch m := s.(type) {
+	case *Real:
+		q, l2qNext = &m.doneQueue, m.l2qNext
+		for _, rq := range m.l2q {
+			at := rq.readyAt
+			if !rq.started {
+				at = m.l2Bank[(rq.addr>>m.l2.lineShift)&uint64(m.cfg.L2Banks-1)]
+			}
+			l2q = min(l2q, at)
 		}
-		l2q = min(l2q, at)
+	case *Ideal:
+		q = &m.doneQueue
+	default:
+		return fmt.Errorf("no horizons known for %T", s)
 	}
-	for _, d := range m.done {
+	done := NoEvent
+	for _, d := range q.done {
 		done = min(done, d.readyAt)
 	}
-	if l2q != m.l2qNext || done != m.doneNext {
+	if l2q != l2qNext || done != q.doneNext {
 		return fmt.Errorf("L2-queue horizon %d and completion horizon %d, queues say %d and %d",
-			m.l2qNext, m.doneNext, l2q, done)
+			l2qNext, q.doneNext, l2q, done)
 	}
 	return nil
 }

@@ -5,21 +5,16 @@ package mem
 // bandwidth is still finite (it belongs to the processor, not the
 // memory), so vector streams drain at the port rate.
 type Ideal struct {
+	doneQueue
 	cfg       Config
 	st        Stats
 	portsUsed int
 	portCycle int64 // cycle portsUsed counts; stale counts reset lazily
-	pending   []idealDone
-}
-
-type idealDone struct {
-	c       Completion
-	readyAt int64
 }
 
 // NewIdeal builds a perfect memory system.
 func NewIdeal(cfg Config) *Ideal {
-	return &Ideal{cfg: cfg}
+	return &Ideal{cfg: cfg, doneQueue: doneQueue{doneNext: NoEvent}}
 }
 
 // Access implements System. Loads complete after the L1 hit latency;
@@ -46,35 +41,8 @@ func (m *Ideal) Access(now int64, r Request) bool {
 	lat := int32(m.cfg.L1HitLat)
 	m.st.L1LoadLatSum += int64(lat)
 	m.st.L1LoadCount++
-	m.pending = append(m.pending, idealDone{
-		c:       Completion{Tag: r.Tag, Lat: lat},
-		readyAt: now + int64(lat),
-	})
+	m.push(r.Tag, now, lat)
 	return true
-}
-
-// Drain implements System.
-func (m *Ideal) Drain(now int64, fn func(Completion)) {
-	i := 0
-	for ; i < len(m.pending); i++ {
-		if m.pending[i].readyAt <= now {
-			break
-		}
-	}
-	if i == len(m.pending) {
-		return
-	}
-	w := i
-	for ; i < len(m.pending); i++ {
-		p := m.pending[i]
-		if p.readyAt <= now {
-			fn(p.c)
-		} else {
-			m.pending[w] = p
-			w++
-		}
-	}
-	m.pending = m.pending[:w]
 }
 
 // FetchLine implements System: the instruction cache always hits.
@@ -94,18 +62,7 @@ func (m *Ideal) Tick(now int64) {}
 
 // NextEvent implements System: the only future activity of a perfect
 // memory is delivering its pending load completions.
-func (m *Ideal) NextEvent(now int64) int64 {
-	t := NoEvent
-	for _, p := range m.pending {
-		if p.readyAt <= now {
-			return now
-		}
-		if p.readyAt < t {
-			t = p.readyAt
-		}
-	}
-	return t
-}
+func (m *Ideal) NextEvent(now int64) int64 { return max(now, m.doneNext) }
 
 // Stats implements System.
 func (m *Ideal) Stats() *Stats { return &m.st }

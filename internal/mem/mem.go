@@ -126,3 +126,44 @@ func New(cfg Config) System {
 	}
 	return NewReal(cfg)
 }
+
+// doneQueue holds load completions until their ready cycle. doneNext
+// is the earliest ready cycle in done, NoEvent when it is empty, so
+// Drain returns at once on the cycles that deliver nothing and
+// NextEvent needs no scan. Real and Ideal embed the queue, so its
+// Drain is theirs, and inlines where a caller holds the concrete type.
+type doneQueue struct {
+	done     []donePair
+	doneNext int64
+}
+
+type donePair struct {
+	c       Completion
+	readyAt int64
+}
+
+// push queues the completion of the load tag, ready lat cycles after now.
+func (q *doneQueue) push(tag uint64, now int64, lat int32) {
+	readyAt := now + int64(lat)
+	q.done = append(q.done, donePair{c: Completion{Tag: tag, Lat: lat}, readyAt: readyAt})
+	q.doneNext = min(q.doneNext, readyAt)
+}
+
+// Drain implements System.
+func (q *doneQueue) Drain(now int64, fn func(Completion)) {
+	if q.doneNext > now {
+		return // most cycles deliver nothing
+	}
+	next, w := NoEvent, 0
+	for _, p := range q.done {
+		if p.readyAt <= now {
+			fn(p.c)
+			continue
+		}
+		q.done[w] = p
+		w++
+		next = min(next, p.readyAt)
+	}
+	q.done = q.done[:w]
+	q.doneNext = next
+}

@@ -11,17 +11,54 @@ package mem
 
 const l2QueueCap = 16
 
+// mshr is one miss-status holding register: a line in flight and the
+// requests waiting for it. Each file uses one flag: the L1's prefetch
+// (opened by the stream prefetcher), the vector file's store (a wide
+// line write, which has no targets) and the L2's sent (the DRAM read
+// is in the controller queue).
+type mshr[T any] struct {
+	valid    bool
+	prefetch bool
+	store    bool
+	sent     bool
+	line     uint64
+	targets  []T
+}
+
+// mshrFile is a file of MSHRs. The L1 and vector files hold the loads
+// waiting for a line (mshrTarget); the vector file coalesces vector
+// element accesses onto one wide L2 access per L2 line, since the
+// decoupled hierarchy's vector ports feed the L2 banks through a
+// crossbar at line width. The L2 file holds the L2 requests waiting
+// for a DRAM read (l2req).
+type mshrFile[T any] []mshr[T]
+
+// find returns the index of the valid entry for line whose store flag
+// is store, or -1.
+func (f mshrFile[T]) find(line uint64, store bool) int {
+	for i := range f {
+		if f[i].valid && f[i].line == line && f[i].store == store {
+			return i
+		}
+	}
+	return -1
+}
+
+// alloc claims the lowest free entry for line, reusing its target
+// storage, and returns its index, or -1 when every entry is busy.
+func (f mshrFile[T]) alloc(line uint64) int {
+	for i := range f {
+		if !f[i].valid {
+			f[i] = mshr[T]{valid: true, line: line, targets: f[i].targets[:0]}
+			return i
+		}
+	}
+	return -1
+}
+
 type mshrTarget struct {
 	tag        uint64
 	acceptedAt int64
-}
-
-type mshrEntry struct {
-	valid    bool
-	line     uint64 // L1-line aligned
-	vector   bool
-	prefetch bool // created by the stream prefetcher
-	targets  []mshrTarget
 }
 
 type icMissEntry struct {
@@ -36,58 +73,31 @@ type wbEntry struct {
 
 // l2 request kinds.
 const (
-	l2FillL1  uint8 = iota // ctx = L1 MSHR index
-	l2FillIC               // ctx = thread id
-	l2VecLoad              // tag/acceptedAt carry the requester
-	l2VecStore
-	l2WBWrite // write-through drain from the write buffer
+	l2FillL1   uint8 = iota // ctx = L1 MSHR index
+	l2FillIC                // ctx = thread id
+	l2VecLoad               // ctx = vector MSHR index
+	l2VecStore              // ctx = vector MSHR index
+	l2WBWrite               // write-through drain from the write buffer
 )
 
 type l2req struct {
 	kind       uint8
 	started    bool
 	addr       uint64
-	tag        uint64
 	acceptedAt int64
 	ctx        int
 	readyAt    int64
 }
 
-type l2MSHR struct {
-	valid    bool
-	line     uint64 // L2-line aligned
-	sentDRAM bool
-	waiters  []l2req
-}
-
-type donePair struct {
-	c       Completion
-	readyAt int64
-}
-
-// vecMSHR coalesces vector element accesses onto one wide L2 access
-// per L2 line: the decoupled hierarchy's vector ports feed the two L2
-// banks through a crossbar at line width, so a unit-stride stream of
-// 16 packed registers costs one or two L2 accesses, not sixteen.
-type vecMSHR struct {
-	valid   bool
-	line    uint64 // L2-line aligned
-	store   bool
-	targets []mshrTarget
-}
-
 // Real implements System.
 type Real struct {
+	doneQueue
 	cfg Config
 	st  Stats
 
 	l1 *cacheArray
 	ic *cacheArray
 	l2 *cacheArray
-
-	l1LineShift uint
-	icLineShift uint
-	l2LineShift uint
 
 	// Per-cycle port and bank usage, keyed to useCycle: the counters
 	// reset lazily on the first Access/FetchLine of a new cycle (not in
@@ -100,54 +110,47 @@ type Real struct {
 	l1BankUsed []bool
 	icBankUsed []bool
 
-	l1m    []mshrEntry
+	l1m    mshrFile[mshrTarget]
 	icm    []icMissEntry // one outstanding I-miss per thread
 	wb     []wbEntry
 	l2q    []l2req // requests being serviced (owned by Tick)
 	l2qIn  []l2req // inbox: new requests land here, drained by Tick
-	l2m    []l2MSHR
+	l2m    mshrFile[l2req]
 	l2Bank []int64
-	vecm   []vecMSHR
+	vecm   mshrFile[mshrTarget]
 
-	// Maintained summaries, so the per-tick retry loops, Drain and
-	// NextEvent can skip their scans on the (common) cycles where
-	// nothing is due: wbValid counts valid write-buffer entries,
-	// l2mUnsent counts valid L2 MSHRs that have not reached the DRAM
-	// controller queue yet, l2qNext is the earliest cycle at which an
-	// l2q request can start (its bank's free time) or resolve (its
-	// readyAt), and doneNext is the earliest readyAt in done. Both
-	// horizons are NoEvent when their queue is empty.
+	// Maintained summaries, so the per-tick retry loops and NextEvent
+	// can skip their scans on the (common) cycles where nothing is due:
+	// wbValid counts valid write-buffer entries, l2mUnsent counts valid
+	// L2 MSHRs that have not reached the DRAM controller queue yet, and
+	// l2qNext is the earliest cycle at which an l2q request can start
+	// (its bank's free time) or resolve (its readyAt), NoEvent when l2q
+	// is empty.
 	wbValid   int
 	l2mUnsent int
 	l2qNext   int64
-	doneNext  int64
 
 	dram *dram
-
-	done []donePair
 }
 
 // NewReal builds the detailed hierarchy for ModeConventional or
 // ModeDecoupled.
 func NewReal(cfg Config) *Real {
 	m := &Real{
-		cfg:         cfg,
-		l1:          newCacheArray(cfg.L1Size, cfg.L1Line, cfg.L1Assoc),
-		ic:          newCacheArray(cfg.ISize, cfg.ILine, cfg.IAssoc),
-		l2:          newCacheArray(cfg.L2Size, cfg.L2Line, cfg.L2Assoc),
-		l1LineShift: log2(cfg.L1Line),
-		icLineShift: log2(cfg.ILine),
-		l2LineShift: log2(cfg.L2Line),
-		l1BankUsed:  make([]bool, cfg.L1Banks),
-		icBankUsed:  make([]bool, cfg.IBanks),
-		l1m:         make([]mshrEntry, cfg.L1MSHRs),
-		icm:         make([]icMissEntry, MaxHWContexts),
-		wb:          make([]wbEntry, cfg.WBDepth),
-		l2m:         make([]l2MSHR, cfg.L2MSHRs),
-		l2Bank:      make([]int64, cfg.L2Banks),
-		vecm:        make([]vecMSHR, cfg.L2MSHRs),
-		l2qNext:     NoEvent,
-		doneNext:    NoEvent,
+		doneQueue:  doneQueue{doneNext: NoEvent},
+		cfg:        cfg,
+		l1:         newCacheArray(cfg.L1Size, cfg.L1Line, cfg.L1Assoc),
+		ic:         newCacheArray(cfg.ISize, cfg.ILine, cfg.IAssoc),
+		l2:         newCacheArray(cfg.L2Size, cfg.L2Line, cfg.L2Assoc),
+		l1BankUsed: make([]bool, cfg.L1Banks),
+		icBankUsed: make([]bool, cfg.IBanks),
+		l1m:        make(mshrFile[mshrTarget], cfg.L1MSHRs),
+		icm:        make([]icMissEntry, MaxHWContexts),
+		wb:         make([]wbEntry, cfg.WBDepth),
+		l2m:        make(mshrFile[l2req], cfg.L2MSHRs),
+		l2Bank:     make([]int64, cfg.L2Banks),
+		vecm:       make(mshrFile[mshrTarget], cfg.L2MSHRs),
+		l2qNext:    NoEvent,
 	}
 	m.dram = newDRAM(cfg.DRAM, &m.st, cfg.L2Line)
 	return m
@@ -155,9 +158,6 @@ func NewReal(cfg Config) *Real {
 
 // Stats implements System.
 func (m *Real) Stats() *Stats { return &m.st }
-
-func (m *Real) l1Line(addr uint64) uint64 { return addr >> m.l1LineShift << m.l1LineShift }
-func (m *Real) l2Line(addr uint64) uint64 { return addr >> m.l2LineShift << m.l2LineShift }
 
 // wbFind returns the write-buffer slot holding the line, or -1. The
 // occupancy count makes the empty-buffer probe — the common case on
@@ -200,41 +200,35 @@ func (m *Real) Access(now int64, r Request) bool {
 		return m.vectorAccess(now, r)
 	}
 
-	// Port arbitration.
+	// Port and bank arbitration. The access occupies its port and bank
+	// from here on, even when a structural hazard (write buffer or
+	// MSHRs full) rejects it: the probe that discovers the hazard still
+	// consumed L1 bandwidth, and the retry will consume more. This
+	// wasted-probe bandwidth is a large part of the multithreaded cache
+	// degradation.
 	if m.cfg.Mode == ModeConventional {
+		bank := int((r.Addr >> m.l1.lineShift) & uint64(m.cfg.L1Banks-1))
 		if m.genUsed >= m.cfg.GeneralPorts {
 			m.st.PortRejects++
 			return false
 		}
-	} else {
-		// Decoupled scalar side: double-pumped single-banked L1.
-		if m.scaUsed >= m.cfg.ScalarPorts {
-			m.st.PortRejects++
-			return false
-		}
-	}
-
-	// Bank arbitration (the decoupled L1 is single-banked and
-	// double-pumped, so only the conventional organization suffers
-	// bank conflicts).
-	bank := -1
-	if m.cfg.Mode == ModeConventional {
-		bank = int((r.Addr >> m.l1LineShift) & uint64(m.cfg.L1Banks-1))
 		if m.l1BankUsed[bank] {
 			m.st.L1BankConflicts++
 			return false
 		}
+		m.genUsed++
+		m.l1BankUsed[bank] = true
+	} else {
+		// Decoupled scalar side: double-pumped single-banked L1, so
+		// only the conventional organization suffers bank conflicts.
+		if m.scaUsed >= m.cfg.ScalarPorts {
+			m.st.PortRejects++
+			return false
+		}
+		m.scaUsed++
 	}
 
-	line := m.l1Line(r.Addr)
-
-	// The access occupies its port and bank from here on, even when a
-	// structural hazard (write buffer or MSHRs full) rejects it: the
-	// probe that discovers the hazard still consumed L1 bandwidth, and
-	// the retry will consume more. This wasted-probe bandwidth is a
-	// large part of the multithreaded cache degradation.
-	m.claimScalarPort(bank)
-
+	line := m.l1.lineAddr(r.Addr)
 	if r.Store {
 		// Write-through, no-allocate: update L1 if resident, coalesce
 		// into the write buffer.
@@ -273,7 +267,7 @@ func (m *Real) Access(now int64, r Request) bool {
 	if m.wbFind(line) >= 0 {
 		m.st.L1Accesses++
 		m.st.L1WBForwards++
-		m.noteLoadDone(r.Tag, now, int32(m.cfg.L1HitLat)+1)
+		m.loadDone(r.Tag, now, int32(m.cfg.L1HitLat)+1, false)
 		return true
 	}
 
@@ -285,221 +279,128 @@ func (m *Real) Access(now int64, r Request) bool {
 		if m.l1.takePref(r.Addr) {
 			m.prefetch(now, line+2*uint64(m.cfg.L1Line))
 		}
-		m.noteLoadDone(r.Tag, now, int32(m.cfg.L1HitLat))
+		m.loadDone(r.Tag, now, int32(m.cfg.L1HitLat), false)
 		return true
 	}
 
 	// Miss: merge into or allocate an MSHR.
-	merged := false
-	for i := range m.l1m {
-		e := &m.l1m[i]
-		if e.valid && e.line == line {
-			if len(e.targets) >= m.cfg.MSHRTargets {
-				m.st.MSHRFull++
-				return false
-			}
-			e.targets = append(e.targets, mshrTarget{tag: r.Tag, acceptedAt: now})
-			merged = true
-			break
-		}
-	}
+	i := m.l1m.find(line, false)
+	merged := i >= 0
 	if !merged {
-		free := m.freeL1MSHR()
-		if free < 0 || m.l2qLen() >= l2QueueCap {
-			m.st.MSHRFull++
-			return false
-		}
-		m.l1m[free] = mshrEntry{
-			valid:   true,
-			line:    line,
-			vector:  r.Vector,
-			targets: append(m.l1m[free].targets[:0], mshrTarget{tag: r.Tag, acceptedAt: now}),
-		}
-		m.l2qIn = append(m.l2qIn, l2req{kind: l2FillL1, addr: line, ctx: free, acceptedAt: now})
+		i = m.allocL1(now, line)
 	}
+	if i < 0 || merged && len(m.l1m[i].targets) >= m.cfg.MSHRTargets {
+		m.st.MSHRFull++
+		return false
+	}
+	m.l1m[i].targets = append(m.l1m[i].targets, mshrTarget{tag: r.Tag, acceptedAt: now})
 	m.st.L1Accesses++
 	if merged {
 		m.st.L1DelayedHits++
-	} else {
-		m.st.L1Misses++
-		// Sequential stream prefetch: media kernels walk memory line
-		// after line, and era media code issues prefetch hints with
-		// its μ-SIMD loads (paper §2), so a demand miss runs the
-		// prefetcher two lines ahead (one line is not enough to cover
-		// the L2 hit latency at kernel consumption rates).
-		m.prefetch(now, line+uint64(m.cfg.L1Line))
-		m.prefetch(now, line+2*uint64(m.cfg.L1Line))
+		return true
 	}
+	m.st.L1Misses++
+	// Sequential stream prefetch: media kernels walk memory line after
+	// line, and era media code issues prefetch hints with its μ-SIMD
+	// loads (paper §2), so a demand miss runs the prefetcher two lines
+	// ahead (one line is not enough to cover the L2 hit latency at
+	// kernel consumption rates).
+	m.prefetch(now, line+uint64(m.cfg.L1Line))
+	m.prefetch(now, line+2*uint64(m.cfg.L1Line))
 	return true
 }
 
-func (m *Real) freeL1MSHR() int {
-	for i := range m.l1m {
-		if !m.l1m[i].valid {
-			return i
-		}
+// allocL1 claims the lowest free L1 MSHR for line and queues its fill
+// from L2. It returns the entry's index, or -1 when the MSHRs or the L2
+// queue are full.
+func (m *Real) allocL1(now int64, line uint64) int {
+	if m.l2qLen() >= l2QueueCap {
+		return -1
 	}
-	return -1
+	i := m.l1m.alloc(line)
+	if i >= 0 {
+		m.l2qIn = append(m.l2qIn, l2req{kind: l2FillL1, addr: line, ctx: i, acceptedAt: now})
+	}
+	return i
 }
 
 // prefetch installs a targetless miss for a line, modelling the stream
 // prefetch hints that accompany media kernels. It silently gives up on
 // any structural hazard.
 func (m *Real) prefetch(now int64, line uint64) {
-	if m.l1.lookup(line, false) || m.wbFind(line) >= 0 {
+	if m.l1.lookup(line, false) || m.wbFind(line) >= 0 || m.l1m.find(line, false) >= 0 {
 		return
 	}
-	for i := range m.l1m {
-		if m.l1m[i].valid && m.l1m[i].line == line {
-			return
-		}
-	}
-	free := m.freeL1MSHR()
-	if free < 0 || m.l2qLen() >= l2QueueCap {
-		return
-	}
-	m.l1m[free] = mshrEntry{valid: true, line: line, prefetch: true, targets: m.l1m[free].targets[:0]}
-	m.l2qIn = append(m.l2qIn, l2req{kind: l2FillL1, addr: line, ctx: free, acceptedAt: now})
-	m.st.L1Prefetches++
-}
-
-func (m *Real) claimScalarPort(bank int) {
-	if m.cfg.Mode == ModeConventional {
-		m.genUsed++
-		if bank >= 0 {
-			m.l1BankUsed[bank] = true
-		}
-	} else {
-		m.scaUsed++
+	if i := m.allocL1(now, line); i >= 0 {
+		m.l1m[i].prefetch = true
+		m.st.L1Prefetches++
 	}
 }
 
 // vectorAccess is the decoupled-hierarchy vector path: element accesses
 // go through the dedicated vector ports straight to the L2 banks.
 func (m *Real) vectorAccess(now int64, r Request) bool {
-	if m.vecUsed >= m.cfg.VectorPorts {
+	if m.vecUsed >= m.cfg.VectorPorts || m.l2qLen() >= l2QueueCap {
 		m.st.PortRejects++
 		return false
 	}
-	if m.l2qLen() >= l2QueueCap {
-		m.st.PortRejects++
-		return false
-	}
-	line := m.l2Line(r.Addr)
 	if r.Store {
 		// Exclusive-bit coherence: the vector write owns the line, so a
 		// stale L1 copy must be dropped.
 		if m.l1.invalidate(r.Addr) {
 			m.st.VecInvalidations++
 		}
-		// Coalesce store elements onto one wide line write.
-		for i := range m.vecm {
-			e := &m.vecm[i]
-			if e.valid && e.store && e.line == line {
-				m.vecUsed++
-				m.st.VecAccesses++
-				m.st.StoreAccesses++
-				return true
-			}
-		}
-		free := m.freeVecMSHR()
-		if free < 0 || m.l2qLen() >= l2QueueCap {
-			m.st.MSHRFull++
-			return false
-		}
-		m.vecm[free] = vecMSHR{valid: true, line: line, store: true, targets: m.vecm[free].targets[:0]}
-		m.l2qIn = append(m.l2qIn, l2req{kind: l2VecStore, addr: line, ctx: free, acceptedAt: now})
-		m.vecUsed++
-		m.st.VecAccesses++
-		m.st.VecL2Direct++
-		m.st.StoreAccesses++
-		return true
-	}
-	// A vector load that matches a pending scalar store forwards from
-	// the write buffer (both drain into L2, which is the coherence
-	// point).
-	if m.wbFind(m.l1Line(r.Addr)) >= 0 {
+	} else if m.wbFind(m.l1.lineAddr(r.Addr)) >= 0 {
+		// A vector load that matches a pending scalar store forwards
+		// from the write buffer (both drain into L2, which is the
+		// coherence point).
 		m.vecUsed++
 		m.st.VecAccesses++
 		m.st.L1WBForwards++
-		m.noteVecLoadDone(r.Tag, now, int32(m.cfg.L1HitLat)+1)
+		m.loadDone(r.Tag, now, int32(m.cfg.L1HitLat)+1, true)
 		return true
 	}
-	// Coalesce load elements onto one wide line read.
-	for i := range m.vecm {
-		e := &m.vecm[i]
-		if e.valid && !e.store && e.line == line {
-			if len(e.targets) >= 4*m.cfg.MSHRTargets {
-				m.st.MSHRFull++
-				return false
-			}
-			e.targets = append(e.targets, mshrTarget{tag: r.Tag, acceptedAt: now})
-			m.vecUsed++
-			m.st.VecAccesses++
-			return true
+	// Coalesce elements onto one wide line read or write; a load waits
+	// on the line's entry, a store just joins the write.
+	line := m.l2.lineAddr(r.Addr)
+	i := m.vecm.find(line, r.Store)
+	if i < 0 {
+		if i = m.vecm.alloc(line); i < 0 {
+			m.st.MSHRFull++
+			return false
 		}
-	}
-	free := m.freeVecMSHR()
-	if free < 0 || m.l2qLen() >= l2QueueCap {
+		m.vecm[i].store = r.Store
+		kind := l2VecLoad
+		if r.Store {
+			kind = l2VecStore
+		}
+		m.l2qIn = append(m.l2qIn, l2req{kind: kind, addr: line, ctx: i, acceptedAt: now})
+		m.st.VecL2Direct++
+	} else if !r.Store && len(m.vecm[i].targets) >= 4*m.cfg.MSHRTargets {
 		m.st.MSHRFull++
 		return false
 	}
-	m.vecm[free] = vecMSHR{
-		valid:   true,
-		line:    line,
-		targets: append(m.vecm[free].targets[:0], mshrTarget{tag: r.Tag, acceptedAt: now}),
-	}
-	m.l2qIn = append(m.l2qIn, l2req{kind: l2VecLoad, addr: line, ctx: free, acceptedAt: now})
 	m.vecUsed++
 	m.st.VecAccesses++
-	m.st.VecL2Direct++
+	if r.Store {
+		m.st.StoreAccesses++
+	} else {
+		m.vecm[i].targets = append(m.vecm[i].targets, mshrTarget{tag: r.Tag, acceptedAt: now})
+	}
 	return true
 }
 
-func (m *Real) freeVecMSHR() int {
-	for i := range m.vecm {
-		if !m.vecm[i].valid {
-			return i
-		}
+// loadDone queues a load's completion and adds its latency to the L1
+// load statistics, or to the vector ones for the decoupled vector path.
+func (m *Real) loadDone(tag uint64, now int64, lat int32, vector bool) {
+	if vector {
+		m.st.VecLoadLatSum += int64(lat)
+		m.st.VecLoadCount++
+	} else {
+		m.st.L1LoadLatSum += int64(lat)
+		m.st.L1LoadCount++
 	}
-	return -1
-}
-
-func (m *Real) noteLoadDone(tag uint64, now int64, lat int32) {
-	m.st.L1LoadLatSum += int64(lat)
-	m.st.L1LoadCount++
-	m.pushDone(tag, now, lat)
-}
-
-func (m *Real) noteVecLoadDone(tag uint64, now int64, lat int32) {
-	m.st.VecLoadLatSum += int64(lat)
-	m.st.VecLoadCount++
-	m.pushDone(tag, now, lat)
-}
-
-func (m *Real) pushDone(tag uint64, now int64, lat int32) {
-	readyAt := now + int64(lat)
-	m.done = append(m.done, donePair{c: Completion{Tag: tag, Lat: lat}, readyAt: readyAt})
-	m.doneNext = min(m.doneNext, readyAt)
-}
-
-// Drain implements System.
-func (m *Real) Drain(now int64, fn func(Completion)) {
-	if m.doneNext > now {
-		return // most cycles deliver nothing
-	}
-	next, w := NoEvent, 0
-	for _, p := range m.done {
-		if p.readyAt <= now {
-			fn(p.c)
-			continue
-		}
-		m.done[w] = p
-		w++
-		next = min(next, p.readyAt)
-	}
-	m.done = m.done[:w]
-	m.doneNext = next
+	m.push(tag, now, lat)
 }
 
 // FetchLine implements System.
@@ -511,7 +412,7 @@ func (m *Real) FetchLine(now int64, thread int, pc uint64) FetchResult {
 	if m.icPorts >= 2 {
 		return FetchBusy
 	}
-	bank := int((pc >> m.icLineShift) & uint64(m.cfg.IBanks-1))
+	bank := int((pc >> m.ic.lineShift) & uint64(m.cfg.IBanks-1))
 	if m.icBankUsed[bank] {
 		return FetchBusy
 	}
@@ -523,7 +424,7 @@ func (m *Real) FetchLine(now int64, thread int, pc uint64) FetchResult {
 		return FetchHit
 	}
 	m.st.ICMisses++
-	line := pc >> m.icLineShift << m.icLineShift
+	line := m.ic.lineAddr(pc)
 	m.icm[thread] = icMissEntry{valid: true, line: line}
 	// Instruction fills may exceed the data-queue cap: stalling fetch
 	// on a full queue would deadlock it against its own data traffic.
@@ -542,7 +443,7 @@ func (m *Real) Tick(now int64) {
 	// Retry L2 MSHRs that could not reach the DRAM controller queue.
 	if m.l2mUnsent > 0 {
 		for i := range m.l2m {
-			if m.l2m[i].valid && !m.l2m[i].sentDRAM {
+			if m.l2m[i].valid && !m.l2m[i].sent {
 				m.sendDRAM(i)
 			}
 		}
@@ -586,7 +487,7 @@ func (m *Real) tickL2Queue(now int64) {
 	for _, rq := range m.l2q {
 		at := rq.readyAt
 		if !rq.started {
-			bank := int((rq.addr >> m.l2LineShift) & uint64(m.cfg.L2Banks-1))
+			bank := int((rq.addr >> m.l2.lineShift) & uint64(m.cfg.L2Banks-1))
 			if at = m.l2Bank[bank]; at <= now {
 				m.l2Bank[bank] = now + int64(m.cfg.L2BankOcc)
 				rq.started = true
@@ -644,70 +545,56 @@ func (m *Real) resolveL2(now int64, rq l2req) bool {
 		// Write-validate: stores install their line without fetching it
 		// from memory first (the write-through traffic is line-sized by
 		// the coalescing buffer), so writes never occupy an L2 MSHR.
-		evicted, wasValid, wasDirty := m.l2.fill(rq.addr, true)
-		if wasValid && wasDirty {
-			m.st.L2DirtyWritebacks++
-			m.dram.enqueue(dramReq{lineAddr: evicted, write: true, ctx: -1})
-		}
+		m.fillL2(rq.addr, true)
 		m.st.L2Misses++
 		if rq.kind == l2VecStore {
 			m.vecm[rq.ctx].valid = false
 		}
 		return true
 	}
-	line := m.l2Line(rq.addr)
-	for i := range m.l2m {
-		e := &m.l2m[i]
-		if e.valid && e.line == line {
-			e.waiters = append(e.waiters, rq)
-			m.st.L2DelayedHits++
-			return true
-		}
+	line := m.l2.lineAddr(rq.addr)
+	i := m.l2m.find(line, false)
+	if i >= 0 {
+		m.st.L2DelayedHits++
+	} else if i = m.l2m.alloc(line); i >= 0 {
+		m.l2mUnsent++
+		m.st.L2Misses++
+		m.sendDRAM(i)
+	} else {
+		m.st.MSHRFull++
+		return false
 	}
-	for i := range m.l2m {
-		e := &m.l2m[i]
-		if !e.valid {
-			e.valid = true
-			e.line = line
-			e.sentDRAM = false
-			e.waiters = append(e.waiters[:0], rq)
-			m.l2mUnsent++
-			m.st.L2Misses++
-			m.sendDRAM(i)
-			return true
-		}
-	}
-	m.st.MSHRFull++
-	return false
+	m.l2m[i].targets = append(m.l2m[i].targets, rq)
+	return true
 }
 
-func (m *Real) sendDRAM(idx int) {
-	e := &m.l2m[idx]
-	if e.sentDRAM || m.dram.full() {
+func (m *Real) sendDRAM(i int) {
+	e := &m.l2m[i]
+	if e.sent || m.dram.full() {
 		return
 	}
-	m.dram.enqueue(dramReq{lineAddr: e.line, ctx: idx})
-	e.sentDRAM = true
+	m.dram.enqueue(dramReq{lineAddr: e.line, ctx: i})
+	e.sent = true
 	m.l2mUnsent--
+}
+
+// fillL2 installs a line in L2 and writes a dirty victim back to DRAM.
+func (m *Real) fillL2(addr uint64, dirty bool) {
+	if evicted, wasValid, wasDirty := m.l2.fill(addr, dirty); wasValid && wasDirty {
+		m.st.L2DirtyWritebacks++
+		m.dram.enqueue(dramReq{lineAddr: evicted, write: true, ctx: -1})
+	}
 }
 
 // dramFill installs a line returned by DRAM into L2 and replays the
 // MSHR's waiting requests.
 func (m *Real) dramFill(now int64, ctx int) {
 	e := &m.l2m[ctx]
-	if !e.valid {
-		return
-	}
-	evicted, wasValid, wasDirty := m.l2.fill(e.line, false)
-	if wasValid && wasDirty {
-		m.st.L2DirtyWritebacks++
-		m.dram.enqueue(dramReq{lineAddr: evicted, write: true, ctx: -1})
-	}
-	for _, rq := range e.waiters {
+	m.fillL2(e.line, false)
+	for _, rq := range e.targets {
 		m.performL2Action(now, rq)
 	}
 	e.valid = false
-	e.waiters = e.waiters[:0]
 }
 
 // performL2Action delivers the payload of an L2 access whose line is
@@ -716,9 +603,6 @@ func (m *Real) performL2Action(now int64, rq l2req) {
 	switch rq.kind {
 	case l2FillL1:
 		e := &m.l1m[rq.ctx]
-		if !e.valid {
-			return
-		}
 		m.l1.fill(e.line, false)
 		switch {
 		case e.prefetch && len(e.targets) == 0:
@@ -730,37 +614,30 @@ func (m *Real) performL2Action(now int64, rq l2req) {
 			// stream running ahead.
 			m.prefetch(now, e.line+2*uint64(m.cfg.L1Line))
 		}
-		for _, t := range e.targets {
-			lat := now - t.acceptedAt + 1
-			m.st.FillLatSum += lat
-			m.st.FillLatCount++
-			if lat > m.st.FillLatMax {
-				m.st.FillLatMax = lat
-			}
-			m.noteLoadDone(t.tag, now, int32(lat))
-		}
-		e.valid = false
-		e.targets = e.targets[:0]
+		m.deliver(e, now, false)
 	case l2FillIC:
 		m.ic.fill(m.icm[rq.ctx].line, false)
 		m.icm[rq.ctx].valid = false
 	case l2VecLoad:
-		e := &m.vecm[rq.ctx]
-		for _, t := range e.targets {
-			lat := now - t.acceptedAt + 1
-			m.st.FillLatSum += lat
-			m.st.FillLatCount++
-			if lat > m.st.FillLatMax {
-				m.st.FillLatMax = lat
-			}
-			m.noteVecLoadDone(t.tag, now, int32(lat))
-		}
-		e.valid = false
-		e.targets = e.targets[:0]
+		m.deliver(&m.vecm[rq.ctx], now, true)
 	case l2VecStore:
 		m.l2.markDirty(rq.addr)
 		m.vecm[rq.ctx].valid = false
 	case l2WBWrite:
 		m.l2.markDirty(rq.addr)
 	}
+}
+
+// deliver completes the loads waiting on a filled L1 or vector MSHR,
+// each recording its fill latency before its completion, and frees the
+// entry.
+func (m *Real) deliver(e *mshr[mshrTarget], now int64, vector bool) {
+	for _, t := range e.targets {
+		lat := now - t.acceptedAt + 1
+		m.st.FillLatSum += lat
+		m.st.FillLatCount++
+		m.st.FillLatMax = max(m.st.FillLatMax, lat)
+		m.loadDone(t.tag, now, int32(lat), vector)
+	}
+	e.valid = false
 }

@@ -10,16 +10,16 @@ import (
 )
 
 // TestHorizonsMatchQueues steps processors running the paper's
-// programs one cycle at a time over the detailed hierarchy and, after
-// every Cycle, checks the memory system's maintained horizons against
-// a recomputation from its queues.
+// programs one cycle at a time over every memory organization and,
+// after every Cycle, checks the memory system's maintained horizons
+// against a recomputation from its queues.
 func TestHorizonsMatchQueues(t *testing.T) {
 	for _, isa := range []struct {
 		kind core.ISAKind
 		v    workload.Variant
 	}{{core.ISAMMX, workload.MMX}, {core.ISAMOM, workload.MOM}} {
 		for _, threads := range []int{1, 8} {
-			for _, mode := range []mem.Mode{mem.ModeConventional, mem.ModeDecoupled} {
+			for _, mode := range []mem.Mode{mem.ModeIdeal, mem.ModeConventional, mem.ModeDecoupled} {
 				t.Run(fmt.Sprintf("%v-%dT-%v", isa.kind, threads, mode), func(t *testing.T) {
 					t.Parallel()
 					msys := mem.New(mem.DefaultConfig(mode))
