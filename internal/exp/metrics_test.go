@@ -165,6 +165,9 @@ func TestLocalExecutorInstrumented(t *testing.T) {
 // ends do and runs one config whose simulation panics and one that
 // hits MaxCycles: the engine, pool and simulation failure counters must
 // each count both, both runs must be timed, and the pool must drain.
+// The panicking config is a core override that core.Config.Validate
+// does not yet refuse (a negative issue-queue size reaches makeslice);
+// sim.Config.Validate refuses every memory override that used to panic.
 func TestFailureCountersIncludePanics(t *testing.T) {
 	reg := metrics.New()
 	r := NewRunnerExecutor(dist.NewLocalFunc(1, obs.SimRunner(reg)).Instrument(reg), nil).Instrument(reg)
@@ -173,13 +176,13 @@ func TestFailureCountersIncludePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	panics := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeConventional)
-	mc := mem.DefaultConfig(mem.ModeConventional)
-	mc.L1Line = 48 // cache set count not a power of two
-	panics.MemOverride = &mc
+	cc := core.ConfigForThreads(core.ISAMMX, 1)
+	cc.IQSize = -1
+	panics.CoreOverride = &cc
 	capped := s.Config(core.ISAMMX, 1, core.PolicyRR, mem.ModeConventional)
 	capped.MaxCycles = 1000
 	if _, err := s.RunConfig(panics); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("L1Line 48: err = %v, want a panic error", err)
+		t.Fatalf("IQSize -1: err = %v, want a panic error", err)
 	}
 	if _, err := s.RunConfig(capped); err == nil {
 		t.Fatal("want a MaxCycles failure")

@@ -131,11 +131,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestConfigsCoverExperiments: each experiment's declared config set
-// must cover every simulation its Run method performs — after a
-// prefetch, rendering must be pure cache hits. Which configs a
-// renderer requests never depends on result values, so the suites run
-// a stub that returns an empty result for each config; rendering real
-// results is covered by the all job in TestTierServesWarmAllJob.
+// must pass sim.Config.Validate and cover every simulation its Run
+// method performs — after a prefetch, rendering must be pure cache
+// hits. Which configs a renderer requests never depends on result
+// values, so the suites run a stub that returns an empty result for
+// each config; rendering real results is covered by the all job in
+// TestTierServesWarmAllJob.
 func TestConfigsCoverExperiments(t *testing.T) {
 	run := func(cfg sim.Config) (*sim.Result, error) { return &sim.Result{Cfg: cfg.Normalize()}, nil }
 	for _, e := range Experiments {
@@ -150,6 +151,11 @@ func TestConfigsCoverExperiments(t *testing.T) {
 			cfgs := e.Configs(s)
 			if len(cfgs) == 0 {
 				t.Fatal("declared no configs")
+			}
+			for _, cfg := range cfgs {
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("declared config %s: %v", cfg.Key(), err)
+				}
 			}
 			if errs := s.prefetch(context.Background(), cfgs, nil); errs != nil {
 				t.Fatal(joinKeyErrors(errs))
@@ -182,11 +188,21 @@ func TestAblationDefaultPointDedup(t *testing.T) {
 	}
 }
 
-// TestSchedulerPanicBecomesError: a panicking simulation (unsupported
-// thread count) must surface as an error on every waiter without
-// leaking the worker slot.
+// TestSchedulerPanicBecomesError: a panicking simulation must surface
+// as an error on every waiter without leaking the worker slot. The run
+// function panics on 3-thread configs, which sim.Run itself refuses
+// with an error.
 func TestSchedulerPanicBecomesError(t *testing.T) {
-	s := NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 1})
+	run := func(cfg sim.Config) (*sim.Result, error) {
+		if cfg.Threads == 3 {
+			panic("unsupported thread count")
+		}
+		return sim.Run(cfg)
+	}
+	s, err := NewRunnerExecutor(dist.NewLocalFunc(1, run), nil).NewSuite(Options{Scale: 0.05, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := s.Config(core.ISAMMX, 3, core.PolicyRR, mem.ModeIdeal)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {

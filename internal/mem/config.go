@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // Config describes the memory system. DefaultConfig returns the paper's
 // parameters (§3, "Architectural Parameters"); experiments override
 // only Mode and, for ablations, the queue depths.
@@ -103,6 +105,88 @@ func DefaultConfig(mode Mode) Config {
 
 		MSHRTargets: 4,
 	}
+}
+
+// Bounds Validate enforces, so one simulation's heap and per-access
+// scans stay small: a cache holds at most 16 MB in lines of at least 8
+// bytes (about 40 MB of tag state), and every port, bank, queue and
+// MSHR count stays in the hundreds.
+const (
+	maxCacheBytes = 16 << 20
+	maxLineBytes  = 4096
+	maxWays       = 32
+	maxEntries    = 256
+	maxLatency    = 1 << 12
+	maxDRAMBytes  = 1 << 40
+)
+
+// Validate reports the first field of c the memory system cannot
+// model, naming it: a size, count, latency or DRAM divisor below one,
+// which would panic or stall a run; a line, set or bank count that is
+// not a power of two, which addresses index by mask; or a value past
+// the bounds above. Every field is checked whatever the mode.
+func (c Config) Validate() error {
+	if c.Mode > ModeDecoupled {
+		return fmt.Errorf("mem: Mode %d names no memory organization", c.Mode)
+	}
+	for _, f := range []struct {
+		name          string
+		v, least, max int
+		pow2          bool
+	}{
+		{"L1Line", c.L1Line, 8, maxLineBytes, true},
+		{"L1Assoc", c.L1Assoc, 1, maxWays, false},
+		{"L1Banks", c.L1Banks, 1, maxEntries, true},
+		{"L1MSHRs", c.L1MSHRs, 1, maxEntries, false},
+		{"L1HitLat", c.L1HitLat, 1, maxLatency, false},
+		{"WBDepth", c.WBDepth, 1, maxEntries, false},
+		{"ILine", c.ILine, 8, maxLineBytes, true},
+		{"IAssoc", c.IAssoc, 1, maxWays, false},
+		{"IBanks", c.IBanks, 1, maxEntries, true},
+		{"IMSHRs", c.IMSHRs, 1, maxEntries, false},
+		{"L2Line", c.L2Line, 8, maxLineBytes, true},
+		{"L2Assoc", c.L2Assoc, 1, maxWays, false},
+		{"L2Banks", c.L2Banks, 1, maxEntries, true},
+		{"L2MSHRs", c.L2MSHRs, 1, maxEntries, false},
+		{"L2HitLat", c.L2HitLat, 1, maxLatency, false},
+		{"L2BankOcc", c.L2BankOcc, 1, maxLatency, false},
+		{"GeneralPorts", c.GeneralPorts, 1, maxEntries, false},
+		{"ScalarPorts", c.ScalarPorts, 1, maxEntries, false},
+		{"VectorPorts", c.VectorPorts, 1, maxEntries, false},
+		{"DRAM.Banks", c.DRAM.Banks, 1, maxEntries, false},
+		{"DRAM.RowBytes", c.DRAM.RowBytes, 1, maxCacheBytes, false},
+		{"DRAM.RowHitLat", c.DRAM.RowHitLat, 1, maxLatency, false},
+		{"DRAM.RowMissLat", c.DRAM.RowMissLat, 1, maxLatency, false},
+		{"DRAM.BeatBytes", c.DRAM.BeatBytes, 1, maxLineBytes, false},
+		{"DRAM.CyclesPerBeat", c.DRAM.CyclesPerBeat, 1, maxLatency, false},
+		{"DRAM.QueueCap", c.DRAM.QueueCap, 1, maxEntries, false},
+		{"MSHRTargets", c.MSHRTargets, 1, maxEntries, false},
+	} {
+		switch {
+		case f.v < f.least || f.v > f.max:
+			return fmt.Errorf("mem: %s is %d, want %d..%d", f.name, f.v, f.least, f.max)
+		case f.pow2 && f.v&(f.v-1) != 0:
+			return fmt.Errorf("mem: %s is %d, want a power of two", f.name, f.v)
+		}
+	}
+	for _, a := range []struct {
+		name              string
+		size, line, assoc int
+	}{
+		{"L1Size", c.L1Size, c.L1Line, c.L1Assoc},
+		{"ISize", c.ISize, c.ILine, c.IAssoc},
+		{"L2Size", c.L2Size, c.L2Line, c.L2Assoc},
+	} {
+		sets := a.size / (a.line * a.assoc)
+		if a.size > maxCacheBytes || sets < 1 || sets&(sets-1) != 0 || sets*a.line*a.assoc != a.size {
+			return fmt.Errorf("mem: %s is %d, want at most %d bytes in a power-of-two number of %d-way sets of %d-byte lines",
+				a.name, a.size, maxCacheBytes, a.assoc, a.line)
+		}
+	}
+	if c.DRAM.SizeBytes < 1 || c.DRAM.SizeBytes > maxDRAMBytes {
+		return fmt.Errorf("mem: DRAM.SizeBytes is %d, want 1..%d", c.DRAM.SizeBytes, int64(maxDRAMBytes))
+	}
+	return nil
 }
 
 func log2(n int) uint {

@@ -7,6 +7,7 @@ import (
 
 	"mediasmt/internal/core"
 	"mediasmt/internal/mem"
+	"mediasmt/internal/sim"
 )
 
 // FuzzDecodeJobRequest: the job-submission decoder must never panic,
@@ -38,9 +39,17 @@ func FuzzDecodeJobRequest(f *testing.F) {
 }
 
 // FuzzDecodeSimRequest: the worker endpoint's config decoder must
-// never panic and must reject everything out of bounds with a
-// *requestError, exactly like the CLI flag validation.
+// never panic, must reject everything out of bounds with a
+// *requestError, exactly like the CLI flag validation, and must accept
+// only configs sim.Config.Validate passes. The memory probes seed it.
 func FuzzDecodeSimRequest(f *testing.F) {
+	for _, p := range memProbes {
+		data, err := sim.EncodeConfig(memProbe(p.set))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add([]byte(`{"threads":1,"scale":0.02,"seed":7}`))
 	f.Add([]byte(`{"threads":0}`))
 	f.Add([]byte(`{"threads":1,"scale":99}`))
@@ -63,6 +72,9 @@ func FuzzDecodeSimRequest(f *testing.F) {
 		}
 		if cfg.ISA > core.ISAMOM || cfg.Policy > core.PolicyBALANCE || cfg.Memory > mem.ModeDecoupled {
 			t.Fatalf("decodeSimRequest accepted an enum value that names nothing: %+v", cfg)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("decodeSimRequest accepted a config Validate refuses: %v", err)
 		}
 	})
 }

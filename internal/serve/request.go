@@ -100,11 +100,11 @@ func decodeJobRequest(body io.Reader) (ids []string, opts exp.Options, prio int,
 
 // decodeSimRequest parses and validates the worker endpoint's body:
 // one sim.Config in the EncodeConfig wire format. The cliflags bounds
-// apply on top of the decode — a worker must refuse an out-of-range
-// config exactly like the CLIs refuse out-of-range flags, never
-// silently normalize it into a different simulation than the
-// coordinator keyed. (Coordinators send normalized configs, so
-// in-range zero-valued fields never reach these checks.)
+// and sim.Config.Validate apply on top of the decode — a worker must
+// refuse an out-of-range config exactly like the CLIs refuse
+// out-of-range flags, never silently normalize it into a different
+// simulation than the coordinator keyed. (Coordinators send normalized
+// configs, so in-range zero-valued fields never reach these checks.)
 func decodeSimRequest(body io.Reader) (sim.Config, error) {
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -122,6 +122,7 @@ func decodeSimRequest(body io.Reader) (sim.Config, error) {
 		cliflags.Scale("scale", cfg.Scale),
 		cliflags.Seed("seed", cfg.Seed),
 		cliflags.MaxCycles("max_cycles", cfg.MaxCycles),
+		cfg.Validate(),
 	} {
 		if check != nil {
 			return sim.Config{}, badRequest("%v", check)

@@ -130,6 +130,7 @@ func TestWorkerEndpointRejections(t *testing.T) {
 		{"ISA", func(c *sim.Config) { c.ISA = 7 }},
 		{"Policy", func(c *sim.Config) { c.Policy = 9 }},
 		{"Memory", func(c *sim.Config) { c.Memory = 5 }},
+		{"program list", func(c *sim.Config) { c.Programs = []string{} }},
 	} {
 		bad := valid
 		c.set(&bad)
@@ -146,6 +147,61 @@ func TestWorkerEndpointRejections(t *testing.T) {
 	code, raw = postSim(t, ts, encodedConfig(t, capped), cache.Fingerprint())
 	if code != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "MaxCycles") {
 		t.Errorf("capped sim: status %d (%s), want 422 carrying the simulation error", code, raw)
+	}
+}
+
+// memProbes are memory overrides that panicked, spun a run to its
+// cycle cap, silently modelled a different machine or grew the heap
+// without bound before sim.Config.Validate refused them; each names
+// the field its refusal must name.
+var memProbes = []struct {
+	field string
+	set   func(*mem.Config)
+}{
+	{"L1Banks", func(c *mem.Config) { c.L1Banks = 0 }},
+	{"IBanks", func(c *mem.Config) { c.IBanks = 0 }},
+	{"L2Banks", func(c *mem.Config) { c.L2Banks = 0 }},
+	{"DRAM.RowBytes", func(c *mem.Config) { c.DRAM.RowBytes = 0 }},
+	{"DRAM.Banks", func(c *mem.Config) { c.DRAM.Banks = 0 }},
+	{"DRAM.BeatBytes", func(c *mem.Config) { c.DRAM.BeatBytes = 0 }},
+	{"L1Line", func(c *mem.Config) { c.L1Line = 0 }},
+	{"L1Line", func(c *mem.Config) { c.L1Line = 48 }},
+	{"WBDepth", func(c *mem.Config) { c.WBDepth = -1 }},
+	{"WBDepth", func(c *mem.Config) { c.WBDepth = 0 }},
+	{"DRAM.QueueCap", func(c *mem.Config) { c.DRAM.QueueCap = 0 }},
+	{"L2MSHRs", func(c *mem.Config) { c.L2MSHRs = 0 }},
+	{"L1MSHRs", func(c *mem.Config) { c.L1MSHRs = 0 }},
+	{"GeneralPorts", func(c *mem.Config) { c.GeneralPorts = 0 }},
+	{"L1Banks", func(c *mem.Config) { c.L1Banks = 3 }},
+	{"L2Size", func(c *mem.Config) { c.L2Size = 1 << 30 }},
+}
+
+// memProbe is the probe config: one MMX thread on conventional memory
+// with the probe's override applied.
+func memProbe(set func(*mem.Config)) sim.Config {
+	mcfg := mem.DefaultConfig(mem.ModeConventional)
+	set(&mcfg)
+	return sim.Config{
+		ISA: core.ISAMMX, Threads: 1, Policy: core.PolicyRR, Memory: mem.ModeConventional,
+		Scale: 0.01, Seed: 7, MaxCycles: 200_000, MemOverride: &mcfg,
+	}
+}
+
+// TestMemoryProbesRefused: every probe override is a sim.Run error
+// naming its field, and a bad_request 400 naming it at /v1/sims.
+func TestMemoryProbesRefused(t *testing.T) {
+	ts := newTestServer(t, 2, 8)
+	for _, p := range memProbes {
+		cfg := memProbe(p.set)
+		if _, err := sim.Run(cfg); err == nil || !strings.Contains(err.Error(), p.field) {
+			t.Errorf("%s probe: sim.Run err = %v, want an error naming it", p.field, err)
+		}
+		code, raw := postSim(t, ts, encodedConfig(t, cfg), cache.Fingerprint())
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusBadRequest ||
+			env.Error.Code != ErrBadRequest || !strings.Contains(env.Error.Message, p.field) {
+			t.Errorf("%s probe: status %d (%s), want a bad_request 400 naming it", p.field, code, raw)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mediasmt/internal/core"
@@ -177,20 +178,23 @@ func TestEngineEquivalenceCustomProgramList(t *testing.T) {
 }
 
 // TestRunRejectsUnknownProgram pins the launch-failure fix: a bad
-// Programs override must surface as an error from Run — one failure
-// domain in the experiment engine's per-key partitioning — never as a
-// panic in a scheduler worker.
+// Programs override, naming an unknown benchmark or empty (which
+// divided by zero choosing the first program), must surface as an
+// error from Run — one failure domain in the experiment engine's
+// per-key partitioning — never as a panic in a scheduler worker.
 func TestRunRejectsUnknownProgram(t *testing.T) {
-	for _, run := range []func(Config) (*Result, error){Run, RunReference} {
-		r, err := run(Config{
-			ISA: core.ISAMMX, Threads: 1, Memory: mem.ModeIdeal,
-			Programs: []string{"gsmdec", "no-such-benchmark"},
-		})
-		if err == nil {
-			t.Fatal("unknown program must be an error")
-		}
-		if r != nil {
-			t.Errorf("failed config must not return a result, got %+v", r)
+	for _, progs := range [][]string{{"gsmdec", "no-such-benchmark"}, {}} {
+		for _, run := range []func(Config) (*Result, error){Run, RunReference} {
+			r, err := run(Config{
+				ISA: core.ISAMMX, Threads: 1, Memory: mem.ModeIdeal,
+				Programs: progs,
+			})
+			if err == nil || !strings.Contains(err.Error(), "program list") {
+				t.Fatalf("program list %q: err = %v, want a program list error", progs, err)
+			}
+			if r != nil {
+				t.Errorf("failed config must not return a result, got %+v", r)
+			}
 		}
 	}
 }

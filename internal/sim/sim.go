@@ -149,40 +149,66 @@ const (
 	engineTick
 )
 
+// machine returns the core and memory configs a run builds: the Table 1
+// and §3 defaults or the overrides, with this config's threads, ISA,
+// fetch policy and memory mode.
+func (c Config) machine() (core.Config, mem.Config) {
+	ccfg := core.ConfigForThreads(c.ISA, c.Threads)
+	if c.CoreOverride != nil {
+		ccfg = *c.CoreOverride
+		ccfg.Threads = c.Threads
+		ccfg.ISA = c.ISA
+	}
+	ccfg.Policy = c.Policy
+	mcfg := mem.DefaultConfig(c.Memory)
+	if c.MemOverride != nil {
+		mcfg = *c.MemOverride
+		mcfg.Mode = c.Memory
+	}
+	return ccfg, mcfg
+}
+
+// Validate reports why the config cannot run: a thread count, core or
+// memory config (overrides applied) the machine cannot model, or an
+// empty program list or one naming an unknown benchmark. Run refuses
+// such a config as an error, never a panic or a stalled worker.
+func (c Config) Validate() error {
+	if !core.SupportsThreads(c.Threads) {
+		return fmt.Errorf("sim: unsupported thread count %d", c.Threads)
+	}
+	ccfg, mcfg := c.machine()
+	if err := ccfg.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if err := mcfg.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if c.Programs != nil && len(c.Programs) == 0 {
+		return fmt.Errorf("sim: program list is empty")
+	}
+	for _, name := range c.Programs {
+		if _, err := workload.Get(name); err != nil {
+			return fmt.Errorf("sim: program list: %w", err)
+		}
+	}
+	return nil
+}
+
 func run(cfg Config, kind engineKind) (*Result, error) {
 	cfg = cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	order := cfg.Programs
 	if order == nil {
 		order = workload.RunOrder
 	}
-
-	// Resolve every program up front so a bad Programs override is a
-	// config error attributed to this run, not a panic inside the
-	// engine's worker.
 	benches := make([]*workload.Benchmark, len(order))
 	for i, name := range order {
-		b, err := workload.Get(name)
-		if err != nil {
-			return nil, fmt.Errorf("sim: program list: %w", err)
-		}
-		benches[i] = b
+		benches[i] = workload.MustGet(name)
 	}
-
-	ccfg := core.ConfigForThreads(cfg.ISA, cfg.Threads)
-	if cfg.CoreOverride != nil {
-		ccfg = *cfg.CoreOverride
-		ccfg.Threads = cfg.Threads
-		ccfg.ISA = cfg.ISA
-	}
-	ccfg.Policy = cfg.Policy
-
-	mcfg := mem.DefaultConfig(cfg.Memory)
-	if cfg.MemOverride != nil {
-		mcfg = *cfg.MemOverride
-		mcfg.Mode = cfg.Memory
-	}
+	ccfg, mcfg := cfg.machine()
 	msys := mem.New(mcfg)
-
 	p, err := core.New(ccfg, msys)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
