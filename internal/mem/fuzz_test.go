@@ -17,7 +17,7 @@ func FuzzMemConfig(f *testing.F) {
 	f.Add(true, uint8(10), uint8(6), uint8(0), uint8(12), uint8(6), uint8(0),
 		int8(2), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), uint8(1), uint8(64))
 	f.Fuzz(func(t *testing.T, decoupled bool, l1Size, l1Line, l1Banks, l2Size, l2Line, l2Banks uint8,
-		l1Assoc, l2Assoc, l1MSHRs, l2MSHRs, wbDepth, targets, ports, queueCap int8, l2HitLat, beatBytes uint8) {
+		l1Assoc, l2Assoc, l1Mshrs, l2Mshrs, wbDepth, targets, ports, queueCap int8, l2HitLat, beatBytes uint8) {
 		cfg := DefaultConfig(ModeConventional)
 		if decoupled {
 			cfg.Mode = ModeDecoupled
@@ -25,7 +25,7 @@ func FuzzMemConfig(f *testing.F) {
 		cfg.L1Size, cfg.L1Line, cfg.L1Banks = 1<<(l1Size%32), 1<<(l1Line%16), 1<<(l1Banks%16)
 		cfg.L2Size, cfg.L2Line, cfg.L2Banks = 1<<(l2Size%32), 1<<(l2Line%16), 1<<(l2Banks%16)
 		cfg.L1Assoc, cfg.L2Assoc = int(l1Assoc), int(l2Assoc)
-		cfg.L1MSHRs, cfg.L2MSHRs, cfg.WBDepth, cfg.MSHRTargets = int(l1MSHRs), int(l2MSHRs), int(wbDepth), int(targets)
+		cfg.L1MSHRs, cfg.L2MSHRs, cfg.WBDepth, cfg.MSHRTargets = int(l1Mshrs), int(l2Mshrs), int(wbDepth), int(targets)
 		cfg.GeneralPorts, cfg.ScalarPorts, cfg.VectorPorts = int(ports), int(ports), int(ports)
 		cfg.DRAM.QueueCap, cfg.L2HitLat, cfg.DRAM.BeatBytes = int(queueCap), int(l2HitLat), int(beatBytes)
 		if cfg.Validate() != nil {

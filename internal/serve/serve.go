@@ -16,6 +16,7 @@
 //	                             sim.Config through the shared Runner and
 //	                             return the sim.EncodeResult bytes; a
 //	                             coordinator fingerprint mismatch is 409,
+//	                             a config sim.Config.Validate refuses 400,
 //	                             a failed simulation 422. internal/dist's
 //	                             Remote POSTs here for a StealPool, which
 //	                             is what turns any expsd into a worker an
