@@ -72,12 +72,13 @@ import (
 	"mediasmt/internal/metrics"
 	"mediasmt/internal/obs"
 	"mediasmt/internal/prof"
+	"mediasmt/internal/sim"
 )
 
 func main() {
 	runList := flag.String("run", "all", "comma-separated experiment ids or 'all' ("+strings.Join(exp.IDs(), ", ")+")")
-	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = 1/1000 of the paper's instruction counts)")
-	seed := flag.Uint64("seed", 12345, "simulation seed")
+	scale := flag.Float64("scale", sim.DefaultScale, "workload scale (1.0 = 1/1000 of the paper's instruction counts; at most 1000)")
+	seed := flag.Uint64("seed", sim.DefaultSeed, "simulation seed")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently running simulations (0 = GOMAXPROCS)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle cap; 0 = simulator default (200M). A capped-out simulation fails its experiments")
 	jsonOut := flag.Bool("json", false, "emit the structured result set as JSON on stdout")

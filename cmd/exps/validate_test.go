@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,9 @@ func TestValidateFlags(t *testing.T) {
 		{"auto workers", 0.05, 7, 0, 1000, time.Second, ""},
 		{"negative scale", -1, 12345, 8, 0, time.Second, "-scale"},
 		{"zero scale", 0, 12345, 8, 0, time.Second, "-scale"},
+		{"NaN scale", math.NaN(), 12345, 8, 0, time.Second, "-scale"},
+		{"infinite scale", math.Inf(1), 12345, 8, 0, time.Second, "-scale"},
+		{"huge scale", 1e300, 12345, 8, 0, time.Second, "-scale"},
 		{"zero seed", 1.0, 0, 8, 0, time.Second, "-seed"},
 		{"negative workers", 1.0, 12345, -2, 0, time.Second, "-j"},
 		{"negative max-cycles", 1.0, 12345, 8, -5, time.Second, "-max-cycles"},

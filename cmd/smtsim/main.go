@@ -30,6 +30,7 @@ import (
 	"mediasmt/internal/exp"
 	"mediasmt/internal/mem"
 	"mediasmt/internal/prof"
+	"mediasmt/internal/sim"
 )
 
 func main() {
@@ -37,8 +38,8 @@ func main() {
 	threads := flag.Int("threads", 4, "hardware contexts (1, 2, 4 or 8)")
 	policy := flag.String("policy", "rr", "fetch policy: rr, ic, oc or bl")
 	memFlag := flag.String("mem", "conventional", "memory system: ideal, conventional or decoupled")
-	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = 1/1000 of the paper's run)")
-	seed := flag.Uint64("seed", 12345, "simulation seed")
+	scale := flag.Float64("scale", sim.DefaultScale, "workload scale (1.0 = 1/1000 of the paper's run; at most 1000)")
+	seed := flag.Uint64("seed", sim.DefaultSeed, "simulation seed")
 	cacheDir := flag.String("cache-dir", cache.DefaultDir(), "on-disk result cache directory ('' disables)")
 	noCache := flag.Bool("no-cache", false, "disable the on-disk result cache")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")

@@ -49,12 +49,10 @@ func parseMemMode(s string) (mem.Mode, error) {
 }
 
 // buildConfig assembles a simulation config from the raw flag values.
-// The bounds checks live in internal/cliflags, shared with exps and
-// the expsd request decoder.
+// The flag bounds live in internal/cliflags, shared with exps and the
+// expsd request decoder; sim.Config.Validate, the one gate every front
+// end shares, checks the machine they describe.
 func buildConfig(isaFlag, policyFlag, memFlag string, threads int, scale float64, seed uint64) (sim.Config, error) {
-	if err := cliflags.Threads("-threads", threads); err != nil {
-		return sim.Config{}, err
-	}
 	if err := cliflags.Scale("-scale", scale); err != nil {
 		return sim.Config{}, err
 	}
@@ -72,5 +70,5 @@ func buildConfig(isaFlag, policyFlag, memFlag string, threads int, scale float64
 	if cfg.Memory, err = parseMemMode(memFlag); err != nil {
 		return sim.Config{}, err
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mediasmt/internal/core"
@@ -96,16 +98,18 @@ func TestBuildConfig(t *testing.T) {
 			t.Errorf("buildConfig(%v) accepted invalid flags", bad)
 		}
 	}
+	// sim.Config.Validate refuses the thread count, naming the field.
 	for _, th := range []int{0, 3, 16, -1} {
-		if _, err := buildConfig("mmx", "rr", "ideal", th, 1, 1); err == nil {
-			t.Errorf("buildConfig accepted unsupported thread count %d", th)
+		if _, err := buildConfig("mmx", "rr", "ideal", th, 1, 1); err == nil || !strings.Contains(err.Error(), "Threads") {
+			t.Errorf("buildConfig(threads %d) = %v, want an error naming Threads", th, err)
 		}
 	}
-	// Normalize would silently run these at scale 1.0 while the report
-	// echoed the raw flag; they must be rejected up front.
-	for _, sc := range []float64{0, -5} {
+	// Normalize would silently run a non-positive scale at 1.0, and a
+	// NaN, infinite or huge one runs one round, while the report echoed
+	// the raw flag; they must be rejected up front.
+	for _, sc := range []float64{0, -5, math.NaN(), math.Inf(1), 1e300} {
 		if _, err := buildConfig("mmx", "rr", "ideal", 1, sc, 1); err == nil {
-			t.Errorf("buildConfig accepted non-positive scale %g", sc)
+			t.Errorf("buildConfig accepted scale %g", sc)
 		}
 	}
 	// Seed 0 would silently run the default seed (shared bound with

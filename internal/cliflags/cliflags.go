@@ -6,7 +6,8 @@
 // refuse — sim.Config.Normalize and exp.NewSuite silently coerce zero
 // values to defaults (scale <= 0 runs at 1.0, seed 0 runs as 12345),
 // so an explicit out-of-range value has to be refused before it
-// reaches them, never mislabelled.
+// reaches them, never mislabelled. The machine itself (thread count,
+// enums, overrides) is sim.Config.Validate's to check.
 //
 // Each check takes the parameter's user-facing name ("-scale" for a
 // CLI flag, "scale" for a JSON field) so the error reads in the
@@ -16,19 +17,19 @@ package cliflags
 import (
 	"fmt"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
-	"mediasmt/internal/core"
 	"mediasmt/internal/sim"
 )
 
-// Scale rejects non-positive workload scales, which Normalize would
-// silently run at 1.0 while the run labels itself with the raw value.
+// Scale rejects workload scales outside (0, sim.MaxScale]: Normalize
+// would silently run a non-positive one at 1.0, and a NaN, infinite or
+// huge one as a single round, while the run labels itself with the
+// raw value.
 func Scale(name string, v float64) error {
-	if v <= 0 {
-		return fmt.Errorf("non-positive %s %g (want > 0)", name, v)
+	if !(v > 0 && v <= sim.MaxScale) {
+		return fmt.Errorf("%s %g out of range (want > 0 and <= %d)", name, v, sim.MaxScale)
 	}
 	return nil
 }
@@ -126,31 +127,4 @@ func Peers(name, v string) ([]string, error) {
 		out[i] = u
 	}
 	return out, nil
-}
-
-// Enum rejects a value past last, the highest constant of its enum
-// type. Configs decoded from the network carry enums as bare
-// integers, and one that names no constant would otherwise simulate,
-// and be cached, as something it does not name.
-func Enum[E ~uint8](name string, v, last E) error {
-	if v > last {
-		return fmt.Errorf("%s %d out of range (want 0..%d)", name, v, last)
-	}
-	return nil
-}
-
-// Threads rejects hardware context counts the core cannot build. The
-// accepted set is core.SupportedThreadCounts — the paper's evaluated
-// machine sizes — so this check cannot drift from what
-// core.ConfigForThreads actually constructs.
-func Threads(name string, v int) error {
-	if core.SupportsThreads(v) {
-		return nil
-	}
-	counts := core.SupportedThreadCounts()
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = strconv.Itoa(n)
-	}
-	return fmt.Errorf("unsupported %s %d (want %s)", name, v, strings.Join(parts, ", "))
 }

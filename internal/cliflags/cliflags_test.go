@@ -1,11 +1,10 @@
 package cliflags
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"mediasmt/internal/core"
 )
 
 func TestScale(t *testing.T) {
@@ -14,7 +13,7 @@ func TestScale(t *testing.T) {
 			t.Errorf("Scale(%g) = %v, want nil", v, err)
 		}
 	}
-	for _, v := range []float64{0, -0.5, -100} {
+	for _, v := range []float64{0, -0.5, -100, math.NaN(), math.Inf(1), math.Inf(-1), 1000.5, 1e300} {
 		err := Scale("-scale", v)
 		if err == nil || !strings.Contains(err.Error(), "-scale") {
 			t.Errorf("Scale(%g) = %v, want error naming -scale", v, err)
@@ -70,31 +69,6 @@ func TestDuration(t *testing.T) {
 		}
 		if !c.ok && (err == nil || !strings.Contains(err.Error(), "-peer-timeout")) {
 			t.Errorf("Duration(%v) = %v, want error naming -peer-timeout", c.v, err)
-		}
-	}
-}
-
-// TestThreadsMatchesCore pins the dedup contract: the CLI/HTTP bound
-// accepts a count exactly when core can build a configuration for it,
-// across the whole validity range and beyond.
-func TestThreadsMatchesCore(t *testing.T) {
-	for v := -1; v <= core.MaxHWContexts+1; v++ {
-		err := Threads("-threads", v)
-		if got, want := err == nil, core.SupportsThreads(v); got != want {
-			t.Errorf("Threads(%d) accepted=%v, core.SupportsThreads=%v", v, got, want)
-		}
-	}
-}
-
-func TestThreads(t *testing.T) {
-	for _, v := range []int{1, 2, 4, 8} {
-		if err := Threads("-threads", v); err != nil {
-			t.Errorf("Threads(%d) = %v, want nil", v, err)
-		}
-	}
-	for _, v := range []int{0, 3, 5, 16, -1} {
-		if err := Threads("-threads", v); err == nil || !strings.Contains(err.Error(), "-threads") {
-			t.Errorf("Threads(%d) = %v, want error naming -threads", v, err)
 		}
 	}
 }

@@ -9,10 +9,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
+	"mediasmt/internal/isa"
 	"mediasmt/internal/mem"
 )
 
@@ -117,59 +115,25 @@ type Config struct {
 	PredHistBits  int
 }
 
-// MaxHWContexts bounds the number of hardware contexts a Config may
-// declare: fixed-size per-thread structures in the pipeline are sized
-// by it, and Validate refuses anything beyond it. The value is
-// single-sourced in internal/mem (which sizes its own per-thread
-// structures from it and cannot import this package); this re-export
-// keeps every existing core.MaxHWContexts reference valid.
-const MaxHWContexts = mem.MaxHWContexts
-
 // robSizes is the per-thread graduation-window size for 1/2/4/8
 // contexts (total window grows sub-linearly, as in the paper's Table 1).
 var robSizes = map[int]int{1: 128, 2: 96, 4: 64, 8: 48}
 
-// SupportedThreadCounts returns, in ascending order, the hardware
-// context counts ConfigForThreads can build — the paper's evaluated
-// machine sizes. This is the single source of truth the CLI/HTTP bound
-// checks (internal/cliflags) delegate to, so the front doors cannot
-// drift from what the core actually constructs.
-func SupportedThreadCounts() []int {
-	out := make([]int, 0, len(robSizes))
-	for n := range robSizes {
-		out = append(out, n)
+// CheckThreads returns an error naming Threads unless ConfigForThreads
+// can build a machine of n hardware contexts: the paper's 1, 2, 4 or 8.
+func CheckThreads(n int) error {
+	if _, ok := robSizes[n]; !ok {
+		return fmt.Errorf("core: Threads is %d, want 1, 2, 4 or 8", n)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// SupportsThreads reports whether ConfigForThreads accepts the count.
-func SupportsThreads(n int) bool {
-	_, ok := robSizes[n]
-	return ok
-}
-
-// threadCountList renders the supported counts for error messages:
-// "1, 2, 4 or 8".
-func threadCountList() string {
-	counts := SupportedThreadCounts()
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = strconv.Itoa(n)
-	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return strings.Join(parts[:len(parts)-1], ", ") + " or " + parts[len(parts)-1]
+	return nil
 }
 
 // ConfigForThreads returns the architectural parameters used by every
 // experiment, sized for near-saturation performance at the given
 // thread count (the paper's Table 1 methodology).
 func ConfigForThreads(kind ISAKind, threads int) Config {
-	rob, ok := robSizes[threads]
-	if !ok {
-		panic(fmt.Sprintf("core: unsupported thread count %d (want %s)", threads, threadCountList()))
+	if err := CheckThreads(threads); err != nil {
+		panic(err)
 	}
 	c := Config{
 		Threads:     threads,
@@ -195,7 +159,7 @@ func ConfigForThreads(kind ISAKind, threads int) Config {
 		MQSize:       32,
 		FQSize:       32,
 		SQSize:       24,
-		ROBPerThread: rob,
+		ROBPerThread: robSizes[threads],
 
 		PhysInt: 32*threads + 64,
 		PhysFP:  32*threads + 32,
@@ -222,32 +186,67 @@ func ConfigForThreads(kind ISAKind, threads int) Config {
 	return c
 }
 
-// Validate reports configuration errors (insufficient physical
-// registers for the architected state, zero widths, and the like).
+// Bounds Validate enforces, so one core's structures stay small enough
+// to allocate at once and to scan every cycle: a width or unit count
+// in the tens, a queue, window or register file in the thousands, a
+// predictor table of at most 1 M two-bit counters.
+const (
+	maxWidth     = 64
+	maxQueue     = 1024
+	maxPhysRegs  = 8192
+	maxPenalty   = 4096
+	maxTableBits = 20
+	maxHistBits  = 63
+)
+
+// Validate reports the first field of c the pipeline cannot model,
+// naming it: an ISA or fetch policy past its last constant, or any
+// other field outside its bounds. Every register file must back the
+// architected registers of every thread plus one rename register,
+// whatever the ISA. Rows are checked in order, so Threads is in range
+// before the register bounds that depend on it are compared.
 func (c *Config) Validate() error {
-	if c.Threads < 1 || c.Threads > MaxHWContexts {
-		return fmt.Errorf("core: bad thread count %d (want 1..%d)", c.Threads, MaxHWContexts)
-	}
-	if c.PhysInt < 32*c.Threads+1 {
-		return fmt.Errorf("core: %d int physical registers cannot back %d threads", c.PhysInt, c.Threads)
-	}
-	if c.PhysFP < 32*c.Threads+1 {
-		return fmt.Errorf("core: %d fp physical registers cannot back %d threads", c.PhysFP, c.Threads)
-	}
-	if c.PhysMMX < 32*c.Threads+1 && c.ISA == ISAMMX {
-		return fmt.Errorf("core: %d mmx physical registers cannot back %d threads", c.PhysMMX, c.Threads)
-	}
-	if c.PhysMOM < 16*c.Threads+1 && c.ISA == ISAMOM {
-		return fmt.Errorf("core: %d mom physical registers cannot back %d threads", c.PhysMOM, c.Threads)
-	}
-	if c.ROBPerThread < 8 {
-		return fmt.Errorf("core: graduation window %d too small", c.ROBPerThread)
-	}
-	if c.FetchGroups < 1 || c.GroupSize < 1 || c.DecodeWidth < 1 || c.CommitWidth < 1 {
-		return fmt.Errorf("core: zero pipeline width")
-	}
-	if c.IssueInt < 1 || c.IssueMem < 1 || c.IssueFP < 1 || c.IssueSIMD < 1 {
-		return fmt.Errorf("core: zero issue width")
+	regs := func(f isa.RegFile) int { return isa.LogicalRegs(f)*c.Threads + 1 }
+	for _, f := range []struct {
+		name           string
+		v, least, most int
+	}{
+		{"ISA", int(c.ISA), 0, int(ISAMOM)},
+		{"Policy", int(c.Policy), 0, int(PolicyBALANCE)},
+		{"Threads", c.Threads, 1, mem.MaxHWContexts},
+		{"FetchGroups", c.FetchGroups, 1, maxWidth},
+		{"GroupSize", c.GroupSize, 1, maxWidth},
+		{"FetchQCap", c.FetchQCap, 1, maxQueue},
+		{"DecodeWidth", c.DecodeWidth, 1, maxWidth},
+		{"CommitWidth", c.CommitWidth, 1, maxWidth},
+		{"IssueInt", c.IssueInt, 1, maxWidth},
+		{"IssueMem", c.IssueMem, 1, maxWidth},
+		{"IssueFP", c.IssueFP, 1, maxWidth},
+		{"IssueSIMD", c.IssueSIMD, 1, maxWidth},
+		{"IntALUs", c.IntALUs, 1, maxWidth},
+		{"IntMuls", c.IntMuls, 1, maxWidth},
+		{"FPAdds", c.FPAdds, 1, maxWidth},
+		{"FPMuls", c.FPMuls, 1, maxWidth},
+		{"FPDivs", c.FPDivs, 1, maxWidth},
+		{"MediaUnits", c.MediaUnits, 1, maxWidth},
+		{"MediaPipes", c.MediaPipes, 1, maxWidth},
+		{"IQSize", c.IQSize, 1, maxQueue},
+		{"MQSize", c.MQSize, 1, maxQueue},
+		{"FQSize", c.FQSize, 1, maxQueue},
+		{"SQSize", c.SQSize, 1, maxQueue},
+		{"ROBPerThread", c.ROBPerThread, 8, maxQueue},
+		{"PhysInt", c.PhysInt, regs(isa.RFInt), maxPhysRegs},
+		{"PhysFP", c.PhysFP, regs(isa.RFFP), maxPhysRegs},
+		{"PhysMMX", c.PhysMMX, regs(isa.RFMMX), maxPhysRegs},
+		{"PhysMOM", c.PhysMOM, regs(isa.RFMOM), maxPhysRegs},
+		{"PhysAcc", c.PhysAcc, regs(isa.RFAcc), maxPhysRegs},
+		{"BranchPenalty", c.BranchPenalty, 0, maxPenalty},
+		{"PredTableBits", c.PredTableBits, 1, maxTableBits},
+		{"PredHistBits", c.PredHistBits, 0, maxHistBits},
+	} {
+		if f.v < f.least || f.v > f.most {
+			return fmt.Errorf("core: %s is %d, want %d..%d", f.name, f.v, f.least, f.most)
+		}
 	}
 	return nil
 }

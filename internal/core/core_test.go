@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -36,31 +38,77 @@ func TestConfigForThreads(t *testing.T) {
 	}
 }
 
+// TestConfigForThreadsPanicsOnBadCount: ConfigForThreads builds
+// exactly the counts CheckThreads accepts, the paper's 1, 2, 4 and 8,
+// and panics with CheckThreads' error on any other.
 func TestConfigForThreadsPanicsOnBadCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for 3 threads")
+	for n := -1; n <= mem.MaxHWContexts+1; n++ {
+		want := CheckThreads(n)
+		if (want == nil) != (n == 1 || n == 2 || n == 4 || n == 8) {
+			t.Errorf("CheckThreads(%d) = %v", n, want)
 		}
-	}()
-	ConfigForThreads(ISAMMX, 3)
+		func() {
+			defer func() {
+				if got := recover(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("ConfigForThreads(%d) panicked with %v, want %v", n, got, want)
+				}
+			}()
+			ConfigForThreads(ISAMMX, n)
+		}()
+	}
 }
 
+// TestConfigValidateErrors: every core override that panicked, spun a
+// run to its cycle cap, ran mislabelled or would allocate without
+// bound before Validate bounded each field both ways is refused with
+// an error naming its field.
 func TestConfigValidateErrors(t *testing.T) {
-	base := ConfigForThreads(ISAMMX, 2)
-	bad := base
-	bad.PhysInt = 10
-	if bad.Validate() == nil {
-		t.Error("too few int registers must fail validation")
-	}
-	bad = base
-	bad.IssueInt = 0
-	if bad.Validate() == nil {
-		t.Error("zero issue width must fail validation")
-	}
-	bad = base
-	bad.ROBPerThread = 2
-	if bad.Validate() == nil {
-		t.Error("tiny window must fail validation")
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"ISA", func(c *Config) { c.ISA = 7 }},
+		{"Policy", func(c *Config) { c.Policy = 9 }},
+		{"Threads", func(c *Config) { c.Threads = 0 }},
+		{"Threads", func(c *Config) { c.Threads = mem.MaxHWContexts + 1 }},
+		{"FetchQCap", func(c *Config) { c.FetchQCap = -1 }},
+		{"FetchQCap", func(c *Config) { c.FetchQCap = 0 }},
+		{"FetchQCap", func(c *Config) { c.FetchQCap = 1 << 30 }},
+		{"IssueInt", func(c *Config) { c.IssueInt = 0 }},
+		{"IntALUs", func(c *Config) { c.IntALUs = 0 }},
+		{"IntALUs", func(c *Config) { c.IntALUs = -1 }},
+		{"IntMuls", func(c *Config) { c.IntMuls = 0 }},
+		{"FPAdds", func(c *Config) { c.FPAdds = -1 }},
+		{"FPMuls", func(c *Config) { c.FPMuls = 0 }},
+		{"FPDivs", func(c *Config) { c.FPDivs = -1 }},
+		{"FPDivs", func(c *Config) { c.FPDivs = 0 }},
+		{"MediaUnits", func(c *Config) { c.MediaUnits = -1 }},
+		{"MediaUnits", func(c *Config) { c.MediaUnits = 0 }},
+		{"IQSize", func(c *Config) { c.IQSize = -1 }},
+		{"IQSize", func(c *Config) { c.IQSize = 0 }},
+		{"IQSize", func(c *Config) { c.IQSize = 1 << 30 }},
+		{"MQSize", func(c *Config) { c.MQSize = -1 }},
+		{"FQSize", func(c *Config) { c.FQSize = 0 }},
+		{"SQSize", func(c *Config) { c.SQSize = -1 }},
+		{"ROBPerThread", func(c *Config) { c.ROBPerThread = 2 }},
+		{"ROBPerThread", func(c *Config) { c.ROBPerThread = 1 << 30 }},
+		{"PhysInt", func(c *Config) { c.PhysInt = 10 }},
+		{"PhysInt", func(c *Config) { c.PhysInt = 1 << 30 }},
+		{"PhysMOM", func(c *Config) { c.PhysMOM = -1 }},
+		{"PhysMOM", func(c *Config) { c.PhysMOM = 0 }},
+		{"PhysAcc", func(c *Config) { c.PhysAcc = -1 }},
+		{"PhysAcc", func(c *Config) { c.PhysAcc = 0 }},
+		{"BranchPenalty", func(c *Config) { c.BranchPenalty = 100000 }},
+		{"PredTableBits", func(c *Config) { c.PredTableBits = -1 }},
+		{"PredTableBits", func(c *Config) { c.PredTableBits = 40 }},
+		{"PredTableBits", func(c *Config) { c.PredTableBits = 100000 }},
+		{"PredHistBits", func(c *Config) { c.PredHistBits = -1 }},
+	} {
+		cfg := ConfigForThreads(ISAMMX, 1)
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("override of %s: Validate() = %v, want an error naming it", c.field, err)
+		}
 	}
 }
 

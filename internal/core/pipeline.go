@@ -256,9 +256,6 @@ func New(cfg Config, m mem.System) (*Processor, error) {
 	p.drainFn = p.onLoadCompletion
 	for qid, c := range p.qCap {
 		p.q[qid] = make([]*uop, 0, c)
-		if c <= 0 {
-			p.fullQ |= 1 << qid
-		}
 	}
 	p.st.PerThreadCommitted = make([]int64, cfg.Threads)
 

@@ -45,11 +45,11 @@ func (s *Suite) run(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	s.entries[key] = e
 	s.mu.Unlock()
 
-	// The deferred close/release make a simulation panic (e.g. an
-	// unsupported thread count reaching core.ConfigForThreads) surface
-	// as this entry's error, counted like any failed execution, instead
-	// of deadlocking waiters on done; the executor's own defers keep
-	// its capacity from leaking.
+	// The deferred close/release make a simulation panic (a simulator
+	// bug, or a run function a test injects) surface as this entry's
+	// error, counted like any failed execution, instead of deadlocking
+	// waiters on done; the executor's own defers keep its capacity from
+	// leaking.
 	store := s.runner.tier
 	func() {
 		defer func() {

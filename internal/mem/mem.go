@@ -51,10 +51,9 @@ const NoEvent = int64(math.MaxInt64)
 // MaxHWContexts bounds the number of hardware contexts a machine
 // configuration may declare. It lives here — the lowest layer that
 // sizes fixed per-thread structures (the per-thread I-miss table in
-// Real) — and internal/core re-exports it as core.MaxHWContexts for
-// its own per-thread pipeline structures and Validate bound, so the
-// two layers cannot drift apart. (core imports mem, so the constant
-// cannot live in core without an import cycle.)
+// Real) — and core.Config.Validate refuses any thread count above it,
+// so the two layers cannot drift apart. (core imports mem, so the
+// constant cannot live in core without an import cycle.)
 const MaxHWContexts = 32
 
 // System is the memory-system interface consumed by the pipeline.

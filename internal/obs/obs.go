@@ -54,8 +54,14 @@ func resultCounters(reg *metrics.Registry) []resultCounter {
 // to reg. With a nil registry it returns sim.Run itself. Results are
 // the same either way: the counters only read the finished Result.
 func SimRunner(reg *metrics.Registry) func(sim.Config) (*sim.Result, error) {
+	return simRunner(reg, sim.Run)
+}
+
+// simRunner is SimRunner over any run function, so a test can
+// substitute one that panics.
+func simRunner(reg *metrics.Registry, run func(sim.Config) (*sim.Result, error)) func(sim.Config) (*sim.Result, error) {
 	if reg == nil {
-		return sim.Run
+		return run
 	}
 	runs := reg.Counter("mediasmt_sim_runs_total", "simulations executed in this process")
 	failures := reg.Counter("mediasmt_sim_run_failures_total", "simulations that returned an error or panicked")
@@ -73,7 +79,7 @@ func SimRunner(reg *metrics.Registry) func(sim.Config) (*sim.Result, error) {
 				failures.Inc()
 			}
 		}()
-		r, err := sim.Run(cfg)
+		r, err := run(cfg)
 		ok = err == nil
 		if ok {
 			runs.Inc()

@@ -174,3 +174,22 @@ func TestSimRunnerCountsFailures(t *testing.T) {
 	}
 	assertRegistryEqualsSum(t, reg, nil, 1)
 }
+
+// TestSimRunnerCountsPanic: a run that panics is timed and counted as
+// one failure before the panic reaches the caller's recovery.
+func TestSimRunnerCountsPanic(t *testing.T) {
+	reg := metrics.New()
+	run := simRunner(reg, func(sim.Config) (*sim.Result, error) { panic("boom") })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the run's panic", r)
+			}
+		}()
+		run(testConfig())
+	}()
+	if got := reg.Counter("mediasmt_sim_run_failures_total", "").Value(); got != 1 {
+		t.Errorf("failures = %d, want 1", got)
+	}
+	assertRegistryEqualsSum(t, reg, nil, 1)
+}

@@ -41,10 +41,10 @@ func FuzzDecodeJobRequest(f *testing.F) {
 // FuzzDecodeSimRequest: the worker endpoint's config decoder must
 // never panic, must reject everything out of bounds with a
 // *requestError, exactly like the CLI flag validation, and must accept
-// only configs sim.Config.Validate passes. The memory probes seed it.
+// only configs sim.Config.Validate passes. The probes seed it.
 func FuzzDecodeSimRequest(f *testing.F) {
-	for _, p := range memProbes {
-		data, err := sim.EncodeConfig(memProbe(p.set))
+	for _, p := range probes {
+		data, err := sim.EncodeConfig(probe(p.set))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"mediasmt/internal/cliflags"
-	"mediasmt/internal/core"
 	"mediasmt/internal/exp"
-	"mediasmt/internal/mem"
 	"mediasmt/internal/sim"
 )
 
@@ -100,11 +98,12 @@ func decodeJobRequest(body io.Reader) (ids []string, opts exp.Options, prio int,
 
 // decodeSimRequest parses and validates the worker endpoint's body:
 // one sim.Config in the EncodeConfig wire format. The cliflags bounds
-// and sim.Config.Validate apply on top of the decode — a worker must
-// refuse an out-of-range config exactly like the CLIs refuse
-// out-of-range flags, never silently normalize it into a different
-// simulation than the coordinator keyed. (Coordinators send normalized
-// configs, so in-range zero-valued fields never reach these checks.)
+// refuse the explicit zeros Normalize would silently replace, and
+// sim.Config.Validate checks the machine — a worker must refuse an
+// out-of-range config exactly like the CLIs refuse out-of-range flags,
+// never silently normalize it into a different simulation than the
+// coordinator keyed. (Coordinators send normalized configs, so in-range
+// zero-valued fields never reach these checks.)
 func decodeSimRequest(body io.Reader) (sim.Config, error) {
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -115,10 +114,6 @@ func decodeSimRequest(body io.Reader) (sim.Config, error) {
 		return sim.Config{}, badRequest("%v", err)
 	}
 	for _, check := range []error{
-		cliflags.Enum("ISA", cfg.ISA, core.ISAMOM),
-		cliflags.Enum("Policy", cfg.Policy, core.PolicyBALANCE),
-		cliflags.Enum("Memory", cfg.Memory, mem.ModeDecoupled),
-		cliflags.Threads("threads", cfg.Threads),
 		cliflags.Scale("scale", cfg.Scale),
 		cliflags.Seed("seed", cfg.Seed),
 		cliflags.MaxCycles("max_cycles", cfg.MaxCycles),

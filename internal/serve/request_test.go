@@ -31,6 +31,8 @@ func TestDecodeJobRequestBounds(t *testing.T) {
 
 		{"zero scale", `{"scale":0}`, "scale"},
 		{"negative scale", `{"scale":-1}`, "scale"},
+		{"scale past the paper's full run", `{"scale":1000.5}`, "scale"},
+		{"huge scale", `{"scale":1e300}`, "scale"},
 		{"zero seed", `{"seed":0}`, "seed"},
 		{"negative workers", `{"workers":-2}`, "workers"},
 		{"negative max_cycles", `{"max_cycles":-5}`, "max_cycles"},
@@ -80,7 +82,8 @@ func TestDecodeSimRequestBounds(t *testing.T) {
 		wantErr string // empty = accepted
 	}{
 		{`{"Threads":1,"Scale":0.02,"Seed":5,"ISA":1,"Policy":3,"Memory":2}`, ""},
-		{`{"Threads":3,"Scale":0.02,"Seed":5}`, "threads"},
+		{`{"Threads":3,"Scale":0.02,"Seed":5}`, "Threads"},
+		{`{"Threads":1,"Scale":1e300,"Seed":5}`, "scale"},
 		{`{"Threads":1,"Scale":0.02,"Seed":5,"ISA":7}`, "ISA"},
 		{`{"Threads":1,"Scale":0.02,"Seed":5,"Policy":9}`, "Policy"},
 		{`{"Threads":1,"Scale":0.02,"Seed":5,"Memory":5}`, "Memory"},
@@ -123,7 +126,7 @@ func TestSubmitValidationOverHTTP(t *testing.T) {
 	defer s.Close()
 
 	for _, body := range []string{
-		`{"scale":0}`, `{"scale":-3}`, `{"seed":0}`, `{"workers":-1}`,
+		`{"scale":0}`, `{"scale":-3}`, `{"scale":1e300}`, `{"seed":0}`, `{"workers":-1}`,
 		`{"max_cycles":-1}`, `{"experiments":["nope"]}`, `not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

@@ -16,13 +16,12 @@
 //	                             sim.Config through the shared Runner and
 //	                             return the sim.EncodeResult bytes; a
 //	                             coordinator fingerprint mismatch is 409,
-//	                             a config sim.Config.Validate refuses 400,
-//	                             a failed simulation 422. internal/dist's
-//	                             Remote POSTs here for a StealPool, which
-//	                             is what turns any expsd into a worker an
-//	                             expsd coordinator (registered workers) or
-//	                             exps -remote (listed workers) can
-//	                             dispatch to.
+//	                             an explicit zero scale or seed or a
+//	                             config sim.Config.Validate refuses 400
+//	                             naming the field, a failed simulation
+//	                             422. dist.Remote POSTs here, so any expsd
+//	                             is a worker an expsd or exps -remote
+//	                             coordinator can dispatch to.
 //	POST /v1/jobs                submit {"experiments":[...],"scale":...,
 //	                             "seed":...,"workers":...,"max_cycles":...};
 //	                             202 with the job view, Location header

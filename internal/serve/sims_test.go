@@ -126,7 +126,7 @@ func TestWorkerEndpointRejections(t *testing.T) {
 		field string
 		set   func(*sim.Config)
 	}{
-		{"threads", func(c *sim.Config) { c.Threads = 3 }},
+		{"Threads", func(c *sim.Config) { c.Threads = 3 }},
 		{"ISA", func(c *sim.Config) { c.ISA = 7 }},
 		{"Policy", func(c *sim.Config) { c.Policy = 9 }},
 		{"Memory", func(c *sim.Config) { c.Memory = 5 }},
@@ -150,49 +150,91 @@ func TestWorkerEndpointRejections(t *testing.T) {
 	}
 }
 
-// memProbes are memory overrides that panicked, spun a run to its
-// cycle cap, silently modelled a different machine or grew the heap
-// without bound before sim.Config.Validate refused them; each names
-// the field its refusal must name.
-var memProbes = []struct {
+// probes are configs that panicked, spun a run to its cycle cap,
+// silently modelled a different machine or grew the heap without bound
+// before sim.Config.Validate refused them: memory and core overrides,
+// and enum values past their last constant. Each names the field its
+// refusal must name.
+var probes = []struct {
 	field string
-	set   func(*mem.Config)
+	set   func(*sim.Config)
 }{
-	{"L1Banks", func(c *mem.Config) { c.L1Banks = 0 }},
-	{"IBanks", func(c *mem.Config) { c.IBanks = 0 }},
-	{"L2Banks", func(c *mem.Config) { c.L2Banks = 0 }},
-	{"DRAM.RowBytes", func(c *mem.Config) { c.DRAM.RowBytes = 0 }},
-	{"DRAM.Banks", func(c *mem.Config) { c.DRAM.Banks = 0 }},
-	{"DRAM.BeatBytes", func(c *mem.Config) { c.DRAM.BeatBytes = 0 }},
-	{"L1Line", func(c *mem.Config) { c.L1Line = 0 }},
-	{"L1Line", func(c *mem.Config) { c.L1Line = 48 }},
-	{"WBDepth", func(c *mem.Config) { c.WBDepth = -1 }},
-	{"WBDepth", func(c *mem.Config) { c.WBDepth = 0 }},
-	{"DRAM.QueueCap", func(c *mem.Config) { c.DRAM.QueueCap = 0 }},
-	{"L2MSHRs", func(c *mem.Config) { c.L2MSHRs = 0 }},
-	{"L1MSHRs", func(c *mem.Config) { c.L1MSHRs = 0 }},
-	{"GeneralPorts", func(c *mem.Config) { c.GeneralPorts = 0 }},
-	{"L1Banks", func(c *mem.Config) { c.L1Banks = 3 }},
-	{"L2Size", func(c *mem.Config) { c.L2Size = 1 << 30 }},
+	{"L1Banks", func(c *sim.Config) { c.MemOverride.L1Banks = 0 }},
+	{"IBanks", func(c *sim.Config) { c.MemOverride.IBanks = 0 }},
+	{"L2Banks", func(c *sim.Config) { c.MemOverride.L2Banks = 0 }},
+	{"DRAM.RowBytes", func(c *sim.Config) { c.MemOverride.DRAM.RowBytes = 0 }},
+	{"DRAM.Banks", func(c *sim.Config) { c.MemOverride.DRAM.Banks = 0 }},
+	{"DRAM.BeatBytes", func(c *sim.Config) { c.MemOverride.DRAM.BeatBytes = 0 }},
+	{"L1Line", func(c *sim.Config) { c.MemOverride.L1Line = 0 }},
+	{"L1Line", func(c *sim.Config) { c.MemOverride.L1Line = 48 }},
+	{"WBDepth", func(c *sim.Config) { c.MemOverride.WBDepth = -1 }},
+	{"WBDepth", func(c *sim.Config) { c.MemOverride.WBDepth = 0 }},
+	{"DRAM.QueueCap", func(c *sim.Config) { c.MemOverride.DRAM.QueueCap = 0 }},
+	{"L2MSHRs", func(c *sim.Config) { c.MemOverride.L2MSHRs = 0 }},
+	{"L1MSHRs", func(c *sim.Config) { c.MemOverride.L1MSHRs = 0 }},
+	{"GeneralPorts", func(c *sim.Config) { c.MemOverride.GeneralPorts = 0 }},
+	{"L1Banks", func(c *sim.Config) { c.MemOverride.L1Banks = 3 }},
+	{"L2Size", func(c *sim.Config) { c.MemOverride.L2Size = 1 << 30 }},
+	{"FetchQCap", func(c *sim.Config) { c.CoreOverride.FetchQCap = -1 }},
+	{"FetchQCap", func(c *sim.Config) { c.CoreOverride.FetchQCap = 0 }},
+	{"FetchQCap", func(c *sim.Config) { c.CoreOverride.FetchQCap = 1 << 30 }},
+	{"FPDivs", func(c *sim.Config) { c.CoreOverride.FPDivs = -1 }},
+	{"FPDivs", func(c *sim.Config) { c.CoreOverride.FPDivs = 0 }},
+	{"MediaUnits", func(c *sim.Config) { c.CoreOverride.MediaUnits = -1 }},
+	{"MediaUnits", func(c *sim.Config) { c.CoreOverride.MediaUnits = 0 }},
+	{"IQSize", func(c *sim.Config) { c.CoreOverride.IQSize = -1 }},
+	{"IQSize", func(c *sim.Config) { c.CoreOverride.IQSize = 0 }},
+	{"IQSize", func(c *sim.Config) { c.CoreOverride.IQSize = 1 << 30 }},
+	{"MQSize", func(c *sim.Config) { c.CoreOverride.MQSize = -1 }},
+	{"MQSize", func(c *sim.Config) { c.CoreOverride.MQSize = 0 }},
+	{"FQSize", func(c *sim.Config) { c.CoreOverride.FQSize = -1 }},
+	{"FQSize", func(c *sim.Config) { c.CoreOverride.FQSize = 0 }},
+	{"SQSize", func(c *sim.Config) { c.CoreOverride.SQSize = -1 }},
+	{"SQSize", func(c *sim.Config) { c.CoreOverride.SQSize = 0 }},
+	{"ROBPerThread", func(c *sim.Config) { c.CoreOverride.ROBPerThread = 1 << 30 }},
+	{"PhysInt", func(c *sim.Config) { c.CoreOverride.PhysInt = 1 << 30 }},
+	{"PhysMOM", func(c *sim.Config) { c.CoreOverride.PhysMOM = -1 }},
+	{"PhysMOM", func(c *sim.Config) { c.CoreOverride.PhysMOM = 0 }},
+	{"PhysAcc", func(c *sim.Config) { c.CoreOverride.PhysAcc = -1 }},
+	{"PhysAcc", func(c *sim.Config) { c.CoreOverride.PhysAcc = 0 }},
+	{"PredTableBits", func(c *sim.Config) { c.CoreOverride.PredTableBits = -1 }},
+	{"PredTableBits", func(c *sim.Config) { c.CoreOverride.PredTableBits = 40 }},
+	{"PredTableBits", func(c *sim.Config) { c.CoreOverride.PredTableBits = 100000 }},
+	{"PredHistBits", func(c *sim.Config) { c.CoreOverride.PredHistBits = -1 }},
+	{"IntALUs", func(c *sim.Config) { c.CoreOverride.IntALUs = 0 }},
+	{"IntALUs", func(c *sim.Config) { c.CoreOverride.IntALUs = -1 }},
+	{"IntMuls", func(c *sim.Config) { c.CoreOverride.IntMuls = 0 }},
+	{"IntMuls", func(c *sim.Config) { c.CoreOverride.IntMuls = -1 }},
+	{"FPAdds", func(c *sim.Config) { c.CoreOverride.FPAdds = 0 }},
+	{"FPAdds", func(c *sim.Config) { c.CoreOverride.FPAdds = -1 }},
+	{"FPMuls", func(c *sim.Config) { c.CoreOverride.FPMuls = 0 }},
+	{"FPMuls", func(c *sim.Config) { c.CoreOverride.FPMuls = -1 }},
+	{"BranchPenalty", func(c *sim.Config) { c.CoreOverride.BranchPenalty = 100000 }},
+	{"Policy", func(c *sim.Config) { c.Policy = 9 }},
+	{"ISA", func(c *sim.Config) { c.ISA = 7 }},
 }
 
-// memProbe is the probe config: one MMX thread on conventional memory
-// with the probe's override applied.
-func memProbe(set func(*mem.Config)) sim.Config {
+// probe is the probe config: one MMX thread on conventional memory,
+// with the Table 1 and §3 defaults as overrides and the probe's change
+// applied.
+func probe(set func(*sim.Config)) sim.Config {
+	ccfg := core.ConfigForThreads(core.ISAMMX, 1)
 	mcfg := mem.DefaultConfig(mem.ModeConventional)
-	set(&mcfg)
-	return sim.Config{
+	cfg := sim.Config{
 		ISA: core.ISAMMX, Threads: 1, Policy: core.PolicyRR, Memory: mem.ModeConventional,
-		Scale: 0.01, Seed: 7, MaxCycles: 200_000, MemOverride: &mcfg,
+		Scale: 0.01, Seed: 7, MaxCycles: 200_000, CoreOverride: &ccfg, MemOverride: &mcfg,
 	}
+	set(&cfg)
+	return cfg
 }
 
-// TestMemoryProbesRefused: every probe override is a sim.Run error
-// naming its field, and a bad_request 400 naming it at /v1/sims.
+// TestMemoryProbesRefused: every probe, memory, core or enum, is a
+// sim.Run error naming its field, and a bad_request 400 naming it at
+// /v1/sims.
 func TestMemoryProbesRefused(t *testing.T) {
 	ts := newTestServer(t, 2, 8)
-	for _, p := range memProbes {
-		cfg := memProbe(p.set)
+	for _, p := range probes {
+		cfg := probe(p.set)
 		if _, err := sim.Run(cfg); err == nil || !strings.Contains(err.Error(), p.field) {
 			t.Errorf("%s probe: sim.Run err = %v, want an error naming it", p.field, err)
 		}

@@ -46,6 +46,12 @@ const (
 	DefaultMaxCycles = 200_000_000
 )
 
+// MaxScale is the largest workload scale Validate accepts: the paper's
+// full instruction counts. A NaN, infinite or huge scale would convert
+// to a nonsense round count (workload.Benchmark.Rounds) and run one
+// round under the bogus label.
+const MaxScale = 1000
+
 // Normalize returns the config with the same defaults Run applies
 // (Scale, MaxCycles, Seed), so that two configs describing the same
 // simulation compare and key identically.
@@ -168,13 +174,22 @@ func (c Config) machine() (core.Config, mem.Config) {
 	return ccfg, mcfg
 }
 
-// Validate reports why the config cannot run: a thread count, core or
-// memory config (overrides applied) the machine cannot model, or an
-// empty program list or one naming an unknown benchmark. Run refuses
-// such a config as an error, never a panic or a stalled worker.
+// Validate is the one gate a simulation config passes. It reports why
+// the config cannot run, naming the field: a thread count
+// ConfigForThreads cannot build, an enum value past its last constant,
+// a normalized scale that is NaN or past MaxScale, a core or memory
+// config (overrides applied) the machine cannot model, or an empty or
+// unknown program list. Run refuses such a config as an error, never a
+// panic or a stalled worker.
 func (c Config) Validate() error {
-	if !core.SupportsThreads(c.Threads) {
-		return fmt.Errorf("sim: unsupported thread count %d", c.Threads)
+	if err := core.CheckThreads(c.Threads); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if c.Memory > mem.ModeDecoupled {
+		return fmt.Errorf("sim: Memory is %d, want 0..%d", c.Memory, mem.ModeDecoupled)
+	}
+	if s := c.Normalize().Scale; !(s > 0 && s <= MaxScale) {
+		return fmt.Errorf("sim: Scale is %g, want 0 < Scale <= %d", s, MaxScale)
 	}
 	ccfg, mcfg := c.machine()
 	if err := ccfg.Validate(); err != nil {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mediasmt/internal/core"
@@ -130,5 +132,46 @@ func TestCustomProgramList(t *testing.T) {
 	})
 	if r.Completed != 2 {
 		t.Errorf("completed %d, want 2", r.Completed)
+	}
+}
+
+// TestValidate: the gate accepts every paper machine and refuses, by
+// the field name a /v1/sims body carries, a thread count
+// ConfigForThreads cannot build, an enum value past its last constant
+// and a scale that would run mislabelled. A zero or negative scale
+// means the default (Normalize), so it passes.
+func TestValidate(t *testing.T) {
+	for _, isa := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+		for _, th := range []int{1, 2, 4, 8} {
+			for _, sc := range []float64{0, -1, 0.001, 1, MaxScale} {
+				cfg := Config{ISA: isa, Threads: th, Policy: core.PolicyBALANCE, Memory: mem.ModeDecoupled, Scale: sc}
+				if err := cfg.Validate(); err != nil {
+					t.Errorf("%v %dT scale %g: %v", isa, th, sc, err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Threads", func(c *Config) { c.Threads = 0 }},
+		{"Threads", func(c *Config) { c.Threads = 3 }},
+		{"Threads", func(c *Config) { c.Threads = 5 }},
+		{"Threads", func(c *Config) { c.Threads = 16 }},
+		{"Threads", func(c *Config) { c.Threads = -1 }},
+		{"ISA", func(c *Config) { c.ISA = core.ISAMOM + 1 }},
+		{"Policy", func(c *Config) { c.Policy = core.PolicyBALANCE + 1 }},
+		{"Memory", func(c *Config) { c.Memory = mem.ModeDecoupled + 1 }},
+		{"Scale", func(c *Config) { c.Scale = math.NaN() }},
+		{"Scale", func(c *Config) { c.Scale = math.Inf(1) }},
+		{"Scale", func(c *Config) { c.Scale = MaxScale + 0.5 }},
+		{"Scale", func(c *Config) { c.Scale = 1e300 }},
+	} {
+		cfg := Config{ISA: core.ISAMMX, Threads: 1, Scale: 0.01}
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad %s: Validate() = %v, want an error naming it", c.field, err)
+		}
 	}
 }
