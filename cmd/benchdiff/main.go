@@ -1,16 +1,17 @@
 // Command benchdiff compares two `go test -json -bench` result streams
-// and fails when a watched benchmark metric regresses beyond a bound.
-// CI uses it to diff the run's BENCH_ci.json against the committed
-// BENCH_baseline.json so the simulator's performance trajectory is a
-// gate, not just an artifact:
+// and fails when a gated benchmark metric moves the wrong way beyond
+// its bound. CI uses it to diff the run's BENCH_ci.json against the
+// committed BENCH_baseline.json so the simulator's performance
+// trajectory is a gate, not just an artifact:
 //
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json
 //
-// By default it watches BenchmarkSimulatorThroughput's siminsts/s and
-// fails on a drop of more than 25%. Improvements and noise within the
-// bound pass; a watched benchmark or metric missing from either file is
-// its own failure (exit 2) so a renamed benchmark cannot silently
-// disable the gate.
+// The gates table below is the whole policy: BenchmarkSimulatorThroughput
+// may lose at most 25% of its siminsts/s and grow its allocs/op by at
+// most 10%. Improvements and noise within a bound pass. A gated
+// benchmark or metric missing from either file is its own failure
+// (exit 2), so a renamed benchmark or a baseline taken without
+// b.ReportAllocs() cannot silently disable a gate.
 //
 // A stream may carry several runs of the same benchmark (go test
 // -count=N); benchdiff compares best runs — max for higher-is-better
@@ -18,16 +19,8 @@
 // least distorted by scheduler noise and thermal throttling on shared
 // CI machines.
 //
-// -lower-metric (default allocs/op) adds a second, lower-is-better
-// gate that fails when the metric grows beyond -max-increase. This
-// gate fails open when the BASELINE lacks the metric — older baselines
-// predate b.ReportAllocs(), and the gate arms itself automatically on
-// the next baseline refresh — but a baseline that has it pins it: the
-// current run missing it then is an error, exit 2.
-//
 // Exit codes: 0 metrics within bounds, 1 regression beyond a bound,
-// 2 usage error or a gated benchmark/metric absent from an input
-// (except the fail-open baseline case above).
+// 2 usage error or a gated benchmark/metric absent from an input.
 package main
 
 import (
@@ -158,23 +151,25 @@ func lookup(r benchResults, path, bench, metric string, lowerIsBetter bool) (flo
 	return best, nil
 }
 
+// gate is one enforced metric: the fraction by which the best current
+// run may be worse than the best baseline run.
+type gate struct {
+	bench         string // benchmark name, GOMAXPROCS suffix excluded
+	metric        string
+	lowerIsBetter bool
+	bound         float64
+}
+
+// gates is what benchdiff enforces.
+var gates = []gate{
+	{"BenchmarkSimulatorThroughput", "siminsts/s", false, 0.25},
+	{"BenchmarkSimulatorThroughput", "allocs/op", true, 0.10},
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed go test -json bench stream to compare against")
 	currentPath := flag.String("current", "BENCH_ci.json", "this run's go test -json bench stream")
-	benches := flag.String("bench", "BenchmarkSimulatorThroughput", "comma-separated benchmark names to gate (GOMAXPROCS suffix excluded)")
-	metric := flag.String("metric", "siminsts/s", "higher-is-better metric to compare")
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated fractional drop vs baseline (0.25 = 25%)")
-	lowerMetric := flag.String("lower-metric", "allocs/op", "lower-is-better metric to also gate; fails open when the baseline lacks it ('' disables)")
-	maxIncrease := flag.Float64("max-increase", 0.10, "maximum tolerated fractional growth of -lower-metric vs baseline (0.10 = 10%)")
 	flag.Parse()
-	if *maxRegress < 0 || *maxRegress >= 1 {
-		fmt.Fprintf(os.Stderr, "benchdiff: -max-regress %g out of range [0, 1)\n", *maxRegress)
-		os.Exit(2)
-	}
-	if *maxIncrease < 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: -max-increase %g must be >= 0\n", *maxIncrease)
-		os.Exit(2)
-	}
 
 	base, err := parseFile(*baselinePath)
 	var regressed bool
@@ -182,8 +177,7 @@ func main() {
 		var cur benchResults
 		cur, err = parseFile(*currentPath)
 		if err == nil {
-			regressed, err = diff(os.Stdout, base, cur, *baselinePath, *currentPath,
-				gate{*benches, *metric, *maxRegress, *lowerMetric, *maxIncrease})
+			regressed, err = diff(os.Stdout, base, cur, *baselinePath, *currentPath, gates)
 		}
 	}
 	if err != nil {
@@ -195,75 +189,38 @@ func main() {
 	}
 }
 
-// gate is what one benchdiff invocation enforces: a higher-is-better
-// metric with a maximum drop, and an optional lower-is-better metric
-// with a maximum growth.
-type gate struct {
-	benches     string
-	metric      string
-	maxRegress  float64
-	lowerMetric string // "" disables the second gate
-	maxIncrease float64
-}
-
-// diff compares each watched benchmark's metrics (best run against
-// best run) and reports whether any moved beyond its bound.
-func diff(w io.Writer, base, cur benchResults, basePath, curPath string, g gate) (bool, error) {
+// diff compares each gate's metric (best run against best run) and
+// reports whether any moved the wrong way beyond its bound.
+func diff(w io.Writer, base, cur benchResults, basePath, curPath string, gs []gate) (bool, error) {
 	regressed := false
-	for _, bench := range strings.Split(g.benches, ",") {
-		bench = strings.TrimSpace(bench)
-		if bench == "" {
-			continue
-		}
-		b, err := lookup(base, basePath, bench, g.metric, false)
+	for _, g := range gs {
+		b, err := lookup(base, basePath, g.bench, g.metric, g.lowerIsBetter)
 		if err != nil {
 			return false, err
 		}
-		c, err := lookup(cur, curPath, bench, g.metric, false)
+		c, err := lookup(cur, curPath, g.bench, g.metric, g.lowerIsBetter)
 		if err != nil {
 			return false, err
 		}
-		change := c/b - 1
-		status := "ok"
-		if change < -g.maxRegress {
-			status = fmt.Sprintf("REGRESSION beyond -%.0f%% bound", g.maxRegress*100)
-			regressed = true
-		}
-		fmt.Fprintf(w, "%s %s: baseline %.6g, current %.6g (%+.1f%%) — %s\n",
-			bench, g.metric, b, c, change*100, status)
-
-		if g.lowerMetric == "" {
-			continue
-		}
-		lb, err := lookup(base, basePath, bench, g.lowerMetric, true)
-		if err != nil {
-			// Fail open: the baseline predates this metric. The note keeps
-			// the skip visible in CI logs, and the gate arms itself on the
-			// next baseline refresh.
-			fmt.Fprintf(w, "%s %s: baseline lacks the metric — gate skipped until the baseline is refreshed\n",
-				bench, g.lowerMetric)
-			continue
-		}
-		// A baseline that has the metric pins it: fail closed from here.
-		lc, err := lookup(cur, curPath, bench, g.lowerMetric, true)
-		if err != nil {
-			return false, err
-		}
-		var growth float64
+		var change float64
 		switch {
-		case lb > 0:
-			growth = lc/lb - 1
-		case lc > 0:
+		case b > 0:
+			change = c/b - 1
+		case c > 0:
 			// From zero to nonzero: infinitely worse, but render finitely.
-			growth = 1
+			change = 1
 		}
-		status = "ok"
-		if growth > g.maxIncrease {
-			status = fmt.Sprintf("REGRESSION beyond +%.0f%% bound", g.maxIncrease*100)
+		worse, sign := -change, "-"
+		if g.lowerIsBetter {
+			worse, sign = change, "+"
+		}
+		status := "ok"
+		if worse > g.bound {
+			status = fmt.Sprintf("REGRESSION beyond %s%.0f%% bound", sign, g.bound*100)
 			regressed = true
 		}
 		fmt.Fprintf(w, "%s %s: baseline %.6g, current %.6g (%+.1f%%) — %s\n",
-			bench, g.lowerMetric, lb, lc, growth*100, status)
+			g.bench, g.metric, b, c, change*100, status)
 	}
 	return regressed, nil
 }

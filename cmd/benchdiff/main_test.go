@@ -73,7 +73,7 @@ func TestParseFileAndDiff(t *testing.T) {
 			t.Fatal(err)
 		}
 		regressed, err := diff(io.Discard, base, cur, basePath, curPath,
-			gate{"BenchmarkSimulatorThroughput", "siminsts/s", 0.25, "", 0})
+			[]gate{{"BenchmarkSimulatorThroughput", "siminsts/s", false, 0.25}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +119,7 @@ func TestMultiRunBestValue(t *testing.T) {
 	if err != nil || v != 9100 {
 		t.Errorf("best allocs/op = %g, %v; want min 9100", v, err)
 	}
-	regressed, err := diff(io.Discard, base, cur, basePath, curPath,
-		gate{"BenchmarkSimulatorThroughput", "siminsts/s", 0.25, "allocs/op", 0.10})
+	regressed, err := diff(io.Discard, base, cur, basePath, curPath, gates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +129,8 @@ func TestMultiRunBestValue(t *testing.T) {
 }
 
 // TestLowerMetricGate covers the allocs/op gate proper: growth beyond
-// -max-increase fails, shrinkage and zero baselines behave.
+// its 10% bound fails, shrinkage and zero baselines behave.
 func TestLowerMetricGate(t *testing.T) {
-	g := gate{"BenchmarkSimulatorThroughput", "siminsts/s", 0.25, "allocs/op", 0.10}
 	run := func(baseLine, curLine string) (bool, error) {
 		t.Helper()
 		basePath := writeStream(t, event(baseLine))
@@ -145,7 +143,7 @@ func TestLowerMetricGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return diff(io.Discard, base, cur, basePath, curPath, g)
+		return diff(io.Discard, base, cur, basePath, curPath, gates)
 	}
 
 	// +20% allocs with healthy throughput: regression.
@@ -183,56 +181,38 @@ func TestLowerMetricGate(t *testing.T) {
 	}
 }
 
-// TestLowerMetricFailsOpen pins the fail-open contract: a baseline
-// without the lower-is-better metric (it predates b.ReportAllocs())
-// skips that gate with a note instead of erroring, and the skip is
-// visible in the output.
-func TestLowerMetricFailsOpen(t *testing.T) {
-	basePath := writeStream(t,
-		event(`BenchmarkSimulatorThroughput-8 \t 1 \t 1 ns/op \t 1000000 siminsts/s`))
-	base, err := parseFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	curPath := writeStream(t,
-		event(`BenchmarkSimulatorThroughput-8 \t 1 \t 1 ns/op \t 1000000 siminsts/s \t 99999 allocs/op`))
-	cur, err := parseFile(curPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	regressed, err := diff(&out, base, cur, basePath, curPath,
-		gate{"BenchmarkSimulatorThroughput", "siminsts/s", 0.25, "allocs/op", 0.10})
-	if err != nil {
-		t.Fatalf("fail-open case errored: %v", err)
-	}
-	if regressed {
-		t.Error("fail-open case reported a regression")
-	}
-	if !strings.Contains(out.String(), "gate skipped") {
-		t.Errorf("skip note missing from output:\n%s", out.String())
-	}
-}
-
 // TestDiffMissingBenchmarkErrors pins the fail-closed contract: a
-// watched benchmark absent from an input is an error, not a pass, so a
-// rename cannot silently disable the gate.
+// gated benchmark or metric absent from an input is an error, not a
+// pass, so a rename or a baseline taken without b.ReportAllocs()
+// cannot silently disable a gate.
 func TestDiffMissingBenchmarkErrors(t *testing.T) {
-	path := writeStream(t, event(`BenchmarkOther-8 \t 1 \t 10 ns/op \t 5 siminsts/s`))
-	r, err := parseFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := diff(io.Discard, r, r, path, path, gate{"BenchmarkSimulatorThroughput", "siminsts/s", 0.25, "", 0}); err == nil {
-		t.Error("missing watched benchmark did not error")
-	}
-	if _, err := diff(io.Discard, r, r, path, path, gate{"BenchmarkOther", "simcycles/s", 0.25, "", 0}); err == nil {
-		t.Error("missing watched metric did not error")
+	for _, c := range []struct {
+		name, base, cur string
+	}{
+		{"benchmark", `BenchmarkOther-8 \t 1 \t 10 ns/op \t 5 siminsts/s \t 3 allocs/op`,
+			`BenchmarkOther-8 \t 1 \t 10 ns/op \t 5 siminsts/s \t 3 allocs/op`},
+		{"current siminsts/s", `BenchmarkSimulatorThroughput-8 \t 1 \t 10 ns/op \t 5 siminsts/s \t 3 allocs/op`,
+			`BenchmarkSimulatorThroughput-8 \t 1 \t 10 ns/op \t 5 simcycles/s \t 3 allocs/op`},
+		{"baseline allocs/op", `BenchmarkSimulatorThroughput-8 \t 1 \t 10 ns/op \t 5 siminsts/s`,
+			`BenchmarkSimulatorThroughput-8 \t 1 \t 10 ns/op \t 5 siminsts/s \t 3 allocs/op`},
+	} {
+		basePath, curPath := writeStream(t, event(c.base)), writeStream(t, event(c.cur))
+		base, err := parseFile(basePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := parseFile(curPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := diff(io.Discard, base, cur, basePath, curPath, gates); err == nil {
+			t.Errorf("missing %s did not error", c.name)
+		}
 	}
 }
 
 // TestBaselineFileParses guards the committed baseline: if it exists at
-// the repo root it must parse and contain the gated benchmark/metric.
+// the repo root it must parse and carry every gated metric.
 func TestBaselineFileParses(t *testing.T) {
 	path := filepath.Join("..", "..", "BENCH_baseline.json")
 	if _, err := os.Stat(path); err != nil {
@@ -242,7 +222,9 @@ func TestBaselineFileParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lookup(r, path, "BenchmarkSimulatorThroughput", "siminsts/s", false); err != nil {
-		t.Error(err)
+	for _, g := range gates {
+		if _, err := lookup(r, path, g.bench, g.metric, g.lowerIsBetter); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -41,9 +41,9 @@ func TestStoreToLoadForwarding(t *testing.T) {
 	// from the store queue instead of accessing memory.
 	body := []trace.Slot{
 		{Op: isa.STQ, Src1: isa.IntReg(1), Src2: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x5000 }},
+			Addr: trace.Addr{Base: 0x5000, Size: 1, Win: 1}},
 		{Op: isa.LDQ, Dst: isa.IntReg(3), Src1: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x5008 }},
+			Addr: trace.Addr{Base: 0x5008, Size: 1, Win: 1}},
 	}
 	prog := trace.MustScript("fwd", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 50, PCBase: 0x1000}})
 	p, _ := newTestCPU(t, ISAMMX, 1)
@@ -58,9 +58,9 @@ func TestVectorLoadsDoNotForward(t *testing.T) {
 	// Stream loads always go to memory (no element-level forwarding).
 	body := []trace.Slot{
 		{Op: isa.VST, Src1: isa.MOMReg(1), Src2: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x5000 }},
+			Addr: trace.Addr{Base: 0x5000, Size: 1, Win: 1}},
 		{Op: isa.VLD, Dst: isa.MOMReg(3), Src1: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x5000 }},
+			Addr: trace.Addr{Base: 0x5000, Size: 1, Win: 1}},
 	}
 	prog := trace.MustScript("vfwd", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 10, VL: 8, PCBase: 0x1000}})
 	p, _ := newTestCPU(t, ISAMOM, 1)

@@ -254,7 +254,7 @@ func TestPipelineIndependentOpsBeatChain(t *testing.T) {
 func TestPipelineLoadUse(t *testing.T) {
 	body := []trace.Slot{
 		{Op: isa.LDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x1000 + uint64(c.Iter)*8 }},
+			Addr: trace.Addr{Base: 0x1000, Size: 50 * 8, Win: 50 * 8, PerIter: 8}},
 		{Op: isa.ADDQ, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Src2: isa.IntReg(3)},
 	}
 	prog := trace.MustScript("ld", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 50, PCBase: 0x1000}})
@@ -269,7 +269,7 @@ func TestPipelineLoadUse(t *testing.T) {
 func TestPipelineStoresDrainBeforeCompletion(t *testing.T) {
 	body := []trace.Slot{
 		{Op: isa.STQ, Src1: isa.IntReg(1), Src2: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x2000 + uint64(c.Iter)*64 }},
+			Addr: trace.Addr{Base: 0x2000, Size: 30 * 64, Win: 30 * 64, PerIter: 64}},
 	}
 	prog := trace.MustScript("st", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 30, PCBase: 0x1000}})
 	p, _ := newTestCPU(t, ISAMMX, 1)
@@ -281,7 +281,7 @@ func TestPipelineStoresDrainBeforeCompletion(t *testing.T) {
 }
 
 func TestPipelineMispredictCostsCycles(t *testing.T) {
-	mk := func(taken trace.TakenFn) *trace.Script {
+	mk := func(taken float64) *trace.Script {
 		body := []trace.Slot{
 			{Op: isa.ADDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2), Src2: isa.IntReg(3)},
 			{Op: isa.CMPEQ, Dst: isa.IntReg(4), Src1: isa.IntReg(1), Src2: isa.IntReg(5)},
@@ -291,11 +291,11 @@ func TestPipelineMispredictCostsCycles(t *testing.T) {
 	}
 	// Predictable: never taken. Unpredictable: 50/50.
 	pPred, _ := newTestCPU(t, ISAMMX, 1)
-	pPred.SetProgram(0, mk(func(*trace.Ctx) bool { return false }), 1)
+	pPred.SetProgram(0, mk(0), 1)
 	runToDrain(t, pPred, 100000)
 
 	pRand, _ := newTestCPU(t, ISAMMX, 1)
-	pRand.SetProgram(0, mk(func(c *trace.Ctx) bool { return c.RNG.Bool(0.5) }), 1)
+	pRand.SetProgram(0, mk(0.5), 1)
 	runToDrain(t, pRand, 100000)
 
 	if pRand.Stats().Mispredicts <= pPred.Stats().Mispredicts {
@@ -429,10 +429,10 @@ func TestRealMemoryEndToEnd(t *testing.T) {
 	// Loads and stores through the detailed hierarchy must drain.
 	body := []trace.Slot{
 		{Op: isa.LDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x10000 + uint64(c.Iter%256)*32 }},
+			Addr: trace.Addr{Base: 0x10000, Size: 256 * 32, Win: 256 * 32, PerIter: 32}},
 		{Op: isa.ADDQ, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Src2: isa.IntReg(3)},
 		{Op: isa.STQ, Src1: isa.IntReg(3), Src2: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return 0x40000 + uint64(c.Iter%256)*32 }},
+			Addr: trace.Addr{Base: 0x40000, Size: 256 * 32, Win: 256 * 32, PerIter: 32}},
 	}
 	prog := trace.MustScript("mem", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 500, PCBase: 0x1000}})
 	msys := mem.NewReal(mem.DefaultConfig(mem.ModeConventional))
@@ -457,10 +457,10 @@ func TestVectorMemoryEndToEnd(t *testing.T) {
 	for _, mode := range []mem.Mode{mem.ModeConventional, mem.ModeDecoupled} {
 		body := []trace.Slot{
 			{Op: isa.VLD, Dst: isa.MOMReg(0), Src1: isa.IntReg(2),
-				Addr: func(c *trace.Ctx) uint64 { return 0x10000 + uint64(c.Iter%64)*128 }},
+				Addr: trace.Addr{Base: 0x10000, Size: 64 * 128, Win: 64 * 128, PerIter: 128}},
 			{Op: isa.VPADDW, Dst: isa.MOMReg(1), Src1: isa.MOMReg(0), Src2: isa.MOMReg(1)},
 			{Op: isa.VST, Src1: isa.MOMReg(1), Src2: isa.IntReg(2),
-				Addr: func(c *trace.Ctx) uint64 { return 0x80000 + uint64(c.Iter%64)*128 }},
+				Addr: trace.Addr{Base: 0x80000, Size: 64 * 128, Win: 64 * 128, PerIter: 128}},
 		}
 		prog := trace.MustScript("vmem", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: 100, VL: 16, PCBase: 0x1000}})
 		msys := mem.NewReal(mem.DefaultConfig(mode))

@@ -13,9 +13,10 @@ import (
 // single-thread run has long provably idle spans for the event path to
 // skip.
 func loadProgram(n int64, base uint64) *trace.Script {
+	pages := uint32(n) * 4096
 	body := []trace.Slot{
 		{Op: isa.LDQ, Dst: isa.IntReg(1), Src1: isa.IntReg(2),
-			Addr: func(c *trace.Ctx) uint64 { return base + uint64(c.Iter)*4096 }},
+			Addr: trace.Addr{Base: base, Size: pages, Win: pages, PerIter: 4096}},
 		{Op: isa.ADDQ, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Src2: isa.IntReg(3)},
 	}
 	return trace.MustScript("ldmiss", 1, 1, []trace.Phase{{Name: "p", Body: body, Iters: n, PCBase: 0x1000}})

@@ -627,7 +627,7 @@ func (p *Processor) dispatchOne(th *threadState) bool {
 		u.isLoad = inf.Mem == isa.MemLoad
 		u.isStore = inf.Mem == isa.MemStore
 		u.isVector = !e.in.Op.IsScalar()
-		u.elemsTotal = int32(e.in.ElemCount())
+		u.elemsTotal = u.equiv
 	}
 
 	th.fqPop()

@@ -117,8 +117,8 @@ func (s *Suite) renderTable3() string {
 	t := &table{header: []string{"program", "ISA", "int%", "fp%", "simd%", "mem%", "Kinst(eq)", "paper Minst"}}
 	var aggMMX, aggMOM trace.Mix
 	for _, b := range workload.Registry {
-		mm := trace.CountMix(b.Program(workload.MMX, s.opts.Seed, 0, s.opts.Scale))
-		mo := trace.CountMix(b.Program(workload.MOM, s.opts.Seed, 0, s.opts.Scale))
+		mm := trace.CountMix(b.Program(core.ISAMMX, s.opts.Seed, 0, s.opts.Scale))
+		mo := trace.CountMix(b.Program(core.ISAMOM, s.opts.Seed, 0, s.opts.Scale))
 		t.add(b.Name, "mmx", f1(mm.Pct(isa.ClassInt)), f1(mm.Pct(isa.ClassFP)),
 			f1(mm.Pct(isa.ClassSIMD)), f1(mm.Pct(isa.ClassMem)),
 			fmt.Sprint(mm.TotalEq/1000), f1(b.PaperMMX))

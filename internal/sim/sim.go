@@ -120,13 +120,6 @@ type Result struct {
 	Started   int // total program instances (primaries + fillers)
 }
 
-func (c *Config) variant() workload.Variant {
-	if c.ISA == core.ISAMOM {
-		return workload.MOM
-	}
-	return workload.MMX
-}
-
 // Run executes one multiprogrammed simulation on the event-driven
 // engine: the processor runs pipeline cycles only at cycles where work
 // can exist and jumps over provably idle spans (see core.NextWakeup).
@@ -229,7 +222,6 @@ func run(cfg Config, kind engineKind) (*Result, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	v := cfg.variant()
 	started := 0
 	primaries := len(order)
 	completedPrimary := 0
@@ -240,8 +232,8 @@ func run(cfg Config, kind engineKind) (*Result, error) {
 	launch := func(ctx int) {
 		b := benches[started%len(order)]
 		base := uint64(started+1) << 33 // private address space per instance
-		prog := b.Program(v, cfg.Seed+uint64(started)*7919, base, cfg.Scale)
-		p.SetProgram(ctx, prog, b.EIPCFactor(v))
+		prog := b.Program(cfg.ISA, cfg.Seed+uint64(started)*7919, base, cfg.Scale)
+		p.SetProgram(ctx, prog, b.EIPCFactor(cfg.ISA))
 		if started < primaries {
 			primaryOn[ctx] = started
 		} else {

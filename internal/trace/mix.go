@@ -26,7 +26,7 @@ func (m *Mix) Add(in *Inst) {
 		m.Branches++
 	}
 	if inf.Mem != isa.MemNone {
-		m.MemElems += int64(in.ElemCount())
+		m.MemElems += eq
 	}
 }
 

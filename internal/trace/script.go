@@ -6,25 +6,37 @@ import (
 	"mediasmt/internal/isa"
 )
 
-// Ctx carries the dynamic context handed to address and branch-outcome
-// callbacks: the current iteration of the enclosing phase, the current
-// round of the whole script, and the script's RNG.
-type Ctx struct {
-	Iter  int64
-	Round int64
-	RNG   *RNG
+// Addr describes the effective address of a memory slot: one of two
+// patterns over the region [Base, Base+Size).
+//
+//   - A walk (Align 0): Base + (Round·RoundSkip + (Iter·PerIter + Off)
+//     mod Win) mod Size, where Iter is the iteration of the enclosing
+//     phase activation and Round the round of the whole script. The
+//     window of Win bytes holds what a kernel revisits; it moves by
+//     RoundSkip bytes per round. Win equal to Size is a plain
+//     sequential walk.
+//   - A random aligned pick (Align > 0): Base + Align·rng.Intn(Size/Align),
+//     drawn from the script's RNG (table lookups).
+//
+// The zero Addr is unusable; NewScript refuses it on a memory slot.
+type Addr struct {
+	Base      uint64
+	Size      uint32 // region bytes; positive
+	Win       uint32 // walk: window bytes; positive
+	PerIter   uint32 // walk: bytes advanced per iteration
+	Off       uint32 // walk: offset within the window
+	RoundSkip uint32 // walk: bytes the window moves per round
+	Align     uint32 // random pick: alignment in bytes, at most Size
 }
 
-// AddrFn computes the effective address of a memory slot for one
-// dynamic execution.
-type AddrFn func(c *Ctx) uint64
-
-// TakenFn computes the outcome of a conditional branch slot.
-type TakenFn func(c *Ctx) bool
-
 // Slot is one static instruction in a phase body. Registers are
-// architectural; dynamic fields (address, branch outcome) are produced
-// by the callbacks each time the slot executes.
+// architectural; the dynamic fields of each execution are computed by
+// Script.Next from the slot's data: the address from Addr, and a
+// conditional branch's outcome from Taken, drawn from the script's RNG
+// when positive. A Taken of 0 keeps the default rule: a back-edge loops
+// until the activation's last iteration and a forward branch falls
+// through. Unconditional branches are always taken. A slot holds no
+// pointer, so a phase body is a plain value.
 type Slot struct {
 	Op        isa.Opcode
 	Dst       isa.Reg
@@ -32,21 +44,23 @@ type Slot struct {
 	Src2      isa.Reg
 	Src3      isa.Reg
 	SLen      uint8   // stream length override; 0 = phase VL
-	Stride    int32   // stream element stride in bytes (memory ops)
-	Addr      AddrFn  // required for memory ops
-	Taken     TakenFn // optional for conditional branches
 	TargetOff int32   // branch target, in slots relative to this slot
+	Taken     float64 // conditional branches: taken probability in [0, 1]
+	Addr      Addr    // required for memory ops
 }
 
 // Phase is a static basic-block body executed Iters times per
-// activation. Each phase occupies its own code region starting at
-// PCBase (4 bytes per slot), which is what the instruction cache sees.
+// activation, or Iters ± Jitter times (at least once) when Jitter is
+// positive: media programs are data dependent, so the amount of entropy
+// coding per macroblock changes with content. Each phase occupies its
+// own code region starting at PCBase (4 bytes per slot), which is what
+// the instruction cache sees.
 type Phase struct {
 	Name   string
 	Body   []Slot
 	Iters  int64
-	ItersF func(round int64, rng *RNG) int64 // optional; overrides Iters
-	VL     uint8                             // default stream length for MOM slots
+	Jitter int64 // iterations drawn uniformly in [Iters-Jitter, Iters+Jitter]
+	VL     uint8 // default stream length for MOM slots
 	PCBase uint64
 }
 
@@ -67,17 +81,12 @@ type Script struct {
 	iters int64
 	si    int
 	done  bool
-
-	// ctx is the reused callback context. Passing a stack-local Ctx to
-	// the Addr/Taken function values makes it escape, costing one heap
-	// allocation per memory or branch instruction — on the simulator's
-	// hot path that is most of the trace generator's allocation volume.
-	ctx Ctx
 }
 
 // NewScript builds a script. It validates phase bodies eagerly: memory
-// slots need an address callback, branch targets must stay within the
-// body (or exit at its end), and phases must run at least one slot.
+// slots need a usable Addr, branch targets must stay within the body
+// (or exit at its end) and taken probabilities within [0, 1], and
+// phases must run at least one slot.
 func NewScript(name string, seed uint64, rounds int64, phases []Phase) (*Script, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("trace: script %q: rounds must be positive, got %d", name, rounds)
@@ -90,19 +99,22 @@ func NewScript(name string, seed uint64, rounds int64, phases []Phase) (*Script,
 		if len(ph.Body) == 0 {
 			return nil, fmt.Errorf("trace: script %q: phase %q has empty body", name, ph.Name)
 		}
-		if ph.Iters <= 0 && ph.ItersF == nil {
-			return nil, fmt.Errorf("trace: script %q: phase %q has no iterations", name, ph.Name)
+		if ph.Iters <= 0 || ph.Jitter < 0 {
+			return nil, fmt.Errorf("trace: script %q: phase %q needs Iters > 0 and Jitter >= 0, got %d and %d", name, ph.Name, ph.Iters, ph.Jitter)
 		}
 		for si := range ph.Body {
 			sl := &ph.Body[si]
 			inf := sl.Op.Info()
-			if inf.Mem != isa.MemNone && sl.Addr == nil {
-				return nil, fmt.Errorf("trace: script %q: phase %q slot %d (%s): memory op without Addr", name, ph.Name, si, sl.Op)
+			if inf.Mem != isa.MemNone && !sl.Addr.usable() {
+				return nil, fmt.Errorf("trace: script %q: phase %q slot %d (%s): memory op without a usable Addr %+v", name, ph.Name, si, sl.Op, sl.Addr)
 			}
 			if inf.Branch {
 				tgt := si + int(sl.TargetOff)
 				if tgt < 0 || tgt > len(ph.Body) {
 					return nil, fmt.Errorf("trace: script %q: phase %q slot %d (%s): branch target %d out of body", name, ph.Name, si, sl.Op, tgt)
+				}
+				if !(sl.Taken >= 0 && sl.Taken <= 1) {
+					return nil, fmt.Errorf("trace: script %q: phase %q slot %d (%s): taken probability %g outside [0, 1]", name, ph.Name, si, sl.Op, sl.Taken)
 				}
 			}
 		}
@@ -133,16 +145,23 @@ func (s *Script) Reset() {
 	s.iters = s.phaseIters()
 }
 
+// phaseIters draws the iteration count of the phase activation that
+// starts now.
 func (s *Script) phaseIters() int64 {
 	ph := &s.phases[s.pi]
-	if ph.ItersF != nil {
-		n := ph.ItersF(s.round, &s.rng)
-		if n < 1 {
-			n = 1
-		}
-		return n
+	if ph.Jitter == 0 {
+		return ph.Iters
 	}
-	return ph.Iters
+	return max(1, ph.Iters-ph.Jitter+int64(s.rng.Intn(int(2*ph.Jitter+1))))
+}
+
+// usable reports whether every pick of a is defined: an alignment that
+// fits in the region, or a nonempty region and window.
+func (a *Addr) usable() bool {
+	if a.Align > 0 {
+		return a.Align <= a.Size
+	}
+	return a.Size > 0 && a.Win > 0
 }
 
 // Next fills in the next dynamic instruction and reports whether one
@@ -187,7 +206,7 @@ func (s *Script) Next(in *Inst) bool {
 	in.Src2 = sl.Src2
 	in.Src3 = sl.Src3
 	in.PC = ph.PCBase + uint64(s.si)*4
-	in.Stride = sl.Stride
+	in.Stride = 0
 	in.Addr = 0
 	in.Target = 0
 	in.Taken = false
@@ -205,20 +224,22 @@ func (s *Script) Next(in *Inst) bool {
 		}
 	}
 
-	s.ctx.Iter, s.ctx.Round, s.ctx.RNG = s.iter, s.round, &s.rng
-	if inf.Mem != isa.MemNone {
-		in.Addr = sl.Addr(&s.ctx)
-		if in.Stride == 0 {
-			in.Stride = isa.VecElemBytes
+	if a := &sl.Addr; inf.Mem != isa.MemNone {
+		if a.Align > 0 {
+			in.Addr = a.Base + uint64(a.Align)*uint64(s.rng.Intn(int(a.Size/a.Align)))
+		} else {
+			walk := (uint64(s.iter)*uint64(a.PerIter) + uint64(a.Off)) % uint64(a.Win)
+			in.Addr = a.Base + (uint64(s.round)*uint64(a.RoundSkip)+walk)%uint64(a.Size)
 		}
+		in.Stride = isa.VecElemBytes
 	}
 	if inf.Branch {
 		in.Target = ph.PCBase + uint64(s.si+int(sl.TargetOff))*4
 		switch {
 		case !inf.Cond:
 			in.Taken = true
-		case sl.Taken != nil:
-			in.Taken = sl.Taken(&s.ctx)
+		case sl.Taken > 0:
+			in.Taken = s.rng.Bool(sl.Taken)
 		case sl.TargetOff < 0:
 			// Default backward conditional branch: loop back-edge,
 			// taken until the phase activation's last iteration.
@@ -230,15 +251,4 @@ func (s *Script) Next(in *Inst) bool {
 
 	s.si++
 	return true
-}
-
-// Footprint returns the script's static code size in bytes: the sum of
-// its phase bodies at 4 bytes per slot. The instruction cache pressure
-// of a workload comes from this footprint.
-func (s *Script) Footprint() int64 {
-	var n int64
-	for i := range s.phases {
-		n += int64(len(s.phases[i].Body)) * 4
-	}
-	return n
 }

@@ -1,13 +1,16 @@
 package trace
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mediasmt/internal/isa"
 )
 
-func constAddr(a uint64) AddrFn { return func(*Ctx) uint64 { return a } }
+// constAddr is a fixed address: a walk over a one-byte region.
+func constAddr(a uint64) Addr { return Addr{Base: a, Size: 1, Win: 1} }
 
 func simpleLoop(iters int64, rounds int64) *Script {
 	body := []Slot{
@@ -137,13 +140,29 @@ func TestScriptStreamLengthResolution(t *testing.T) {
 }
 
 func TestScriptValidation(t *testing.T) {
-	mem := Slot{Op: isa.LDQ, Dst: isa.IntReg(1)}
-	if _, err := NewScript("bad", 1, 1, []Phase{{Body: []Slot{mem}, Iters: 1}}); err == nil {
-		t.Error("memory slot without Addr must be rejected")
+	for _, a := range []Addr{
+		{},                                // no Addr at all
+		{Base: 0x1000, Win: 8},            // empty region
+		{Base: 0x1000, Size: 64},          // walk without a window
+		{Base: 0x1000, Size: 4, Align: 8}, // alignment larger than the region
+	} {
+		mem := Slot{Op: isa.LDQ, Dst: isa.IntReg(1), Addr: a}
+		if _, err := NewScript("bad", 1, 1, []Phase{{Body: []Slot{mem}, Iters: 1}}); err == nil {
+			t.Errorf("memory slot with unusable Addr %+v must be rejected", a)
+		}
 	}
 	far := Slot{Op: isa.BR, TargetOff: 10}
 	if _, err := NewScript("bad", 1, 1, []Phase{{Body: []Slot{far}, Iters: 1}}); err == nil {
 		t.Error("branch target outside body must be rejected")
+	}
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		br := Slot{Op: isa.BEQ, TargetOff: 1, Taken: p}
+		if _, err := NewScript("bad", 1, 1, []Phase{{Body: []Slot{br}, Iters: 1}}); err == nil {
+			t.Errorf("taken probability %g must be rejected", p)
+		}
+	}
+	if _, err := NewScript("bad", 1, 1, []Phase{{Body: []Slot{{Op: isa.ADDQ}}, Iters: 1, Jitter: -1}}); err == nil {
+		t.Error("negative jitter must be rejected")
 	}
 	if _, err := NewScript("bad", 1, 0, nil); err == nil {
 		t.Error("zero rounds must be rejected")
@@ -254,23 +273,62 @@ func TestRNGIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestFootprint(t *testing.T) {
-	s := simpleLoop(1, 1)
-	if s.Footprint() != 16 {
-		t.Errorf("footprint = %d, want 16", s.Footprint())
+// TestJitter checks that a jittered phase runs Iters ± Jitter times per
+// activation, never fewer than once, and that every count in the range
+// occurs.
+func TestJitter(t *testing.T) {
+	for _, c := range []struct{ iters, jitter, lo, hi int64 }{
+		{3, 1, 2, 4},
+		{1, 3, 1, 4}, // clamped to at least one iteration
+	} {
+		marker := Phase{Body: []Slot{{Op: isa.ADDQ, Dst: isa.IntReg(1)}}, Iters: 1, PCBase: 0x1000}
+		jittered := Phase{Body: []Slot{{Op: isa.ADDQ, Dst: isa.IntReg(2)}}, Iters: c.iters, Jitter: c.jitter, PCBase: 0x2000}
+		s := MustScript("jitter", 3, 200, []Phase{marker, jittered})
+		// Each marker instruction starts a round; count the jittered
+		// phase's iterations between markers.
+		counts := map[int64]int{}
+		n := int64(-1)
+		var in Inst
+		for s.Next(&in) {
+			if in.PC != marker.PCBase {
+				n++
+				continue
+			}
+			if n >= 0 {
+				counts[n]++
+			}
+			n = 0
+		}
+		counts[n]++
+		for k := c.lo; k <= c.hi; k++ {
+			if counts[k] == 0 {
+				t.Errorf("Iters %d Jitter %d: no activation ran %d iterations (counts %v)", c.iters, c.jitter, k, counts)
+			}
+			delete(counts, k)
+		}
+		if len(counts) != 0 {
+			t.Errorf("Iters %d Jitter %d: activations outside [%d, %d]: %v", c.iters, c.jitter, c.lo, c.hi, counts)
+		}
 	}
 }
 
-func TestItersF(t *testing.T) {
-	body := []Slot{{Op: isa.ADDQ, Dst: isa.IntReg(1)}}
-	ph := Phase{Body: body, ItersF: func(round int64, rng *RNG) int64 { return round + 1 }}
-	s := MustScript("vf", 3, 3, []Phase{ph})
-	var in Inst
-	n := 0
-	for s.Next(&in) {
-		n++
+// TestSlotHoldsNoPointer keeps phase bodies plain values: a pointer,
+// string, slice, map, func, chan or interface anywhere in a Slot would
+// make the collector scan every body and builds incomparable.
+func TestSlotHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Func, reflect.Chan, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
 	}
-	if n != 1+2+3 {
-		t.Errorf("ItersF total = %d, want 6", n)
-	}
+	walk("Slot", reflect.TypeOf(Slot{}))
 }

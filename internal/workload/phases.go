@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mediasmt/internal/core"
 	"mediasmt/internal/isa"
 	"mediasmt/internal/trace"
 )
@@ -18,7 +19,7 @@ func ar(i int) isa.Reg { return isa.AccReg(i) }
 // region is one data buffer in a benchmark's address space.
 type region struct {
 	base uint64
-	size uint64
+	size uint32
 }
 
 // arena lays out a benchmark's data regions after its code region. The
@@ -35,9 +36,9 @@ func newArena(base uint64) *arena {
 	return &arena{next: base + 0x10000000 + stagger(base)}
 }
 
-func (a *arena) alloc(size uint64) region {
+func (a *arena) alloc(size uint32) region {
 	r := region{base: a.next, size: size}
-	a.next += (size + 0xfff) &^ uint64(0xfff)
+	a.next += (uint64(size) + 0xfff) &^ uint64(0xfff)
 	return r
 }
 
@@ -50,11 +51,8 @@ func codeAt(base uint64, idx int) uint64 {
 
 // seqAddr walks a region sequentially: perIter bytes per iteration plus
 // a per-round skip, wrapping at the region size.
-func seqAddr(r region, perIter, off, roundSkip uint64) trace.AddrFn {
-	base, size := r.base, r.size
-	return func(c *trace.Ctx) uint64 {
-		return base + (uint64(c.Round)*roundSkip+uint64(c.Iter)*perIter+off)%size
-	}
+func seqAddr(r region, perIter, off, roundSkip uint32) trace.Addr {
+	return winAddr(r, r.size, perIter, off, roundSkip)
 }
 
 // winAddr walks a small reuse window inside a region: the window holds
@@ -62,21 +60,14 @@ func seqAddr(r region, perIter, off, roundSkip uint64) trace.AddrFn {
 // many times, and the window itself advances once per round. This is
 // the paper's "stream-like patterns at kernel level but high locality
 // at the algorithm level" (§2).
-func winAddr(r region, win, perIter, off, roundSkip uint64) trace.AddrFn {
-	base, size := r.base, r.size
-	return func(c *trace.Ctx) uint64 {
-		return base + (uint64(c.Round)*roundSkip+(uint64(c.Iter)*perIter+off)%win)%size
-	}
+func winAddr(r region, win, perIter, off, roundSkip uint32) trace.Addr {
+	return trace.Addr{Base: r.base, Size: r.size, Win: win, PerIter: perIter, Off: off, RoundSkip: roundSkip}
 }
 
 // randAddr picks a uniformly random aligned address in the region
 // (table lookups).
-func randAddr(r region, align uint64) trace.AddrFn {
-	base := r.base
-	n := int(r.size / align)
-	return func(c *trace.Ctx) uint64 {
-		return base + align*uint64(c.RNG.Intn(n))
-	}
+func randAddr(r region, align uint32) trace.Addr {
+	return trace.Addr{Base: r.base, Size: r.size, Align: align}
 }
 
 // loopTail appends the canonical loop overhead: index update, compare,
@@ -125,8 +116,8 @@ func momPrelude(pc uint64) trace.Phase {
 // registers (256 bytes) per stream pair, with the SAD accumulating
 // into the packed accumulator (no paddw merge chain, no reduction
 // tree).
-func sadPhase(v Variant, pc uint64, mmxIters int64, cur, ref region) trace.Phase {
-	if v == MMX {
+func sadPhase(k core.ISAKind, pc uint64, mmxIters int64, cur, ref region) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.LDA, Dst: rr(11), Src1: rr(8)},
 			{Op: isa.MOVQLD, Dst: mr(0), Src1: rr(11), Addr: winAddr(cur, 2048, 16, 0, 512)},
@@ -183,8 +174,8 @@ func sadLoadCur(pc uint64, cur region) trace.Phase {
 // sadFlush reads the accumulated SAD back to the scalar core at the end
 // of a block: a reduction tree under MMX, a single accumulator read
 // under MOM.
-func sadFlush(v Variant, pc uint64) trace.Phase {
-	if v == MMX {
+func sadFlush(k core.ISAKind, pc uint64) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.PADDW, Dst: mr(6), Src1: mr(6), Src2: mr(7)},
 			{Op: isa.PSHUFW, Dst: mr(8), Src1: mr(6), Src2: mr(6)},
@@ -211,8 +202,8 @@ func sadFlush(v Variant, pc uint64) trace.Phase {
 // MMX form needs explicit unpack/pack and a cosine-table load per
 // iteration; the MOM form splats the coefficients once and uses wide
 // stream multiplies.
-func dctPhase(v Variant, pc uint64, mmxIters int64, src, dst, tbl region) trace.Phase {
-	if v == MMX {
+func dctPhase(k core.ISAKind, pc uint64, mmxIters int64, src, dst, tbl region) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.LDA, Dst: rr(11), Src1: rr(8)},
 			{Op: isa.MOVQLD, Dst: mr(0), Src1: rr(11), Addr: winAddr(src, 2048, 16, 0, 512)},
@@ -248,8 +239,8 @@ func dctPhase(v Variant, pc uint64, mmxIters int64, src, dst, tbl region) trace.
 
 // quantPhase scales coefficients by a quantization table with rounding
 // and saturation.
-func quantPhase(v Variant, pc uint64, mmxIters int64, coef, qtbl region) trace.Phase {
-	if v == MMX {
+func quantPhase(k core.ISAKind, pc uint64, mmxIters int64, coef, qtbl region) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.LDA, Dst: rr(11), Src1: rr(8)},
 			{Op: isa.MOVQLD, Dst: mr(0), Src1: rr(11), Addr: winAddr(coef, 2048, 16, 0, 512)},
@@ -279,8 +270,8 @@ func quantPhase(v Variant, pc uint64, mmxIters int64, coef, qtbl region) trace.P
 // firPhase is a multiply-accumulate filter (GSM short/long term
 // prediction): MMX needs pmaddwd plus a merge chain; MOM accumulates
 // the whole stream into the packed accumulator.
-func firPhase(v Variant, pc uint64, mmxIters int64, smp, coef region) trace.Phase {
-	if v == MMX {
+func firPhase(k core.ISAKind, pc uint64, mmxIters int64, smp, coef region) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.LDA, Dst: rr(11), Src1: rr(8)},
 			{Op: isa.MOVQLD, Dst: mr(0), Src1: rr(11), Addr: winAddr(smp, 1024, 8, 0, 128)},
@@ -301,8 +292,8 @@ func firPhase(v Variant, pc uint64, mmxIters int64, smp, coef region) trace.Phas
 }
 
 // firFlush drains the filter accumulator.
-func firFlush(v Variant, pc uint64) trace.Phase {
-	if v == MMX {
+func firFlush(k core.ISAKind, pc uint64) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.PSHUFW, Dst: mr(3), Src1: mr(7), Src2: mr(7)},
 			{Op: isa.PADDD, Dst: mr(7), Src1: mr(7), Src2: mr(3)},
@@ -323,8 +314,8 @@ func firFlush(v Variant, pc uint64) trace.Phase {
 // interpPhase is half-pel pixel interpolation / color reconstruction:
 // byte averages with widening fix-up under MMX, a single stream
 // average under MOM.
-func interpPhase(v Variant, pc uint64, mmxIters int64, src1, src2, dst region) trace.Phase {
-	if v == MMX {
+func interpPhase(k core.ISAKind, pc uint64, mmxIters int64, src1, src2, dst region) trace.Phase {
+	if k == core.ISAMMX {
 		body := []trace.Slot{
 			{Op: isa.LDA, Dst: rr(11), Src1: rr(8)},
 			{Op: isa.MOVQLD, Dst: mr(0), Src1: rr(11), Addr: winAddr(src1, 2048, 8, 0, 512)},
@@ -362,22 +353,23 @@ func momIters(mmxIters int64) int64 {
 
 // protoParams parameterizes a scalar protocol-overhead phase.
 type protoParams struct {
-	name  string
-	pc    uint64
-	iters int64
-	slots int
-	seed  uint64
-	tbl   region // lookup tables (random access)
-	strm  region // bitstream (slowly advancing sequential access)
-	local region // stack-like high-locality scratch
+	name   string
+	pc     uint64
+	iters  int64
+	jitter int64 // content-dependent iteration spread (trace.Phase.Jitter)
+	slots  int
+	seed   uint64
+	tbl    region // lookup tables (random access)
+	strm   region // bitstream (slowly advancing sequential access)
+	local  region // stack-like high-locality scratch
 }
 
 // protocolPhase generates the integer-dominated code that wraps media
 // kernels in real programs: table lookups, bitstream extraction, ALU
 // chains, biased data-dependent branches, occasional multiplies and
 // stores. The static body is generated deterministically from the
-// seed; the dynamic address and branch behaviour comes from the
-// script's RNG at run time.
+// seed; the dynamic address and branch behaviour is drawn from the
+// script's RNG at run time, as each slot's Addr and Taken describe.
 func protocolPhase(p protoParams) trace.Phase {
 	rng := trace.NewRNG(p.seed)
 	regs := []isa.Reg{
@@ -420,7 +412,7 @@ func protocolPhase(p protoParams) trace.Phase {
 			)
 		case 2: // bitstream byte plus merge into the bit window
 			d1, d2, d3 := next(), next(), next()
-			off := uint64(rng.Intn(64))
+			off := uint32(rng.Intn(64))
 			body = append(body,
 				trace.Slot{Op: isa.LDBU, Dst: d1, Src1: rd(), Addr: seqAddr(p.strm, 3, off, 509)},
 				trace.Slot{Op: isa.SLL, Dst: d2, Src1: d1, Src2: rd()},
@@ -437,13 +429,12 @@ func protocolPhase(p protoParams) trace.Phase {
 			prob := [...]float64{0.02, 0.05, 0.2, 0.96}[rng.Intn(4)]
 			body = append(body,
 				trace.Slot{Op: isa.CMPEQ, Dst: d, Src1: rd(), Src2: rd()},
-				trace.Slot{Op: isa.BEQ, Src1: d, TargetOff: 2,
-					Taken: func(c *trace.Ctx) bool { return c.RNG.Bool(prob) }},
+				trace.Slot{Op: isa.BEQ, Src1: d, TargetOff: 2, Taken: prob},
 			)
 		case 6: // store a result into the output stream
 			body = append(body,
 				trace.Slot{Op: isa.STL, Src1: rd(), Src2: rd(),
-					Addr: seqAddr(p.strm, 5, uint64(rng.Intn(256)), 1021)},
+					Addr: seqAddr(p.strm, 5, uint32(rng.Intn(256)), 1021)},
 			)
 		case 7: // conditional move and mask (branchless coding)
 			d1, d2 := next(), next()
@@ -464,7 +455,7 @@ func protocolPhase(p protoParams) trace.Phase {
 			)
 		}
 	}
-	return trace.Phase{Name: p.name, Body: loopTail(body), Iters: p.iters, PCBase: p.pc}
+	return trace.Phase{Name: p.name, Body: loopTail(body), Iters: p.iters, Jitter: p.jitter, PCBase: p.pc}
 }
 
 // fpPhase is floating-point geometry code (mesa's transform pipeline).
@@ -493,8 +484,7 @@ func fpDivPhase(name string, pc uint64, iters int64, src region) trace.Phase {
 		{Op: isa.DIVT, Dst: fr(11), Src1: fr(8), Src2: fr(10)},
 		{Op: isa.MULT, Dst: fr(12), Src1: fr(11), Src2: fr(1)},
 		{Op: isa.CMPTLT, Dst: fr(13), Src1: fr(12), Src2: fr(2)},
-		{Op: isa.FBNE, Src1: fr(13), TargetOff: 1,
-			Taken: func(c *trace.Ctx) bool { return c.RNG.Bool(0.3) }},
+		{Op: isa.FBNE, Src1: fr(13), TargetOff: 1, Taken: 0.3},
 	}
 	return trace.Phase{Name: name, Body: loopTail(body), Iters: iters, PCBase: pc}
 }

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
+	"mediasmt/internal/core"
 	"mediasmt/internal/isa"
 	"mediasmt/internal/trace"
 )
@@ -22,21 +24,21 @@ func collect(t *testing.T, ph trace.Phase, vl uint8) []trace.Inst {
 	return out
 }
 
-func regionFor(size uint64) region { return region{base: 0x100000, size: size} }
+func regionFor(size uint32) region { return region{base: 0x100000, size: size} }
 
 func TestKernelPhasesBothVariantsValid(t *testing.T) {
 	r := regionFor(32 << 10)
 	tb := regionFor(4 << 10)
-	builders := map[string]func(v Variant) trace.Phase{
-		"sad":    func(v Variant) trace.Phase { return sadPhase(v, 0x1000, 32, r, r) },
-		"dct":    func(v Variant) trace.Phase { return dctPhase(v, 0x2000, 32, r, r, tb) },
-		"quant":  func(v Variant) trace.Phase { return quantPhase(v, 0x3000, 32, r, tb) },
-		"fir":    func(v Variant) trace.Phase { return firPhase(v, 0x4000, 32, r, tb) },
-		"interp": func(v Variant) trace.Phase { return interpPhase(v, 0x5000, 32, r, r, r) },
+	builders := map[string]func(k core.ISAKind) trace.Phase{
+		"sad":    func(k core.ISAKind) trace.Phase { return sadPhase(k, 0x1000, 32, r, r) },
+		"dct":    func(k core.ISAKind) trace.Phase { return dctPhase(k, 0x2000, 32, r, r, tb) },
+		"quant":  func(k core.ISAKind) trace.Phase { return quantPhase(k, 0x3000, 32, r, tb) },
+		"fir":    func(k core.ISAKind) trace.Phase { return firPhase(k, 0x4000, 32, r, tb) },
+		"interp": func(k core.ISAKind) trace.Phase { return interpPhase(k, 0x5000, 32, r, r, r) },
 	}
 	for name, build := range builders {
-		mmxInsts := collect(t, build(MMX), 0)
-		momInsts := collect(t, build(MOM), 16)
+		mmxInsts := collect(t, build(core.ISAMMX), 0)
+		momInsts := collect(t, build(core.ISAMOM), 16)
 		if len(mmxInsts) == 0 || len(momInsts) == 0 {
 			t.Fatalf("%s: empty kernel", name)
 		}
@@ -68,16 +70,16 @@ func TestKernelPhasesBothVariantsValid(t *testing.T) {
 func TestKernelAddressesStayInRegions(t *testing.T) {
 	r := region{base: 0x100000, size: 32 << 10}
 	tb := region{base: 0x200000, size: 4 << 10}
-	for _, v := range []Variant{MMX, MOM} {
-		for _, in := range collect(t, dctPhase(v, 0x1000, 64, r, r, tb), 16) {
+	for _, k := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+		for _, in := range collect(t, dctPhase(k, 0x1000, 64, r, r, tb), 16) {
 			if in.Op.Info().Mem == isa.MemNone {
 				continue
 			}
-			last := in.Addr + uint64(in.ElemCount()-1)*uint64(in.Stride)
-			inR := in.Addr >= r.base && last < r.base+r.size
-			inT := in.Addr >= tb.base && last < tb.base+tb.size
+			last := in.Addr + uint64(in.Equiv()-1)*uint64(in.Stride)
+			inR := in.Addr >= r.base && last < r.base+uint64(r.size)
+			inT := in.Addr >= tb.base && last < tb.base+uint64(tb.size)
 			if !inR && !inT {
-				t.Fatalf("%v: address %#x (last %#x) outside both regions", v, in.Addr, last)
+				t.Fatalf("%v: address %#x (last %#x) outside both regions", k, in.Addr, last)
 			}
 		}
 	}
@@ -133,23 +135,74 @@ func TestStaggerSpreadsLayouts(t *testing.T) {
 	}
 }
 
-func TestWinAddrReusesWindow(t *testing.T) {
+// addrs drives one load slot with address a through Script.Next for
+// rounds rounds of iters iterations and returns each round's addresses.
+func addrs(t *testing.T, a trace.Addr, iters, rounds int64) [][]uint64 {
+	t.Helper()
+	body := []trace.Slot{{Op: isa.LDQ, Dst: rr(1), Addr: a}}
+	s, err := trace.NewScript("addr", 1, rounds, []trace.Phase{{Body: body, Iters: iters}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]uint64, rounds)
+	var in trace.Inst
+	for i := int64(0); s.Next(&in); i++ {
+		out[i/iters] = append(out[i/iters], in.Addr)
+	}
+	return out
+}
+
+// TestAddressPatterns drives the three address constructors through
+// the script engine and checks the access patterns they stand for.
+func TestAddressPatterns(t *testing.T) {
 	r := region{base: 0x1000, size: 64 << 10}
-	fn := winAddr(r, 2048, 16, 0, 512)
-	rng := trace.NewRNG(1)
-	seen := map[uint64]bool{}
-	for it := int64(0); it < 1000; it++ {
-		seen[fn(&trace.Ctx{Iter: it, Round: 0, RNG: rng})] = true
+	distinct := func(what string, as []uint64) int {
+		t.Helper()
+		seen := map[uint64]bool{}
+		for _, a := range as {
+			if a < r.base || a >= r.base+uint64(r.size) {
+				t.Fatalf("%s: address %#x outside the region", what, a)
+			}
+			seen[a] = true
+		}
+		return len(seen)
 	}
-	// 1000 iterations at 16 bytes/iter wrap inside the 2 KB window.
-	if len(seen) > 2048/16 {
-		t.Errorf("window walk touched %d distinct addresses, want <= %d", len(seen), 2048/16)
+
+	// A window walk: 1000 iterations at 16 bytes/iter wrap inside the
+	// 2 KB window, and the window moves with the round.
+	win := addrs(t, winAddr(r, 2048, 16, 0, 512), 1000, 2)
+	for round, as := range win {
+		if n := distinct("window", as); n != 2048/16 {
+			t.Errorf("round %d: window walk touched %d distinct addresses, want %d", round, n, 2048/16)
+		}
+		if as[2048/16] != as[0] {
+			t.Errorf("round %d: window walk did not wrap after %d iterations", round, 2048/16)
+		}
 	}
-	// The window must advance with the round.
-	a0 := fn(&trace.Ctx{Iter: 0, Round: 0, RNG: rng})
-	a1 := fn(&trace.Ctx{Iter: 0, Round: 1, RNG: rng})
-	if a0 == a1 {
+	if win[1][0] == win[0][0] {
 		t.Error("window must move across rounds")
+	}
+
+	// A sequential walk is the window walk with the window the size of
+	// the region: one pass touches every 8-byte word once.
+	seq := addrs(t, seqAddr(r, 8, 24, 512), 10000, 3)
+	if !reflect.DeepEqual(seq, addrs(t, winAddr(r, r.size, 8, 24, 512), 10000, 3)) {
+		t.Error("sequential walk differs from a region-sized window walk")
+	}
+	if n := distinct("sequential", seq[0][:r.size/8]); n != int(r.size/8) {
+		t.Errorf("one pass of the sequential walk touched %d distinct words, want %d", n, r.size/8)
+	}
+
+	// A random pick lands inside the region on Align boundaries and
+	// spreads over it.
+	rnd := addrs(t, randAddr(r, 64), 5000, 1)[0]
+	for _, a := range rnd {
+		if (a-r.base)%64 != 0 {
+			t.Fatalf("random pick %#x is not 64-byte aligned within the region", a)
+		}
+	}
+	if n := distinct("random", rnd); n < int(r.size/64)/2 {
+		t.Errorf("5000 random picks touched only %d of %d aligned slots", n, r.size/64)
 	}
 }
 

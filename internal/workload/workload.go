@@ -12,31 +12,21 @@
 // lookups, bitstream handling, branchy control). The models are
 // calibrated against the paper's Table 3 instruction breakdown; the
 // calibration is enforced by tests in this package.
+//
+// A built program is plain data: each memory slot's address is a
+// trace.Addr over one of the program's regions (seqAddr, winAddr,
+// randAddr), each data-dependent branch a probability and each
+// content-dependent phase a jitter. Two builds with the same arguments
+// are equal values, and the collector never scans their bodies.
 package workload
 
 import (
 	"fmt"
 	"sync"
 
+	"mediasmt/internal/core"
 	"mediasmt/internal/trace"
 )
-
-// Variant selects the media ISA a benchmark is "compiled" for.
-type Variant uint8
-
-const (
-	// MMX is the conventional packed-SIMD build.
-	MMX Variant = iota
-	// MOM is the streaming vector packed-SIMD build.
-	MOM
-)
-
-func (v Variant) String() string {
-	if v == MOM {
-		return "mom"
-	}
-	return "mmx"
-}
 
 // Benchmark describes one program of the workload.
 type Benchmark struct {
@@ -50,7 +40,7 @@ type Benchmark struct {
 	PaperMMX float64
 	PaperMOM float64
 
-	build func(v Variant, seed, base uint64, rounds int64) *trace.Script
+	build func(k core.ISAKind, seed, base uint64, rounds int64) *trace.Script
 
 	mu         sync.Mutex
 	perRound   int64   // raw MMX instructions per round (measured lazily)
@@ -157,8 +147,8 @@ func (b *Benchmark) measure() {
 	if b.perRound > 0 {
 		return
 	}
-	mmx := trace.CountMix(b.build(MMX, 1, 0, 1))
-	mom := trace.CountMix(b.build(MOM, 1, 0, 1))
+	mmx := trace.CountMix(b.build(core.ISAMMX, 1, 0, 1))
+	mom := trace.CountMix(b.build(core.ISAMOM, 1, 0, 1))
 	b.perRound = mmx.Total
 	if mom.Total > 0 {
 		b.eipcFactor = float64(mmx.Total) / float64(mom.Total)
@@ -179,20 +169,20 @@ func (b *Benchmark) Rounds(scale float64) int64 {
 	return r
 }
 
-// Program builds the benchmark for one hardware context. base is the
-// context's address-space offset (programs are independent processes,
-// so different contexts must not share addresses); seed randomizes the
-// dynamic behaviour deterministically.
-func (b *Benchmark) Program(v Variant, seed, base uint64, scale float64) *trace.Script {
-	return b.build(v, seed, base, b.Rounds(scale))
+// Program builds the benchmark for one hardware context, compiled for
+// the media ISA k. base is the context's address-space offset (programs
+// are independent processes, so different contexts must not share
+// addresses); seed randomizes the dynamic behaviour deterministically.
+func (b *Benchmark) Program(k core.ISAKind, seed, base uint64, scale float64) *trace.Script {
+	return b.build(k, seed, base, b.Rounds(scale))
 }
 
 // EIPCFactor is the per-benchmark conversion factor of the paper's
 // Equivalent IPC: the ratio of raw dynamic instruction counts between
 // the MMX and MOM builds of the same work. Crediting this factor per
 // committed MOM instruction makes EIPC = (N_mmx / N_mom) x IPC_mom.
-func (b *Benchmark) EIPCFactor(v Variant) float64 {
-	if v == MMX {
+func (b *Benchmark) EIPCFactor(k core.ISAKind) float64 {
+	if k == core.ISAMMX {
 		return 1
 	}
 	b.measure()

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"mediasmt/internal/core"
 	"mediasmt/internal/isa"
 	"mediasmt/internal/trace"
 )
@@ -33,20 +35,23 @@ func TestRegistryAndRunOrder(t *testing.T) {
 	}
 }
 
+// TestProgramsDeterministic checks that a program is plain data: two
+// builds with the same arguments are deeply equal values, slot for
+// slot, for every benchmark and media ISA.
 func TestProgramsDeterministic(t *testing.T) {
 	for _, b := range Registry {
-		a := trace.CountMix(b.Program(MOM, 7, 1<<33, 0.05))
-		c := trace.CountMix(b.Program(MOM, 7, 1<<33, 0.05))
-		if a != c {
-			t.Errorf("%s: identical builds produced different mixes", b.Name)
+		for _, k := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+			if !reflect.DeepEqual(b.Program(k, 7, 1<<33, 0.05), b.Program(k, 7, 1<<33, 0.05)) {
+				t.Errorf("%s.%v: identical builds are not equal", b.Name, k)
+			}
 		}
 	}
 }
 
 func TestSeedsChangeDynamicBehaviourNotStructure(t *testing.T) {
 	b := MustGet("mpeg2enc")
-	m1 := trace.CountMix(b.Program(MMX, 1, 0, 0.05))
-	m2 := trace.CountMix(b.Program(MMX, 2, 0, 0.05))
+	m1 := trace.CountMix(b.Program(core.ISAMMX, 1, 0, 0.05))
+	m2 := trace.CountMix(b.Program(core.ISAMMX, 2, 0, 0.05))
 	// Same static structure: totals match exactly unless a jittered
 	// phase differs; allow 10%.
 	ratio := float64(m1.Total) / float64(m2.Total)
@@ -61,8 +66,8 @@ func TestSeedsChangeDynamicBehaviourNotStructure(t *testing.T) {
 func TestTable3Calibration(t *testing.T) {
 	var aggMMX, aggMOM trace.Mix
 	for _, b := range Registry {
-		mm := trace.CountMix(b.Program(MMX, 1, 0, 1))
-		mo := trace.CountMix(b.Program(MOM, 1, 0, 1))
+		mm := trace.CountMix(b.Program(core.ISAMMX, 1, 0, 1))
+		mo := trace.CountMix(b.Program(core.ISAMOM, 1, 0, 1))
 
 		// Per-benchmark equivalent-count ratio tracks the paper's.
 		got := float64(mo.TotalEq) / float64(mm.Total)
@@ -115,8 +120,8 @@ func TestTable3Calibration(t *testing.T) {
 
 func TestMesaNotVectorized(t *testing.T) {
 	b := MustGet("mesa")
-	mm := trace.CountMix(b.Program(MMX, 1, 0, 0.1))
-	mo := trace.CountMix(b.Program(MOM, 1, 0, 0.1))
+	mm := trace.CountMix(b.Program(core.ISAMMX, 1, 0, 0.1))
+	mo := trace.CountMix(b.Program(core.ISAMOM, 1, 0, 0.1))
 	if mm.Total != mo.Total {
 		t.Errorf("mesa builds differ: %d vs %d (not vectorized, must be identical)", mm.Total, mo.Total)
 	}
@@ -130,16 +135,16 @@ func TestMesaNotVectorized(t *testing.T) {
 
 func TestEIPCFactor(t *testing.T) {
 	for _, b := range Registry {
-		f := b.EIPCFactor(MOM)
+		f := b.EIPCFactor(core.ISAMOM)
 		if f < 1 {
 			t.Errorf("%s: EIPC factor %.3f < 1 (MOM raw count must not exceed MMX)", b.Name, f)
 		}
-		if b.EIPCFactor(MMX) != 1 {
+		if b.EIPCFactor(core.ISAMMX) != 1 {
 			t.Errorf("%s: MMX factor must be 1", b.Name)
 		}
 	}
 	// mpeg2enc collapses the most.
-	if MustGet("mpeg2enc").EIPCFactor(MOM) < MustGet("gsmdec").EIPCFactor(MOM) {
+	if MustGet("mpeg2enc").EIPCFactor(core.ISAMOM) < MustGet("gsmdec").EIPCFactor(core.ISAMOM) {
 		t.Error("mpeg2enc must have a larger EIPC factor than gsmdec")
 	}
 }
@@ -150,7 +155,7 @@ func TestAddressSpacesDisjoint(t *testing.T) {
 	b := MustGet("gsmdec")
 	seen := map[uint64]uint8{}
 	for i, base := range []uint64{1 << 33, 2 << 33} {
-		p := b.Program(MMX, 1, base, 0.02)
+		p := b.Program(core.ISAMMX, 1, base, 0.02)
 		var in trace.Inst
 		for p.Next(&in) {
 			if in.Op.Info().Mem != isa.MemNone {
@@ -168,11 +173,17 @@ func TestAddressSpacesDisjoint(t *testing.T) {
 func TestCodeFootprints(t *testing.T) {
 	// The combined I-footprint must stress a 64 KB I-cache at 8
 	// threads but fit comfortably for 1-2 threads (Table 4 behaviour).
+	// A program's footprint is the code it runs: its distinct PCs at 4
+	// bytes each.
 	var total int64
 	for _, name := range RunOrder {
-		b := MustGet(name)
-		s := b.Program(MMX, 1, 0, 0.01)
-		fp := s.Footprint()
+		pcs := map[uint64]bool{}
+		s := MustGet(name).Program(core.ISAMMX, 1, 0, 0.01)
+		var in trace.Inst
+		for s.Next(&in) {
+			pcs[in.PC] = true
+		}
+		fp := int64(len(pcs)) * 4
 		if fp < 2<<10 || fp > 32<<10 {
 			t.Errorf("%s: footprint %d bytes outside [2KB, 32KB]", name, fp)
 		}
@@ -198,8 +209,20 @@ func TestRoundsScaleLinearly(t *testing.T) {
 	}
 }
 
-func TestVariantString(t *testing.T) {
-	if MMX.String() != "mmx" || MOM.String() != "mom" {
-		t.Error("variant strings")
+// BenchmarkProgramBuild builds the eight RunOrder programs for both
+// media ISAs at scale 0.02; allocs/op and B/op are what building
+// programs costs the collector.
+func BenchmarkProgramBuild(b *testing.B) {
+	for _, name := range RunOrder {
+		MustGet(name).Rounds(1) // measure each benchmark before the timer starts
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for ctx, name := range RunOrder {
+			for _, k := range []core.ISAKind{core.ISAMMX, core.ISAMOM} {
+				MustGet(name).Program(k, uint64(ctx+1), uint64(ctx+1)<<33, 0.02)
+			}
+		}
 	}
 }
